@@ -54,13 +54,16 @@ class QueryContext:
 
 
 class _RegexCache:
+    """Compiled matcher per pattern text, shared by everything that
+    evaluates one set of sources."""
+
     def __init__(self):
         self.by_pattern = {}
 
-    def automaton(self, pattern: str):
+    def automaton(self, pattern: str) -> nfa_mod.LazyDfa:
         m = self.by_pattern.get(pattern)
         if m is None:
-            m = nfa_mod.build_nfa(rex.parse_regex(pattern))
+            m = nfa_mod.LazyDfa(nfa_mod.build_nfa(rex.parse_regex(pattern)))
             self.by_pattern[pattern] = m
         return m
 
@@ -71,8 +74,8 @@ def _value_matches(kind: ValueKind, atom_value, bound, rx_cache) -> bool:
     if kind is ValueKind.REGEX_INDEX:
         if not isinstance(bound, str):
             return False
-        matcher = atom_value if isinstance(atom_value, nfa_mod.Nfa) \
-            else rx_cache.automaton(atom_value)
+        matcher = rx_cache.automaton(atom_value) \
+            if isinstance(atom_value, str) else atom_value
         return nfa_mod.nfa_match(matcher, bound, full=False)
     return bound == atom_value
 
@@ -168,7 +171,8 @@ class BlobEvaluator:
                 if value is None:
                     raise UnknownFilterValue(entry.name, rec.filter_value)
             elif kind is ValueKind.REGEX_INDEX:
-                value = nfa_mod.deserialize_nfa(self.bp.regex_blob_at(rec.filter_value))
+                value = nfa_mod.LazyDfa(
+                    nfa_mod.deserialize_nfa(self.bp.regex_blob_at(rec.filter_value)))
             elif kind is ValueKind.NETWORK_ENDPOINT:
                 text = self.bp.string_at(rec.filter_value)
                 proto, _, addr = text.partition(" ")
@@ -183,7 +187,6 @@ class BlobEvaluator:
                 trace: list | None = None) -> Decision:
         idx = self.table.index(op_name)
         unit = self.bp.op_pointers[idx]
-        rx = _RegexCache()
         for _ in range(len(self.bp.records) + 1):
             entry, value, match_off, unmatch_off = self._prepare(unit)
             if entry is None:
@@ -191,7 +194,7 @@ class BlobEvaluator:
                     trace.append((unit, str(value), None))
                 return value
             bound = ctx.get(entry.context_key)
-            matched = _value_matches(entry.kind, value, bound, rx)
+            matched = _value_matches(entry.kind, value, bound, None)
             if trace is not None:
                 trace.append((unit, entry.name, matched))
             unit = match_off if matched else unmatch_off
@@ -203,10 +206,10 @@ def evaluate(bp, op_name: str, ctx: QueryContext, table: OperationTable,
     return BlobEvaluator(bp, table, vocab).verdict(op_name, ctx)
 
 
-def as_source(thing, table, vocab):
+def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):
     """Wrap a Profile, BinaryProfile or raw blob as a verdict source."""
     if isinstance(thing, Profile):
-        return AstEvaluator(thing, table, vocab)
+        return AstEvaluator(thing, table, vocab, rx_cache)
     if isinstance(thing, (bytes, bytearray, BinaryProfile)):
         return BlobEvaluator(thing, table, vocab)
     if hasattr(thing, "verdict"):
@@ -219,31 +222,26 @@ def as_source(thing, table, vocab):
 
 def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
     """Shortest strings the automaton accepts in search mode; deterministic.
-    The start state is re-injected at every position, mirroring nfa_match."""
-    eps, cons = nfa_mod._edge_maps(matcher)
+    Breadth-first over the search-mode DFA states, one prefix per state."""
     letters = sorted(set(alphabet))
-    far = max_len + 1
     out = []
-    s0 = frozenset(nfa_mod._closure({matcher.start}, eps, 0, far))
+    s0 = matcher.initial(search=True)
     frontier = {s0: ""}
     seen = {s0}
     for depth in range(max_len + 1):
-        for states, prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
-            if nfa_mod._closure(set(states), eps, depth, depth) & matcher.accepts:
+        for key, prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
+            if matcher.accepts_at_end(key, depth == 0):
                 out.append(prefix)
                 if len(out) >= limit:
                     return out
         if depth == max_len:
             break
         nxt = {}
-        for states, prefix in frontier.items():
-            for ch in letters:
-                stepped = nfa_mod._step(states, cons, ch)
-                stepped.add(matcher.start)
-                key = frozenset(nfa_mod._closure(stepped, eps, depth + 1, far))
-                if key not in seen:
-                    seen.add(key)
-                    nxt[key] = prefix + ch
+        for key, prefix in frontier.items():
+            for ch, stepped in zip(letters, matcher.successors(key, letters)):
+                if stepped not in seen:
+                    seen.add(stepped)
+                    nxt[stepped] = prefix + ch
         frontier = nxt
         if not frontier:
             break
@@ -252,7 +250,7 @@ def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
 
 def _pattern_alphabet(matcher):
     chars = set("/.")
-    for _src, label, _dst in matcher.transitions:
+    for label in matcher.labels:
         if isinstance(label, rex.Char):
             chars.add(chr(label.byte))
         elif isinstance(label, rex.CharClass):
@@ -299,7 +297,7 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     regexes: dict[str, list] = {}
     for ctx_key, kind, value in atom_triples:
         if kind is ValueKind.REGEX_INDEX:
-            matcher = value if isinstance(value, nfa_mod.Nfa) else rx.automaton(value)
+            matcher = rx.automaton(value) if isinstance(value, str) else value
             regexes.setdefault(ctx_key, []).append(matcher)
             for s in _accepted_samples(matcher, _pattern_alphabet(matcher)):
                 add(ctx_key, s)
@@ -405,11 +403,11 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
     """Compare two verdict sources. Exhaustive mode enumerates, per
     operation, every combination of that operation's own atom values;
     sampled mode draws seeded random contexts from the combined universe."""
-    src_a = as_source(a, table, vocab)
-    src_b = as_source(b, table, vocab)
+    rx = _RegexCache()  # one compiled matcher per pattern for both sides
+    src_a = as_source(a, table, vocab, rx)
+    src_b = as_source(b, table, vocab, rx)
     if ops is None:
         ops = list(table.entries)
-    rx = _RegexCache()
     atoms = collect_atoms(src_a, table, vocab) + collect_atoms(src_b, table, vocab)
     universe = build_universe(atoms, vocab, rx)
     checked = 0

@@ -1,5 +1,20 @@
-"""Nondeterministic automata: construction, matching, the serialized wire
-format, and reversal back to regex text via state removal.
+"""Nondeterministic automata: construction, the lazy DFA behind every
+language operation, the serialized wire format, and reversal back to regex
+text via state removal.
+
+Matching and the bounded-language walks (enumeration, equivalence, the
+evaluator's sample strings) all run on LazyDfa, a lazily determinized
+automaton in the manner of RE2 (Thompson, CACM 1968; Cox, "Regular Expression
+Matching Can Be Simple And Fast", 2007). Each Nfa is compiled once. A DFA
+state is a set of NFA states held as an int bitset, closed over epsilon edges
+with both anchors shut; the anchors are position predicates, so `^` is
+applied only when the initial state is built and `$` only through each
+state's accepts-at-end bit. Matching computes transitions on first use and
+memoizes them per byte class: classes are cut at every Char/CharClass bound,
+and all code points above 0xFF share one class. The walks seldom take a step
+twice, so they step the same states without the cache. At most
+DFA_STATE_CAP states are cached per automaton; past that the cache is flushed
+and refilled, so hostile blobs keep memory bounded.
 
 Wire format (documented bit-exactly in docs/format.md): a u16-le node count
 followed by one record per node. Records are 1-byte tag + 2-byte le operand,
@@ -12,8 +27,11 @@ after an unconditional jump.
 
 from __future__ import annotations
 
+import itertools
+import operator
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MalformedRegexBlob, TooManyStates
 from . import rex
@@ -45,6 +63,8 @@ MAX_NODES = 0xFFFF
 REVERSAL_STATE_CAP = 4096  # guards state removal against absurd foreign blobs
 
 _DEAD_CLASS = CharClass(False, ())  # zero ranges: matches nothing
+# one shared label per byte: compiled automata keep their labels for life
+_CHARS = tuple(Char(b) for b in range(0x100))
 
 
 @dataclass(frozen=True)
@@ -61,6 +81,11 @@ class Nfa:
         assert 0 <= self.start < self.n_states
         for src, _label, dst in self.transitions:
             assert 0 <= src < self.n_states and 0 <= dst < self.n_states
+
+    @cached_property
+    def dfa(self) -> LazyDfa:
+        """The compiled matcher, built on first use and kept with the Nfa."""
+        return LazyDfa(self)
 
 
 def _label_matches(label, ch: str) -> bool:
@@ -97,7 +122,7 @@ def build_nfa(ast) -> Nfa:
             return s, s
         if isinstance(a, (Char, AnyChar, CharClass, AnchorStart, AnchorEnd)):
             s, t = new(), new()
-            edge(s, a, t)
+            edge(s, _CHARS[a.byte] if isinstance(a, Char) else a, t)
             return s, t
         if isinstance(a, Concat):
             first_in, out = build(a.parts[0])
@@ -136,125 +161,272 @@ def build_nfa(ast) -> Nfa:
 
 
 # ---------------------------------------------------------------------------
-# Simulation
+# Lazy DFA: the one engine behind matching and every bounded-language walk
 
-def _edge_maps(nfa: Nfa):
-    eps = {}
-    cons = {}
-    for src, label, dst in nfa.transitions:
-        if _is_consuming(label):
-            cons.setdefault(src, []).append((label, dst))
-        else:
-            eps.setdefault(src, []).append((label, dst))
-    return eps, cons
+DFA_STATE_CAP = 512  # cached DFA states per automaton before a flush
+
+_UNKNOWN = -1  # transition not computed yet; a stop is stored as -2 - state
 
 
-def _closure(states, eps, pos, length):
-    """Expand epsilon and position-predicate edges at string position pos."""
-    stack = list(states)
-    seen = set(states)
-    while stack:
-        s = stack.pop()
-        for label, dst in eps.get(s, ()):
-            if isinstance(label, AnchorStart) and pos != 0:
-                continue
-            if isinstance(label, AnchorEnd) and pos != length:
-                continue
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return seen
+# A state set can span all 65,535 nodes of a hostile blob, where one big-int
+# operation per state would be quadratic; these two go through the binary
+# digits instead, linear in the width.
 
-
-def _step(states, cons, ch):
-    out = set()
-    for s in states:
-        for label, dst in cons.get(s, ()):
-            if _label_matches(label, ch):
-                out.add(dst)
+def _members(bits: int) -> list:
+    """The states in a bitset."""
+    digits = bin(bits)[:1:-1]  # least significant first
+    out = []
+    q = digits.find("1")
+    while q >= 0:
+        out.append(q)
+        q = digits.find("1", q + 1)
     return out
 
 
-def nfa_match(nfa: Nfa, s: str, full: bool = False) -> bool:
-    """full=True: s itself must be in the language. full=False is the filter
-    semantics: some substring matches, with ^/$ pinned to the string ends."""
-    eps, cons = _edge_maps(nfa)
-    n = len(s)
-    if full:
-        cur = _closure({nfa.start}, eps, 0, n)
-        for i, ch in enumerate(s):
-            if not cur:
-                return False
-            cur = _closure(_step(cur, cons, ch), eps, i + 1, n)
-        return bool(cur & nfa.accepts)
-    cur = set()
-    for pos in range(n + 1):
-        cur.add(nfa.start)
-        cur = _closure(cur, eps, pos, n)
-        if cur & nfa.accepts:
+def _bitset(states) -> int:
+    if not states:
+        return 0
+    digits = bytearray(b"0") * (max(states) + 1)
+    for q in states:
+        digits[q] = 0x31  # "1"
+    return int(digits[::-1], 2)
+
+
+def _close(states, edges) -> int:
+    """Bitset of the states and of all states reachable from them along
+    edges[q], the states one non-consuming edge away from q."""
+    seen = set(states)
+    stack = list(seen)
+    while stack:
+        for dst in edges[stack.pop()]:
+            if dst not in seen:
+                seen.add(dst)
+                stack.append(dst)
+    return _bitset(seen)
+
+
+class LazyDfa:
+    """Subset automaton of an Nfa, determinized on demand as in RE2.
+
+    A state key is an int bitset of NFA states closed over epsilon edges
+    with both anchors shut. Search-mode keys also carry bit n_states, and
+    each of their steps re-adds the start state's closure, so a match may
+    begin anywhere. The cache is one flat list of rows [key, accepts at
+    end, next state per byte class]; a state is the index of its first
+    class slot. A transition into a state that decides the match (a search
+    state holding an accept, a full-match state with no NFA states left) is
+    stored as -2 - state.
+    """
+
+    __slots__ = ("_edges", "_first", "_consumers", "_eps", "_accepts", "_end",
+                 "_init", "_restart", "_search", "_empty_ok", "_cmap", "_top",
+                 "_width", "_ids", "_rows", "flushes")
+
+    def __init__(self, nfa: Nfa):
+        n = nfa.n_states
+        eps = [[] for _ in range(n)]      # closure with both anchors shut
+        bol = [[] for _ in range(n)]      # ... and ^ open, for the initial state
+        both = [[] for _ in range(n)]     # ... and $ open too, for the empty string
+        rev_eol = [[] for _ in range(n)]  # reversed epsilon and $ edges
+        edges = []
+        cuts = {0, 0x100}
+        for edge in nfa.transitions:
+            src, label, dst = edge
+            if _is_consuming(label):
+                edges.append(edge)
+                if isinstance(label, Char):
+                    cuts.update((label.byte, label.byte + 1))
+                elif isinstance(label, CharClass):
+                    for lo, hi in label.ranges:
+                        cuts.update((lo, hi + 1))
+                continue
+            at_start = isinstance(label, AnchorStart)
+            at_end = isinstance(label, AnchorEnd)
+            both[src].append(dst)
+            if not at_end:
+                bol[src].append(dst)
+            if not at_start:
+                rev_eol[dst].append(src)
+            if not (at_start or at_end):
+                eps[src].append(dst)
+        start = [nfa.start]
+        edges.sort(key=operator.itemgetter(0))
+        self._edges = tuple(edges)
+        # state q's consuming edges are _edges[_first[q]:_first[q + 1]]
+        first = [0] * (n + 1)
+        for q, _label, _dst in edges:
+            first[q + 1] += 1
+        self._first = tuple(itertools.accumulate(first))
+        self._consumers = _bitset({q for q, _label, _dst in edges})
+        self._eps = tuple(map(tuple, eps))
+        self._accepts = _bitset(nfa.accepts)
+        self._end = _close(nfa.accepts, rev_eol)  # states that accept at end
+        self._init = _close(start, bol)
+        self._restart = _close(start, eps)
+        self._search = 1 << n
+        self._empty_ok = bool(_close(start, both) & self._accepts)
+        cuts = sorted(cuts)
+        cmap = bytearray(0x100)
+        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            cmap[lo:hi] = bytes([c]) * (hi - lo)
+        self._cmap = bytes(cmap)
+        self._top = len(cuts) - 1     # the class of every code point > 0xFF
+        self._width = len(cuts) + 2   # key, accepts at end, one slot a class
+        self._ids = {}
+        self._rows = []
+        self.flushes = 0
+
+    @property
+    def labels(self) -> tuple:
+        """Labels of the consuming edges."""
+        return tuple(label for _src, label, _dst in self._edges)
+
+    @property
+    def cached_states(self) -> int:
+        """Number of DFA states in the cache, at most DFA_STATE_CAP."""
+        return len(self._ids)
+
+    def initial(self, search: bool = False) -> int:
+        """Key of the state before any character is read."""
+        return self._init | self._search if search else self._init
+
+    def accepts_at_end(self, key: int, at_start: bool = False) -> bool:
+        """Whether input that ends in state key is accepted. at_start: key is
+        the initial state and nothing was read, so `^` holds as well."""
+        return self._empty_ok if at_start else bool(key & self._end)
+
+    def successors(self, key: int, letters) -> list:
+        """Keys of the states after reading each of letters in state key; 0
+        is the dead full-match state. Walks reach most states once, so this
+        bypasses the cache."""
+        out_edges = self._out_edges(key)
+        by_class = {}
+        out = []
+        for ch in letters:
+            o = ord(ch)
+            c = self._cmap[o] if o < 0x100 else self._top
+            nxt = by_class.get(c)
+            if nxt is None:
+                nxt = by_class[c] = self._after(key, out_edges, ch)
+            out.append(nxt)
+        return out
+
+    def _out_edges(self, key: int) -> list:
+        """The consuming edges that leave the states of key."""
+        edges, first = self._edges, self._first
+        return [edge for q in _members(key & self._consumers)
+                for edge in edges[first[q]:first[q + 1]]]
+
+    def _after(self, key: int, out_edges, ch: str) -> int:
+        """The state after reading ch in state key, given its out_edges."""
+        nxt = _close([dst for _src, label, dst in out_edges
+                      if _label_matches(label, ch)], self._eps)
+        return nxt | self._restart | self._search if key & self._search else nxt
+
+    def match(self, s: str, full: bool = False) -> bool:
+        """Whether s is accepted; nfa_match describes the two modes."""
+        if not s:
+            return self._empty_ok
+        if not full and self._init & self._accepts:
             return True
-        if pos < n:
-            cur = _step(cur, cons, s[pos])
-    return False
+        try:
+            classes = s.encode("latin-1").translate(self._cmap)
+        except UnicodeEncodeError:
+            classes = [self._cmap[o] if o < 0x100 else self._top
+                       for o in map(ord, s)]
+        rows = self._rows  # flushed in place, so this stays the cache
+        st = self._intern(self._init if full else self._init | self._search)
+        for c in classes:
+            nxt = rows[st + c]
+            if nxt < 0:
+                if nxt == _UNKNOWN:
+                    nxt = self._fill(st, c)
+                if nxt < 0:
+                    return not full  # search found a match; full hit a dead end
+            st = nxt
+        return rows[st - 1]
+
+    def _intern(self, key: int) -> int:
+        st = self._ids.get(key)
+        if st is None:
+            if len(self._ids) >= DFA_STATE_CAP:
+                self.flushes += 1
+                self._ids.clear()
+                self._rows.clear()
+            st = len(self._rows) + 2
+            self._ids[key] = st
+            self._rows += [key, bool(key & self._end)]
+            self._rows += [_UNKNOWN] * (self._width - 2)
+        return st
+
+    def _fill(self, st: int, c: int) -> int:
+        """Compute and memoize the transition of state st on class c."""
+        key = self._rows[st - 2]
+        ch = chr(self._cmap.index(c)) if c < self._top else "\u0100"
+        nxt_key = self._after(key, self._out_edges(key), ch)
+        stop = nxt_key & self._accepts if nxt_key & self._search else not nxt_key
+        flushes = self.flushes
+        nxt = self._intern(nxt_key)
+        if stop:
+            nxt = -2 - nxt
+        if flushes == self.flushes:  # else st's row is gone
+            self._rows[st + c] = nxt
+        return nxt
 
 
-def enumerate_language(nfa: Nfa, alphabet, max_len: int) -> set:
+def _lazy(automaton) -> LazyDfa:
+    return automaton.dfa if isinstance(automaton, Nfa) else automaton
+
+
+def nfa_match(nfa, s: str, full: bool = False) -> bool:
+    """Whether an Nfa or its LazyDfa accepts s. full=True: s itself must be
+    in the language. full=False is the filter semantics: some substring
+    matches, with ^/$ pinned to the string ends."""
+    return _lazy(nfa).match(s, full)
+
+
+def enumerate_language(nfa, alphabet, max_len: int) -> set:
     """Exact set of accepted strings up to max_len, full-match mode."""
     if max_len > 10:
         raise ValueError("enumerate_language caps at length 10")
-    eps, cons = _edge_maps(nfa)
+    dfa = _lazy(nfa)
     letters = sorted(set(alphabet))
     found = set()
 
-    def accepts_here(states, length):
-        # a trailing AnchorEnd may still fire when we stop consuming here
-        return bool(_closure(states, eps, length, length) & nfa.accepts)
-
-    def walk(states, prefix):
-        if accepts_here(states, len(prefix)):
+    def walk(key, prefix):
+        if dfa.accepts_at_end(key, not prefix):
             found.add(prefix)
         if len(prefix) == max_len:
             return
-        # mid-string closure: use an unreachable end position so $ stays shut
-        mid = _closure(states, eps, len(prefix), max_len + 1)
-        for ch in letters:
-            nxt = _step(mid, cons, ch)
+        for ch, nxt in zip(letters, dfa.successors(key, letters)):
             if nxt:
                 walk(nxt, prefix + ch)
 
-    walk({nfa.start}, "")
+    walk(dfa.initial(), "")
     return found
 
 
-def bounded_language_equal(a: Nfa, b: Nfa, alphabet, max_len: int):
-    """Compare full-match languages up to max_len. Returns (True, None) or
-    (False, witness) where witness is a shortest distinguishing string."""
-    eps_a, cons_a = _edge_maps(a)
-    eps_b, cons_b = _edge_maps(b)
+def bounded_language_equal(a, b, alphabet, max_len: int):
+    """Compare full-match languages up to max_len by a breadth-first walk
+    over pairs of DFA states. Returns (True, None) or (False, witness) where
+    witness is a shortest distinguishing string."""
+    da, db = _lazy(a), _lazy(b)
     letters = sorted(set(alphabet))
-    far = max_len + 1  # position that is never the end while extending
-
-    def accept(states, nfa_, eps, length):
-        return bool(_closure(states, eps, length, length) & nfa_.accepts)
-
-    start = (frozenset(_closure({a.start}, eps_a, 0, far)),
-             frozenset(_closure({b.start}, eps_b, 0, far)))
+    start = (da.initial(), db.initial())
     frontier = {start: ""}
     visited = {start}
     for depth in range(max_len + 1):
-        for (sa, sb), witness in sorted(frontier.items(), key=lambda kv: kv[1]):
-            if accept(sa, a, eps_a, depth) != accept(sb, b, eps_b, depth):
+        for (ka, kb), witness in sorted(frontier.items(), key=lambda kv: kv[1]):
+            if da.accepts_at_end(ka, depth == 0) != db.accepts_at_end(kb, depth == 0):
                 return False, witness
         if depth == max_len:
             break
         nxt = {}
-        for (sa, sb), witness in frontier.items():
-            for ch in letters:
-                na = frozenset(_closure(_step(sa, cons_a, ch), eps_a, depth + 1, far))
-                nb = frozenset(_closure(_step(sb, cons_b, ch), eps_b, depth + 1, far))
-                if not na and not nb:
+        for (ka, kb), witness in frontier.items():
+            for ch, key in zip(letters, zip(da.successors(ka, letters),
+                                            db.successors(kb, letters))):
+                if key == (0, 0):
                     continue
-                key = (na, nb)
                 if key not in visited:
                     visited.add(key)
                     nxt[key] = witness + ch
@@ -420,7 +592,7 @@ def deserialize_nfa(data: bytes) -> Nfa:
             if tag == TAG_CHAR:
                 if operand > 0xFF:
                     raise MalformedRegexBlob(rec_at, "char operand out of range")
-                label = Char(operand)
+                label = _CHARS[operand]
             elif tag == TAG_ANY:
                 label = AnyChar()
             elif tag == TAG_LINE_START:

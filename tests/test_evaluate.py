@@ -1,6 +1,9 @@
+import itertools
+import random
+
 import pytest
 
-from sbprof import codec, evaluate, generate, sbpl
+from sbprof import codec, evaluate, generate, nfa, rex, sbpl
 from sbprof.errors import UnknownOperation
 from sbprof.evaluate import QueryContext as Q
 from sbprof.model import Decision, Profile, Rule
@@ -141,3 +144,47 @@ def test_trace_reports_path(small, blacklist):
     assert verdict is Decision.ALLOW
     assert trace[-1][1] == "allow"
     assert len(trace) >= 2
+
+
+def _brute_force_accepted(ast, alphabet, max_len):
+    """Every string over alphabet up to max_len that the AST matcher accepts
+    in search mode, in (length, lexicographic) order."""
+    return [s for n in range(max_len + 1)
+            for s in map("".join, itertools.product(sorted(alphabet), repeat=n))
+            if rex.ast_match(ast, s, full=False)]
+
+
+# pattern -> the samples its universe gets. Strings that reach one DFA state
+# are sampled once, so these are a subsequence of the accepted strings.
+PINNED_SAMPLES = (
+    ("a*", ["", "a"]),
+    ("a|b", ["a", "b"]),
+    ("(ab|ba)$", ["ab", "ba"]),
+    ("a.b", ["a.b", "aab"]),
+    ("^/b.*", ["/b", "/b."]),
+    ("[^a]", ["."]),
+    ("x?y", ["y"]),
+    ("^$", [""]),
+)
+
+
+def test_accepted_samples_against_brute_force():
+    cases = list(PINNED_SAMPLES)
+    rng = random.Random(3)
+    for _ in range(60):
+        pieces = [rng.choice(("a", "b", "/", ".", "[ab]", "[^a]", "^", "$"))
+                  + rng.choice(("", "", "*", "+", "?")) for _ in range(rng.randint(1, 3))]
+        cases.append(("".join(pieces), None))
+    for pat, want in cases:
+        ast = rex.parse_regex(pat)
+        matcher = nfa.build_nfa(ast).dfa
+        alphabet = evaluate._pattern_alphabet(matcher)
+        got = evaluate._accepted_samples(matcher, alphabet)
+        accepted = _brute_force_accepted(ast, alphabet, 5)
+        if want is not None:
+            assert got == want, pat
+        # the first sample is the shortest, smallest accepted string; the
+        # rest follow it in the same order
+        assert got[:1] == accepted[:1], (pat, got, accepted[:3])
+        assert [s for s in accepted if s in got] == [s for s in got if len(s) <= 5], pat
+        assert all(rex.ast_match(ast, s, full=False) for s in got), pat

@@ -280,11 +280,47 @@ def test_anchors_inside_pattern_agree_with_oracle():
         ("a$", "ba", True),
         ("^$", "", True),
         ("^$", "x", False),
+        ("^", "", True),
+        ("$", "", True),
+        ("$", "abc", True),
+        ("^a$", "", False),
+        ("a*$", "", True),
+        ("$^", "", True),
+        ("$^", "a", False),
+        ("b|^$", "", True),
+        ("(^|a)b", "b", True),
+        ("(^|a)b", "cab", True),
+        ("(^|a)b", "cb", False),
+        ("a($|b)", "xa", True),
+        # code points above 0xFF share one byte class
+        (".", "\u0100", True),
+        ("^.$", "\u4e00", True),
+        ("[^a]", "\u0101", True),
+        ("a[^/]b", "a\u20acb", True),
+        ("^[^a-z]+$", "\u0100\u0101", True),
+        ("[a-z]", "\u0100", False),
+        ("[\x00-\x7f]", "\u0100", False),
+        ("^a$", "\u0100a", False),
     ):
         ast = rex.parse_regex(pat)
         m = nfa.build_nfa(ast)
         assert rex.ast_match(ast, s, full=False) is want_search, pat
         assert nfa.nfa_match(m, s, full=False) is want_search, pat
+        assert nfa.nfa_match(m, s, full=True) is rex.ast_match(ast, s, full=True), pat
+
+
+def test_lazy_dfa_flush_keeps_verdicts():
+    # the search DFA remembers the last ten characters: about 2**10 states
+    pat = "(a|b)*a" + "(a|b)" * 9
+    ast = rex.parse_regex(pat)
+    dfa = nfa.build_nfa(ast).dfa
+    rng = random.Random(7)
+    for _ in range(120):
+        s = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
+        for full in (False, True):
+            assert nfa.nfa_match(dfa, s, full=full) is rex.ast_match(ast, s, full=full), s
+        assert dfa.cached_states <= nfa.DFA_STATE_CAP
+    assert dfa.flushes > 0
 
 
 def test_reversal_state_cap():
