@@ -14,8 +14,6 @@ from .model import (
     ValueForm,
     ValueKind,
     canonicalize,
-    lookup_filter,
-    lookup_operation,
     validate_profile,
 )
 

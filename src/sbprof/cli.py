@@ -244,8 +244,8 @@ def cmd_diff(args) -> int:
         differences.append(
             f"default: {pa.default_decision} vs {pb.default_decision}")
     for op in table.entries:
-        ra = {sbpl._format_rule(op, r) for r in pa.rules.get(op, ())}
-        rb = {sbpl._format_rule(op, r) for r in pb.rules.get(op, ())}
+        ra = {sbpl.format_rule(op, r) for r in pa.rules.get(op, ())}
+        rb = {sbpl.format_rule(op, r) for r in pb.rules.get(op, ())}
         for line in sorted(ra - rb):
             differences.append(f"only in {args.a}: {line}")
         for line in sorted(rb - ra):

@@ -17,6 +17,10 @@ A node record is 8 bytes: u8 type, u8 filter key, u16 value, u16 match
 offset, u16 unmatch offset. Type 0x01 marks a terminal; terminals reuse the
 key byte as the decision (0x00 deny, 0x01 allow) and zero the rest. Pool
 items are u16-length-prefixed UTF-8 strings or serialized regex programs.
+
+Both layouts are one shape: a separated blob is a bundle with a single
+unnamed operation table. `_write_layout` is the only writer and
+`_read_layout` the only reader; `_table_size` is the only header-size formula.
 """
 
 from __future__ import annotations
@@ -70,16 +74,45 @@ def _pack_string(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
-def _read_pool_string(raw: bytes, off: int) -> str:
+def _read_pool_string(raw, off: int) -> str:
     if off + 2 > len(raw):
         raise MalformedBlob(off, "string header past end")
     (length,) = struct.unpack_from("<H", raw, off)
     if off + 2 + length > len(raw):
         raise MalformedBlob(off, "string body past end")
     try:
-        return raw[off + 2:off + 2 + length].decode("utf-8")
+        return str(raw[off + 2:off + 2 + length], "utf-8")
     except UnicodeDecodeError:
         raise MalformedBlob(off, "string is not valid UTF-8") from None
+
+
+def _table_size(op_count: int, pool_count: int, named_sets=None) -> int:
+    """Bytes of the header and pointer tables, before the pad to 8. A
+    separated blob has one unnamed operation table (named_sets is None); a
+    bundle has named_sets tables, each led by a u16 name offset."""
+    if named_sets is None:
+        return 6 + 2 * op_count + 2 * pool_count
+    return 8 + named_sets * (2 + 2 * op_count) + 2 * pool_count
+
+
+def _pack_tables(op_sets, name_units, pool_units) -> bytes:
+    """Header, pointer tables and zero pad: separated when name_units is
+    None, else a bundle whose i-th operation table is named by name_units[i]."""
+    op_count = len(op_sets[0])
+    pool_count = len(pool_units)
+    if name_units is None:
+        out = [struct.pack("<HHH", FORMAT_SEPARATED, pool_count, op_count)]
+        head = _table_size(op_count, pool_count)
+    else:
+        out = [struct.pack("<HHHH", FORMAT_BUNDLED, pool_count, op_count, len(op_sets))]
+        head = _table_size(op_count, pool_count, len(op_sets))
+    for i, ops in enumerate(op_sets):
+        if name_units is not None:
+            out.append(struct.pack("<H", name_units[i]))
+        out.append(struct.pack(f"<{op_count}H", *ops))
+    out.append(struct.pack(f"<{pool_count}H", *pool_units))
+    out.append(bytes(_align8(head) - head))
+    return b"".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -146,17 +179,11 @@ class BinaryProfile:
         """Re-encode the decoded view; byte-identical for decoded blobs."""
         if self.format_id != FORMAT_SEPARATED:
             raise WrongFormatId(self.format_id, FORMAT_SEPARATED)
-        out = [struct.pack("<HHH", self.format_id, self.pool_count, self.op_count)]
-        out.append(struct.pack(f"<{self.op_count}H", *self.op_pointers))
-        if self.pool_count:
-            out.append(struct.pack(f"<{self.pool_count}H", *self.pool_pointers))
-        head = 6 + 2 * self.op_count + 2 * self.pool_count
-        out.append(b"\x00" * (_align8(head) - head))
-        for rec in self.records:
-            out.append(_RECORD.pack(rec.node_type, rec.filter_key, rec.filter_value,
-                                    rec.match_offset, rec.unmatch_offset))
-        out.append(self.raw[self.pool_start:])
-        return b"".join(out)
+        records = b"".join(
+            _RECORD.pack(r.node_type, r.filter_key, r.filter_value,
+                         r.match_offset, r.unmatch_offset) for r in self.records)
+        return (_pack_tables([self.op_pointers], None, self.pool_pointers)
+                + records + self.raw[self.pool_start:])
 
 
 def _parse_records(raw, node_start, pool_start):
@@ -164,9 +191,9 @@ def _parse_records(raw, node_start, pool_start):
     count = (pool_start - node_start) // 8
     records = []
     allow = deny = 0
-    for i in range(count):
+    for i, (node_type, key, value, match, unmatch) in enumerate(
+            _RECORD.iter_unpack(raw[node_start:pool_start])):
         off = node_start + 8 * i
-        node_type, key, value, match, unmatch = _RECORD.unpack_from(raw, off)
         if node_type == NODE_TERMINAL:
             if key not in (TERMINAL_DENY, TERMINAL_ALLOW):
                 raise MalformedBlob(off, f"terminal with decision byte 0x{key:02x}")
@@ -189,47 +216,75 @@ def _parse_records(raw, node_start, pool_start):
     return tuple(records)
 
 
-def decode_blob(blob: bytes) -> BinaryProfile:
-    """Structural decode of a separated profile with full bounds checking."""
-    if len(blob) < 6:
+def _read_layout(blob, start: int, format_id: int) -> list:
+    """Parse and validate the layout that begins at byte `start` of blob: a
+    separated profile, or a bundle when format_id is FORMAT_BUNDLED. Returns
+    one view per operation table. Unit offsets, and the byte offsets that
+    errors carry, count from `start`; only an accepted layout is copied."""
+    size = len(blob) - start
+    if size < 2:
         raise MalformedBlob(0, "truncated header")
-    format_id, pool_count, op_count = struct.unpack_from("<HHH", blob, 0)
-    if format_id != FORMAT_SEPARATED:
-        raise WrongFormatId(format_id, FORMAT_SEPARATED)
-    head = 6 + 2 * op_count + 2 * pool_count
-    if len(blob) < head:
+    (found,) = struct.unpack_from("<H", blob, start)
+    if found != format_id:
+        raise WrongFormatId(found, format_id)
+    named = format_id == FORMAT_BUNDLED
+    fixed = _table_size(0, 0, 0 if named else None)
+    if size < fixed:
+        raise MalformedBlob(0, "truncated header")
+    pool_count, op_count = struct.unpack_from("<HH", blob, start + 2)
+    sets = struct.unpack_from("<H", blob, start + 6)[0] if named else 1
+    if not sets:
+        raise MalformedBlob(0, "bundle with no profiles")
+    head = _table_size(op_count, pool_count, sets if named else None)
+    if size < head:
         raise MalformedBlob(0, "pointer tables past end of blob")
-    op_pointers = struct.unpack_from(f"<{op_count}H", blob, 6)
-    pool_pointers = struct.unpack_from(f"<{pool_count}H", blob, 6 + 2 * op_count)
+    data = memoryview(blob)[start:]
+    # byte offset of each operation table, bundle names leading their table
+    tables = [fixed + i * (2 * named + 2 * op_count) for i in range(sets)]
+    pool_at = head - 2 * pool_count
+    pool_pointers = struct.unpack_from(f"<{pool_count}H", data, pool_at)
+    name_units = [struct.unpack_from("<H", data, at)[0] for at in tables] if named else []
+    # every pool pointer, bundle names included, must land inside the layout
+    fields = [pool_at + 2 * i for i in range(pool_count)] + (tables if named else [])
+    units = pool_pointers + tuple(name_units)
+    for at, unit in zip(fields, units):
+        if unit * 8 >= len(data):
+            raise MalformedBlob(at, f"pool pointer 0x{unit:04x} past end of blob")
     node_start = _align8(head)
-    pool_start = len(blob)
-    for p in pool_pointers:
-        off = p * 8
-        if off >= len(blob):
-            raise MalformedBlob(off, "pool pointer past end of blob")
-        pool_start = min(pool_start, off)
+    pool_start = 8 * min(units) if units else len(data)
     if pool_start < node_start:
         raise MalformedBlob(pool_start, "pool overlaps the pointer tables")
     if (pool_start - node_start) % 8 or pool_start == node_start:
         raise MalformedBlob(node_start, "node section is empty or misaligned")
-    if pool_start > len(blob):
-        raise MalformedBlob(node_start, "node section past end of blob")
-    records = _parse_records(blob, node_start, pool_start)
+    records = _parse_records(data, node_start, pool_start)
     base = node_start // 8
-    for i, ptr in enumerate(op_pointers):
-        if not base <= ptr < base + len(records):
-            raise MalformedBlob(6 + 2 * i, f"operation pointer 0x{ptr:04x} out of range")
-    return BinaryProfile(
-        format_id=format_id, op_count=op_count, pool_count=pool_count,
-        op_pointers=op_pointers, records=records, node_base=base,
-        pool_pointers=pool_pointers, raw=bytes(blob), pool_start=pool_start)
+    raw = bytes(blob[start:]) if start else bytes(blob)
+    views = []
+    names = set()
+    for i, at in enumerate(tables):
+        at += 2 * named  # skip the name offset
+        op_pointers = struct.unpack_from(f"<{op_count}H", data, at)
+        for j, ptr in enumerate(op_pointers):
+            if not base <= ptr < base + len(records):
+                raise MalformedBlob(at + 2 * j, f"operation pointer 0x{ptr:04x} out of range")
+        name = _read_pool_string(data, name_units[i] * 8) if named else ""
+        if name in names:
+            raise MalformedBlob(tables[i], f"duplicate profile name {name!r}")
+        names.add(name)
+        views.append(BinaryProfile(
+            format_id=format_id, op_count=op_count, pool_count=pool_count,
+            op_pointers=op_pointers, records=records, node_base=base,
+            pool_pointers=pool_pointers, raw=raw, pool_start=pool_start, name=name))
+    return views
+
+
+def decode_blob(blob: bytes) -> BinaryProfile:
+    """Structural decode of a separated profile with full bounds checking."""
+    return _read_layout(blob, 0, FORMAT_SEPARATED)[0]
 
 
 # ---------------------------------------------------------------------------
 # Lowering: Profile -> node rows
-
-_TERM = {"allow": ("t", Decision.ALLOW), "deny": ("t", Decision.DENY)}
-
 
 def _term(decision: Decision):
     return ("t", decision)
@@ -354,73 +409,50 @@ def _dfs_order(rows, entries):
     return order, position
 
 
-def _emit_separated(rows, entries):
-    """Assemble a separated blob from lowered rows and per-op entry refs."""
-    order, position = _dfs_order(rows, entries)
-    n_records = len(order) + 2  # plus the two terminals
-    op_count = len(entries)
-
-    # pool indexes in record order, first use wins; dedup on laid-out bytes
-    pool_items = []
-    pool_memo = {}
-    values = {}
+def _write_layout(rows, op_refs, names=None) -> bytes:
+    """Lay lowered rows out as a blob with one operation table per list of
+    entry refs in op_refs: a separated profile when names is None, else a
+    bundle whose tables are named by names. Records follow the match-first
+    preorder from the entries; pool items are numbered by first use (node
+    payloads, then bundle names) and deduplicated on their laid-out bytes."""
+    order, position = _dfs_order(rows, [ref for refs in op_refs for ref in refs])
+    pool = {}  # item bytes -> pool index, in index order
+    values = []
     for node in order:
-        _key, payload, _m, _u = rows[node]
-        if payload[0] == "inline":
-            values[node] = payload[1]
-        else:
-            data = payload[1]
-            idx = pool_memo.get(data)
-            if idx is None:
-                idx = len(pool_items)
-                pool_items.append(data)
-                pool_memo[data] = idx
-            values[node] = idx
-    pool_count = len(pool_items)
-
-    head = 6 + 2 * op_count + 2 * pool_count
-    node_start = _align8(head)
-    base = node_start // 8
+        kind, value = rows[node][1]
+        values.append(value if kind == "inline" else pool.setdefault(value, len(pool)))
+    name_indexes = [pool.setdefault(_pack_string(name), len(pool)) for name in names or ()]
+    head = _table_size(len(op_refs[0]), len(pool), None if names is None else len(names))
+    base = _align8(head) // 8
     allow_unit = base + len(order)
     deny_unit = allow_unit + 1
+    pool_bytes = bytearray()
+    pool_units = []
+    for item in pool:
+        pool_bytes += bytes(-len(pool_bytes) % 8)
+        pool_units.append(deny_unit + 1 + len(pool_bytes) // 8)
+        pool_bytes += item
+    # the one capacity check, ahead of every struct.pack: the last unit in
+    # use (the last pool item, else the deny terminal) must be addressable
+    if max(pool_units, default=deny_unit) > 0xFFFF:
+        raise CapacityExceeded(f"{len(order) + 2} node records and {len(pool)} "
+                               "pool items do not fit 16-bit offsets")
 
     def unit(ref):
         if ref[0] == "n":
             return base + position[ref[1]]
         return allow_unit if ref[1] is Decision.ALLOW else deny_unit
 
-    if deny_unit > 0xFFFF:
-        raise CapacityExceeded(f"{n_records} node records do not fit 16-bit offsets")
-
-    record_bytes = []
-    for node in order:
+    name_units = None if names is None else [pool_units[i] for i in name_indexes]
+    out = [_pack_tables([[unit(r) for r in refs] for refs in op_refs],
+                        name_units, pool_units)]
+    for node, value in zip(order, values):
         key, _payload, match_ref, unmatch_ref = rows[node]
-        record_bytes.append(_RECORD.pack(NODE_NON_TERMINAL, key, values[node],
-                                         unit(match_ref), unit(unmatch_ref)))
-    record_bytes.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0))
-    record_bytes.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0))
-
-    pool_ptrs = []
-    pool_bytes = []
-    offset = node_start + 8 * n_records
-    for data in pool_items:
-        if offset % 8:
-            pad = 8 - offset % 8
-            pool_bytes.append(b"\x00" * pad)
-            offset += pad
-        if offset // 8 > 0xFFFF:
-            raise CapacityExceeded("pool does not fit 16-bit offsets")
-        pool_ptrs.append(offset // 8)
-        pool_bytes.append(data)
-        offset += len(data)
-
-    out = [struct.pack("<HHH", FORMAT_SEPARATED, pool_count, op_count)]
-    out.append(struct.pack(f"<{op_count}H", *(unit(r) for r in entries)))
-    if pool_count:
-        out.append(struct.pack(f"<{pool_count}H", *pool_ptrs))
-    out.append(b"\x00" * (node_start - head))
-    out.extend(record_bytes)
-    out.extend(pool_bytes)
+        out.append(_RECORD.pack(NODE_NON_TERMINAL, key, value,
+                                unit(match_ref), unit(unmatch_ref)))
+    out.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0))
+    out.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0))
+    out.append(pool_bytes)
     return b"".join(out)
 
 
@@ -433,8 +465,7 @@ def compile_profile(profile: Profile, table: OperationTable,
     if diagnostics:
         raise InvalidProfile(diagnostics)
     store = _NodeStore(vocab, dedup=dedup)
-    entries = _resolve_entries(profile, table, store)
-    return _emit_separated(store.rows, entries)
+    return _write_layout(store.rows, [_resolve_entries(profile, table, store)])
 
 
 # ---------------------------------------------------------------------------
@@ -452,127 +483,8 @@ def pack_bundle(profiles, table: OperationTable, vocab: FilterVocabulary) -> byt
             raise InvalidProfile(diagnostics)
 
     store = _NodeStore(vocab)  # shared across profiles: cross-profile dedup
-    all_entries = [_resolve_entries(p, table, store) for p in profiles]
-    flat_entries = [ref for entries in all_entries for ref in entries]
-    order, position = _dfs_order(store.rows, flat_entries)
-    n_records = len(order) + 2
-    op_count = len(table)
-    profile_count = len(profiles)
-
-    pool_items = []
-    pool_memo = {}
-    values = {}
-
-    def pool_index(data):
-        idx = pool_memo.get(data)
-        if idx is None:
-            idx = len(pool_items)
-            pool_items.append(data)
-            pool_memo[data] = idx
-        return idx
-
-    for node in order:
-        _key, payload, _m, _u = store.rows[node]
-        values[node] = payload[1] if payload[0] == "inline" else pool_index(payload[1])
-    name_indexes = [pool_index(_pack_string(name)) for name in names]
-    pool_count = len(pool_items)
-
-    head = 8 + profile_count * (2 + 2 * op_count) + 2 * pool_count
-    node_start = _align8(head)
-    base = node_start // 8
-    allow_unit = base + len(order)
-    deny_unit = allow_unit + 1
-
-    def unit(ref):
-        if ref[0] == "n":
-            return base + position[ref[1]]
-        return allow_unit if ref[1] is Decision.ALLOW else deny_unit
-
-    record_bytes = []
-    for node in order:
-        key, _payload, match_ref, unmatch_ref = store.rows[node]
-        record_bytes.append(_RECORD.pack(NODE_NON_TERMINAL, key, values[node],
-                                         unit(match_ref), unit(unmatch_ref)))
-    record_bytes.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0))
-    record_bytes.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0))
-
-    pool_ptrs = []
-    pool_bytes = []
-    offset = node_start + 8 * n_records
-    for data in pool_items:
-        if offset % 8:
-            pad = 8 - offset % 8
-            pool_bytes.append(b"\x00" * pad)
-            offset += pad
-        pool_ptrs.append(offset // 8)
-        pool_bytes.append(data)
-        offset += len(data)
-    if deny_unit > 0xFFFF or (pool_ptrs and pool_ptrs[-1] > 0xFFFF):
-        raise CapacityExceeded("bundle does not fit 16-bit offsets")
-
-    out = [struct.pack("<HHHH", FORMAT_BUNDLED, pool_count, op_count, profile_count)]
-    for entries, name_idx in zip(all_entries, name_indexes):
-        out.append(struct.pack("<H", pool_ptrs[name_idx]))
-        out.append(struct.pack(f"<{op_count}H", *(unit(r) for r in entries)))
-    if pool_count:
-        out.append(struct.pack(f"<{pool_count}H", *pool_ptrs))
-    out.append(b"\x00" * (node_start - head))
-    out.extend(record_bytes)
-    out.extend(pool_bytes)
-    return b"".join(out)
-
-
-def _decode_bundle_at(data: bytes):
-    if len(data) < 8:
-        raise MalformedBlob(0, "truncated bundle header")
-    format_id, pool_count, op_count, profile_count = struct.unpack_from("<HHHH", data, 0)
-    if format_id != FORMAT_BUNDLED:
-        raise WrongFormatId(format_id, FORMAT_BUNDLED)
-    if profile_count < 1:
-        raise MalformedBlob(0, "bundle with no profiles")
-    per = 2 + 2 * op_count
-    head = 8 + profile_count * per + 2 * pool_count
-    if len(data) < head:
-        raise MalformedBlob(0, "bundle tables past end of blob")
-    name_offsets = []
-    op_pointer_sets = []
-    for i in range(profile_count):
-        at = 8 + i * per
-        (name_off,) = struct.unpack_from("<H", data, at)
-        name_offsets.append(name_off)
-        op_pointer_sets.append(struct.unpack_from(f"<{op_count}H", data, at + 2))
-    pool_pointers = struct.unpack_from(f"<{pool_count}H", data, 8 + profile_count * per)
-    node_start = _align8(head)
-    pool_start = len(data)
-    for p in list(pool_pointers) + name_offsets:
-        off = p * 8
-        if off >= len(data):
-            raise MalformedBlob(off, "pool pointer past end of blob")
-        pool_start = min(pool_start, off)
-    if pool_start < node_start:
-        raise MalformedBlob(pool_start, "pool overlaps the pointer tables")
-    if (pool_start - node_start) % 8 or pool_start == node_start:
-        raise MalformedBlob(node_start, "node section is empty or misaligned")
-    records = _parse_records(data, node_start, pool_start)
-    base = node_start // 8
-
-    views = []
-    seen_names = set()
-    raw = bytes(data)
-    for name_off, op_pointers in zip(name_offsets, op_pointer_sets):
-        for ptr in op_pointers:
-            if not base <= ptr < base + len(records):
-                raise MalformedBlob(0, f"operation pointer 0x{ptr:04x} out of range")
-        name = _read_pool_string(raw, name_off * 8)
-        if name in seen_names:
-            raise MalformedBlob(name_off * 8, f"duplicate profile name {name!r}")
-        seen_names.add(name)
-        views.append((name, BinaryProfile(
-            format_id=FORMAT_BUNDLED, op_count=op_count, pool_count=pool_count,
-            op_pointers=op_pointers, records=records, node_base=base,
-            pool_pointers=pool_pointers, raw=raw, pool_start=pool_start,
-            name=name)))
-    return views
+    op_refs = [_resolve_entries(p, table, store) for p in profiles]
+    return _write_layout(store.rows, op_refs, names)
 
 
 def unpack_bundle(blob: bytes, scan: bool = True):
@@ -581,18 +493,15 @@ def unpack_bundle(blob: bytes, scan: bool = True):
     garbage is fine. Without scan the blob must be a bundle from byte 0.
     Returns (start_offset, [(name, view), ...])."""
     if not scan:
-        if len(blob) < 2:
-            raise MalformedBlob(0, "truncated header")
-        (first,) = struct.unpack_from("<H", blob, 0)
-        if first != FORMAT_BUNDLED:
-            raise WrongFormatId(first, FORMAT_BUNDLED)
-        return 0, _decode_bundle_at(blob)
-    for i in range(max(len(blob) - 7, 0)):
-        if blob[i] == 0x00 and blob[i + 1] == 0x80:
-            try:
-                return i, _decode_bundle_at(blob[i:])
-            except SandboxError:
-                continue
+        return 0, [(v.name, v) for v in _read_layout(blob, 0, FORMAT_BUNDLED)]
+    start = blob.find(b"\x00\x80")
+    while start >= 0:
+        try:
+            views = _read_layout(blob, start, FORMAT_BUNDLED)
+        except SandboxError:
+            start = blob.find(b"\x00\x80", start + 1)
+        else:
+            return start, [(v.name, v) for v in views]
     raise NoBundleFound("no bundle header found")
 
 
@@ -636,19 +545,17 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
             payload = ("pool", _pack_string(view.string_at(rec.filter_value)))
         rows.append((entry.code, payload, ref(rec.match_offset), ref(rec.unmatch_offset)))
 
-    entries = [ref(ptr) for ptr in view.op_pointers]
-    return _emit_separated(rows, entries)
+    return _write_layout(rows, [[ref(ptr) for ptr in view.op_pointers]])
 
 
 def section_sizes(blob: bytes) -> dict:
     """Byte sizes of the decoded sections, for the CLI summary."""
     bp = decode_blob(blob)
-    head = 6 + 2 * bp.op_count + 2 * bp.pool_count
     return {
-        "header": 6,
+        "header": _table_size(0, 0),
         "op_pointers": 2 * bp.op_count,
         "pool_pointers": 2 * bp.pool_count,
-        "padding": _align8(head) - head,
+        "padding": 8 * bp.node_base - _table_size(bp.op_count, bp.pool_count),
         "nodes": 8 * len(bp.records),
         "pool": len(blob) - bp.pool_start,
     }

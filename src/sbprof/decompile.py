@@ -90,43 +90,30 @@ def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
         raise MalformedBlob(0, f"operation index {op_index} out of range")
     entry_unit = bp.op_pointers[op_index]
 
+    # one DFS numbers the nodes in preorder, match edge first, and finds
+    # cycles: an edge back to a unit still on the DFS path closes one
     ids = {}
     order = []
-    stack = [entry_unit]
+    on_path = set()
+    stack = [(entry_unit, False)]
     while stack:
-        unit = stack.pop()
-        rec = bp.record_at(unit)
-        if rec.is_terminal or unit in ids:
+        unit, leaving = stack.pop()
+        if leaving:
+            on_path.discard(unit)
             continue
-        ids[unit] = len(order)
-        order.append(unit)
-        stack.append(rec.unmatch_offset)
-        stack.append(rec.match_offset)
-
-    # cycle check: iterative DFS with a grey set
-    state = {}
-    dfs = [(entry_unit, False)]
-    while dfs:
-        unit, done = dfs.pop()
         rec = bp.record_at(unit)
         if rec.is_terminal:
             continue
-        if done:
-            state[unit] = 2
+        if unit in ids:
+            if unit in on_path:
+                raise CycleDetected(op_index, unit)
             continue
-        if state.get(unit) == 1:
-            raise CycleDetected(op_index, unit)
-        if state.get(unit) == 2:
-            continue
-        state[unit] = 1
-        dfs.append((unit, True))
-        for nxt in (rec.match_offset, rec.unmatch_offset):
-            nxt_state = state.get(nxt)
-            if nxt_state == 1:
-                if not bp.record_at(nxt).is_terminal:
-                    raise CycleDetected(op_index, nxt)
-            elif nxt_state is None:
-                dfs.append((nxt, False))
+        ids[unit] = len(order)
+        order.append(unit)
+        on_path.add(unit)
+        stack.append((unit, True))
+        stack.append((rec.unmatch_offset, False))
+        stack.append((rec.match_offset, False))
 
     def succ(unit):
         rec = bp.record_at(unit)
@@ -153,23 +140,33 @@ def _negated(expr):
 
 def _splice_constant_nodes(g: OpGraph):
     """A node whose match and unmatch agree never influences the verdict;
-    route around it (foreign blobs only, the encoder never emits one)."""
-    changed = True
-    while changed:
-        changed = False
-        for nid, node in list(g.nodes.items()):
+    route around it (foreign blobs only, the encoder never emits one).
+    One post-order pass: a node's successors are resolved before the node,
+    so a node left constant by splicing its successors goes in the same pass."""
+    target = {}  # node id -> what references to it now lead to
+    entered = set()
+    for root in list(g.nodes):
+        stack = [root]
+        while stack:
+            nid = stack[-1]
+            if nid in target:
+                stack.pop()
+                continue
+            node = g.nodes[nid]
+            if nid not in entered:  # first visit: resolve the successors first
+                entered.add(nid)
+                stack.extend(s for s in (node.unmatch, node.match)
+                             if s in g.nodes and s not in target)
+                continue
+            stack.pop()
+            node.match = target.get(node.match, node.match)
+            node.unmatch = target.get(node.unmatch, node.unmatch)
             if node.match == node.unmatch:
-                target = node.match
-                for other in g.nodes.values():
-                    if other.match == nid:
-                        other.match = target
-                    if other.unmatch == nid:
-                        other.unmatch = target
-                if g.entry == nid:
-                    g.entry = target
+                target[nid] = node.match
                 del g.nodes[nid]
-                changed = True
-                break
+            else:
+                target[nid] = nid
+    g.entry = target.get(g.entry, g.entry)
 
 
 def normalize_graph(g: OpGraph, default: Decision) -> OpGraph:
@@ -530,19 +527,13 @@ def _runs_to_rules(runs):
     return tuple(out)
 
 
-def cleanup(profile: Profile, implicit, table: OperationTable,
+def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
             vocab: FilterVocabulary) -> Profile:
     """Strip rules matching the implicit standard policy, plus operations
     whose rules cannot change the default verdict. Every removal is verified
     against the evaluator: the cleaned profile with implicits re-injected
     must agree with the input everywhere we can observe."""
-    if isinstance(implicit, Profile):
-        items = [(op, rule) for op, rs in implicit.rules.items() for rule in rs]
-        injectable = None  # plain profile: re-inject unconditionally
-    else:
-        items = [(it.operation, it.rule) for it in implicit.rules]
-        injectable = implicit
-
+    items = [(it.operation, it.rule) for it in implicit.rules]
     current = {op: _rule_runs(rs, vocab) for op, rs in profile.rules.items()}
 
     def as_profile(runs_dict):
@@ -550,21 +541,11 @@ def cleanup(profile: Profile, implicit, table: OperationTable,
         return Profile(profile.name, profile.default_decision,
                        {op: rs for op, rs in rules.items() if rs})
 
-    def with_implicits(candidate):
-        if injectable is not None:
-            return inject_implicit(candidate, injectable)
-        merged_rules = {op: list(rs) for op, rs in candidate.rules.items()}
-        for op, rule in items:
-            merged_rules.setdefault(op, [])
-            merged_rules[op].insert(0, rule)
-        return Profile(candidate.name, candidate.default_decision,
-                       {op: tuple(rs) for op, rs in merged_rules.items()})
-
     def verdict_safe(candidate_runs):
         # a removal is safe when the compiled result (profile plus injected
         # standard policy) keeps every verdict it had before the removal
-        before = with_implicits(as_profile(current))
-        after = with_implicits(as_profile(candidate_runs))
+        before = inject_implicit(as_profile(current), implicit)
+        after = inject_implicit(as_profile(candidate_runs), implicit)
         return check_equivalence(before, after, table, vocab).equivalent
 
     def copy_runs(runs_dict):

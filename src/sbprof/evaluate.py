@@ -134,11 +134,6 @@ class AstEvaluator:
         return self.profile.default_decision
 
 
-def evaluate_ast(profile: Profile, op_name: str, ctx: QueryContext,
-                 table: OperationTable, vocab: FilterVocabulary) -> Decision:
-    return AstEvaluator(profile, table, vocab).verdict(op_name, ctx)
-
-
 # ---------------------------------------------------------------------------
 # Graph-walk semantics
 
@@ -199,11 +194,6 @@ class BlobEvaluator:
                 trace.append((unit, entry.name, matched))
             unit = match_off if matched else unmatch_off
         raise CycleDetected(idx, unit)
-
-
-def evaluate(bp, op_name: str, ctx: QueryContext, table: OperationTable,
-             vocab: FilterVocabulary) -> Decision:
-    return BlobEvaluator(bp, table, vocab).verdict(op_name, ctx)
 
 
 def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):

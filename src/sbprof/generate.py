@@ -290,10 +290,6 @@ class ProfileGenerator:
         return profile
 
 
-def generate_profile(gen: ProfileGenerator) -> Profile:
-    return gen.generate()
-
-
 def random_op_graph(seed: int, vocab: FilterVocabulary, max_nodes: int = 24) -> OpGraph:
     """Random acyclic operation graph (successors always point forward),
     used to exercise normalization on shapes no compiler would emit."""

@@ -36,12 +36,6 @@ class ValueKind(enum.Enum):
     NETWORK_ENDPOINT = "network_endpoint"  # pool index of "proto host:port"
 
 
-# Pool-backed kinds store their value as a pool index rather than inline.
-POOLED_KINDS = frozenset(
-    {ValueKind.LITERAL_STRING, ValueKind.REGEX_INDEX, ValueKind.NETWORK_ENDPOINT}
-)
-
-
 @dataclass(frozen=True)
 class FilterKey:
     """One vocabulary entry: a filter key name and its wire encoding.
@@ -75,15 +69,15 @@ class FilterVocabulary:
     version_tag: str = ""
 
     def __post_init__(self):
-        names = set()
-        codes = set()
+        names = {}
+        codes = {}
         for e in self.entries:
             if e.name in names:
                 raise VocabularyError(f"duplicate filter name {e.name!r}")
             if e.code in codes:
                 raise VocabularyError(f"duplicate filter code 0x{e.code:02x}")
-            names.add(e.name)
-            codes.add(e.code)
+            names[e.name] = e
+            codes[e.code] = e
             if not 0 <= e.code <= 0xFF:
                 raise VocabularyError(f"filter code out of range: {e.code}")
             if e.kind is ValueKind.ENUM_NAMED:
@@ -96,21 +90,23 @@ class FilterVocabulary:
                 raise VocabularyError(f"{e.name}: regex filter code needs high bit set")
             if e.kind is ValueKind.LITERAL_STRING and e.code & REGEX_KEY_FLAG:
                 raise VocabularyError(f"{e.name}: literal filter code has high bit set")
+        object.__setattr__(self, "_by_name", names)
+        object.__setattr__(self, "_by_code", codes)
 
     def by_name(self, name: str) -> FilterKey:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise UnknownFilterKey(name)
+        entry = self._by_name.get(name)
+        if entry is None:
+            raise UnknownFilterKey(name)
+        return entry
 
     def by_code(self, code: int) -> FilterKey:
-        for e in self.entries:
-            if e.code == code:
-                return e
-        raise UnknownFilterKey(f"0x{code:02x}")
+        entry = self._by_code.get(code)
+        if entry is None:
+            raise UnknownFilterKey(f"0x{code:02x}")
+        return entry
 
     def has_name(self, name: str) -> bool:
-        return any(e.name == name for e in self.entries)
+        return name in self._by_name
 
 
 @dataclass(frozen=True)
@@ -125,8 +121,10 @@ class OperationTable:
     def __post_init__(self):
         if not self.entries or self.entries[0] != "default":
             raise VocabularyError('operation table must start with "default"')
-        if len(set(self.entries)) != len(self.entries):
+        positions = {name: i for i, name in enumerate(self.entries)}
+        if len(positions) != len(self.entries):
             raise VocabularyError("duplicate operation names")
+        object.__setattr__(self, "_positions", positions)
         for child, parent in self.parents.items():
             if child not in self.entries or parent not in self.entries:
                 raise VocabularyError(f"parent link {child} -> {parent} names unknown op")
@@ -141,23 +139,13 @@ class OperationTable:
                 cur = self.parents[cur]
 
     def index(self, name: str) -> int:
-        try:
-            return self.entries.index(name)
-        except ValueError:
-            raise UnknownOperation(name) from None
+        position = self._positions.get(name)
+        if position is None:
+            raise UnknownOperation(name)
+        return position
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-def lookup_operation(table: OperationTable, name: str) -> int:
-    """0-based operation index; index 0 is always "default"."""
-    return table.index(name)
-
-
-def lookup_filter(vocab: FilterVocabulary, key_name: str) -> tuple[int, ValueKind]:
-    entry = vocab.by_name(key_name)
-    return entry.code, entry.kind
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +253,6 @@ class Rule:
     decision: Decision
     filter: FilterExpr | None = None  # None = unconditional
 
-    @property
-    def unconditional(self) -> bool:
-        return self.filter is None
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -282,9 +266,6 @@ class Profile:
     name: str
     default_decision: Decision | None
     rules: Mapping[str, tuple[Rule, ...]]
-
-    def operations(self) -> tuple[str, ...]:
-        return tuple(self.rules)
 
 
 @dataclass(frozen=True)

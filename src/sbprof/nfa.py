@@ -62,7 +62,6 @@ TAG_CLASS_NEG = 0x09
 MAX_NODES = 0xFFFF
 REVERSAL_STATE_CAP = 4096  # guards state removal against absurd foreign blobs
 
-_DEAD_CLASS = CharClass(False, ())  # zero ranges: matches nothing
 # one shared label per byte: compiled automata keep their labels for life
 _CHARS = tuple(Char(b) for b in range(0x100))
 

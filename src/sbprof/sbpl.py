@@ -298,7 +298,7 @@ def _format_filter_block(expr: FilterExpr, indent: int) -> str:
     return "\n".join(lines) + ")"
 
 
-def _format_rule(op: str, rule: Rule) -> str:
+def format_rule(op: str, rule: Rule) -> str:
     head = f"({rule.decision} {op}"
     if rule.filter is None:
         return head + ")"
@@ -319,7 +319,7 @@ def print_sbpl(profile: Profile, table: OperationTable | None = None) -> str:
         ops.sort(key=table.index)
     for op in ops:
         for rule in profile.rules[op]:
-            lines.append(_format_rule(op, rule))
+            lines.append(format_rule(op, rule))
     return "\n".join(lines) + "\n"
 
 

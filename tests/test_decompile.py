@@ -137,6 +137,14 @@ def test_normalize_splices_constant_nodes(small):
                 entry=0)
     out = normalize_graph(g, DENY)
     assert out.entry == 1 and 0 not in out.nodes
+    # splicing node 2 leaves node 1 constant, and then node 0: the whole
+    # chain collapses onto node 3, which references to 0, 1 and 2 now reach
+    g = OpGraph(nodes={0: GraphNode(A, 1, 3), 1: GraphNode(B, 2, 3),
+                       2: GraphNode(A, 3, 3), 3: GraphNode(B, ALLOW, DENY),
+                       4: GraphNode(A, 0, 2)},
+                entry=0)
+    out = normalize_graph(g, DENY)
+    assert out.entry == 3 and sorted(out.nodes) == [3]
 
 
 def test_normalize_preserves_verdicts_on_random_graphs(small):

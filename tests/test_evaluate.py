@@ -25,23 +25,19 @@ def blacklist(small):
 def test_reference_semantics_on_blob(small, blacklist):
     table, vocab = small
     _profile, blob = blacklist
-    assert evaluate.evaluate(blob, "file-read*",
-                             Q({"path": "/bin/secret.txt"}), table, vocab) is Decision.DENY
-    assert evaluate.evaluate(blob, "file-read*",
-                             Q({"path": "/bin/ls"}), table, vocab) is Decision.ALLOW
-    assert evaluate.evaluate(blob, "network-outbound", Q({}),
-                             table, vocab) is Decision.DENY
+    ev = evaluate.BlobEvaluator(blob, table, vocab)
+    assert ev.verdict("file-read*", Q({"path": "/bin/secret.txt"})) is Decision.DENY
+    assert ev.verdict("file-read*", Q({"path": "/bin/ls"})) is Decision.ALLOW
+    assert ev.verdict("network-outbound", Q({})) is Decision.DENY
 
 
 def test_reference_semantics_on_ast(small, blacklist):
     table, vocab = small
     profile, _blob = blacklist
-    assert evaluate.evaluate_ast(profile, "file-read*",
-                                 Q({"path": "/bin/secret.txt"}), table, vocab) is Decision.DENY
-    assert evaluate.evaluate_ast(profile, "file-read*",
-                                 Q({"path": "/bin/ls"}), table, vocab) is Decision.ALLOW
-    assert evaluate.evaluate_ast(profile, "sysctl-read", Q({}),
-                                 table, vocab) is Decision.DENY
+    ev = evaluate.AstEvaluator(profile, table, vocab)
+    assert ev.verdict("file-read*", Q({"path": "/bin/secret.txt"})) is Decision.DENY
+    assert ev.verdict("file-read*", Q({"path": "/bin/ls"})) is Decision.ALLOW
+    assert ev.verdict("sysctl-read", Q({})) is Decision.DENY
 
 
 def test_conjunction_requires_every_filter(small):
@@ -51,27 +47,27 @@ def test_conjunction_requires_every_filter(small):
         '(allow file-read* (require-all (regex #"/bin/*") (vnode-type REGULAR-FILE)))')
     both = Q({"path": "/bin/x", "vnode-type": "REGULAR-FILE"})
     partial = Q({"path": "/bin/x"})
-    assert evaluate.evaluate_ast(p, "file-read*", both, table, vocab) is Decision.ALLOW
-    assert evaluate.evaluate_ast(p, "file-read*", partial, table, vocab) is Decision.DENY
+    ev = evaluate.AstEvaluator(p, table, vocab)
+    assert ev.verdict("file-read*", both) is Decision.ALLOW
+    assert ev.verdict("file-read*", partial) is Decision.DENY
 
 
 def test_negation_and_unbound_keys(small):
     table, vocab = small
     p = sbpl.parse_sbpl(
         '(deny default)\n(allow file-read* (require-not (vnode-type REGULAR-FILE)))')
-    assert evaluate.evaluate_ast(p, "file-read*", Q({"vnode-type": "REGULAR-FILE"}),
-                                 table, vocab) is Decision.DENY
+    ev = evaluate.AstEvaluator(p, table, vocab)
+    assert ev.verdict("file-read*", Q({"vnode-type": "REGULAR-FILE"})) is Decision.DENY
     # unbound keys never match, so the negation matches
-    assert evaluate.evaluate_ast(p, "file-read*", Q({}), table, vocab) is Decision.ALLOW
-    assert evaluate.evaluate_ast(p, "file-read*", Q({"vnode-type": "SYMLINK"}),
-                                 table, vocab) is Decision.ALLOW
+    assert ev.verdict("file-read*", Q({})) is Decision.ALLOW
+    assert ev.verdict("file-read*", Q({"vnode-type": "SYMLINK"})) is Decision.ALLOW
 
 
 def test_default_only_denies_everything(small):
     table, vocab = small
-    p = sbpl.parse_sbpl("(deny default)")
+    ev = evaluate.AstEvaluator(sbpl.parse_sbpl("(deny default)"), table, vocab)
     for op in table.entries:
-        assert evaluate.evaluate_ast(p, op, Q({}), table, vocab) is Decision.DENY
+        assert ev.verdict(op, Q({})) is Decision.DENY
 
 
 def test_operation_inheritance_through_parent_links(small, blacklist):
@@ -79,25 +75,25 @@ def test_operation_inheritance_through_parent_links(small, blacklist):
     profile, blob = blacklist
     # file-read-data has no rules; it falls back to file-read*
     ctx = Q({"path": "/bin/ls"})
-    assert evaluate.evaluate_ast(profile, "file-read-data", ctx,
-                                 table, vocab) is Decision.ALLOW
-    assert evaluate.evaluate(blob, "file-read-data", ctx,
-                             table, vocab) is Decision.ALLOW
+    assert evaluate.AstEvaluator(profile, table, vocab).verdict(
+        "file-read-data", ctx) is Decision.ALLOW
+    assert evaluate.BlobEvaluator(blob, table, vocab).verdict(
+        "file-read-data", ctx) is Decision.ALLOW
     # explicit rules stop the fallback
     rules = dict(profile.rules)
     rules["file-read-data"] = (Rule(Decision.DENY, None),)
     shadowed = Profile("", profile.default_decision, rules)
-    assert evaluate.evaluate_ast(shadowed, "file-read-data", ctx,
-                                 table, vocab) is Decision.DENY
+    assert evaluate.AstEvaluator(shadowed, table, vocab).verdict(
+        "file-read-data", ctx) is Decision.DENY
 
 
 def test_unknown_operation_raises(small, blacklist):
     table, vocab = small
     profile, blob = blacklist
     with pytest.raises(UnknownOperation):
-        evaluate.evaluate_ast(profile, "nope", Q({}), table, vocab)
+        evaluate.AstEvaluator(profile, table, vocab).verdict("nope", Q({}))
     with pytest.raises(UnknownOperation):
-        evaluate.evaluate(blob, "nope", Q({}), table, vocab)
+        evaluate.BlobEvaluator(blob, table, vocab).verdict("nope", Q({}))
 
 
 def test_blob_and_ast_agree_exhaustively_on_random_profiles(small):

@@ -14,8 +14,6 @@ from sbprof.model import (
     ValueForm,
     ValueKind,
     canonicalize,
-    lookup_filter,
-    lookup_operation,
     validate_profile,
 )
 
@@ -28,28 +26,30 @@ def test_decision_negate_is_involution():
 
 def test_lookup_operation_default_is_index_zero(small):
     table, _ = small
-    assert lookup_operation(table, "default") == 0
+    assert table.index("default") == 0
 
 
 def test_lookup_operation_matches_list_position(small):
     table, _ = small
-    assert lookup_operation(table, "file-read*") == table.entries.index("file-read*")
+    assert table.index("file-read*") == table.entries.index("file-read*")
 
 
 def test_lookup_operation_unknown(small):
     table, _ = small
     with pytest.raises(UnknownOperation):
-        lookup_operation(table, "no-such-op")
+        table.index("no-such-op")
 
 
 def test_lookup_filter_codes(large):
     _, vocab = large
-    assert lookup_filter(vocab, "literal") == (0x01, ValueKind.LITERAL_STRING)
-    assert lookup_filter(vocab, "vnode-type") == (0x1d, ValueKind.ENUM_NAMED)
-    assert lookup_filter(vocab, "socket-type") == (0x0c, ValueKind.ENUM_NAMED)
-    assert lookup_filter(vocab, "regex") == (0x81, ValueKind.REGEX_INDEX)
+    for key, code, kind in (("literal", 0x01, ValueKind.LITERAL_STRING),
+                            ("vnode-type", 0x1d, ValueKind.ENUM_NAMED),
+                            ("socket-type", 0x0c, ValueKind.ENUM_NAMED),
+                            ("regex", 0x81, ValueKind.REGEX_INDEX)):
+        entry = vocab.by_name(key)
+        assert (entry.code, entry.kind) == (code, kind)
     with pytest.raises(UnknownFilterKey):
-        lookup_filter(vocab, "no-such-key")
+        vocab.by_name("no-such-key")
 
 
 def test_filter_enum_codes_from_reference_mappings(large):
