@@ -126,6 +126,28 @@ def test_decode_rejects_out_of_range_pointer(small):
         codec.decode_blob(bytes(blob))
 
 
+def test_pointer_errors_carry_the_pointer_offset(small):
+    # both formats name the byte offset of the bad table entry itself
+    table, vocab = small
+    profile = sbpl.parse_sbpl(SIBLINGS, name="only")
+    separated = codec.compile_profile(profile, table, vocab)
+    bundle = codec.pack_bundle([profile], table, vocab)
+    ops = len(table)
+    cases = [  # (blob, byte offset of a pointer, reader)
+        (separated, 6 + 2 * 3, codec.decode_blob),            # operation 3
+        (separated, 6 + 2 * ops, codec.decode_blob),          # pool pointer 0
+        (bundle, 8 + 2 + 2 * 3, lambda b: codec.unpack_bundle(b, scan=False)),
+        (bundle, 8 + 2 + 2 * ops, lambda b: codec.unpack_bundle(b, scan=False)),
+        (bundle, 8, lambda b: codec.unpack_bundle(b, scan=False)),  # the name
+    ]
+    for blob, at, read in cases:
+        bad = bytearray(blob)
+        struct.pack_into("<H", bad, at, 0xFFF0)
+        with pytest.raises(MalformedBlob) as err:
+            read(bytes(bad))
+        assert err.value.offset == at, (at, str(err.value))
+
+
 def test_decode_rejects_bad_terminal_census(small):
     table, vocab = small
     blob = bytearray(codec.compile_profile(sbpl.parse_sbpl("(deny default)"),
