@@ -165,8 +165,10 @@ class BinaryProfile:
     def string_at(self, index: int) -> str:
         return _read_pool_string(self.raw, self._pool_offset(index))
 
-    def regex_blob_at(self, index: int) -> bytes:
-        return self.raw[self._pool_offset(index):]
+    def regex_blob_at(self, index: int) -> memoryview:
+        """The pool from the regex item onwards, without copying it; the
+        item's own header says where it ends."""
+        return memoryview(self.raw)[self._pool_offset(index):]
 
     def default_decision(self) -> Decision:
         entry = self.record_at(self.op_pointers[0])

@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .errors import UnknownFilterKey, UnknownOperation, VocabularyError
+from .errors import RegexSyntaxError, UnknownFilterKey, UnknownOperation, VocabularyError
 
 REGEX_KEY_FLAG = 0x80  # high bit of a filter key code marks the regex variant
 
@@ -303,7 +303,7 @@ def _check_expr(expr, op, vocab, out):
             else:
                 try:
                     rex.parse_regex(expr.value)
-                except Exception as exc:  # RegexSyntaxError
+                except RegexSyntaxError as exc:
                     out.append(Diagnostic("BadRegex", op, f"{expr.key}: {exc}"))
         elif kind is ValueKind.NETWORK_ENDPOINT:
             if not (isinstance(expr.value, tuple) and len(expr.value) == 2):

@@ -3,8 +3,11 @@
 Supported syntax: literals, ".", "*", "+", "?", "|", "(...)", "[...]" and
 "[^...]" with ranges, "^", "$", and backslash escapes for metacharacters.
 No capture groups, backreferences, lazy quantifiers or class sugar; patterns
-are byte-oriented. The matcher here works straight off the AST and serves as
-the independent oracle for the automaton pipeline.
+are byte-oriented. Groups nest at most MAX_GROUP_NESTING (128) deep; a
+deeper "(" raises RegexSyntaxError at its offset, so the recursive-descent
+parser stays clear of Python's recursion limit. The matcher here works
+straight off the AST and serves as the independent oracle for the automaton
+pipeline.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from .errors import RegexSyntaxError
 
 _META = set(".*+?|()[]^$\\")
+MAX_GROUP_NESTING = 128
 
 
 @dataclass(frozen=True)
@@ -103,6 +107,7 @@ class _Parser:
     def __init__(self, pattern: str):
         self.pattern = pattern
         self.pos = 0
+        self.depth = 0  # groups open at self.pos
 
     def _fail(self, message):
         raise RegexSyntaxError(message, self.pos)
@@ -158,13 +163,17 @@ class _Parser:
         if ch == "":
             self._fail("pattern ended where a term was expected")
         if ch == "(":
+            if self.depth == MAX_GROUP_NESTING:
+                self._fail(f"groups nested deeper than {MAX_GROUP_NESTING}")
             open_pos = self.pos
             self.pos += 1
+            self.depth += 1
             inner = self._alternate()
             if self._peek() != ")":
                 self.pos = open_pos
                 self._fail("unbalanced (")
             self.pos += 1
+            self.depth -= 1
             return inner
         if ch == "[":
             return self._char_class()

@@ -9,6 +9,7 @@ only \\" is special so regex escapes pass through untouched.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
@@ -31,7 +32,40 @@ MAX_LINE = 78
 # ---------------------------------------------------------------------------
 # Reader
 
-@dataclass(frozen=True)
+MAX_NESTING = 256
+
+# One match per token: the blanks and comments before it, then exactly one
+# alternative. One of them matches at every position, so the prefix never
+# backtracks. A string with no closing quote matches only the empty "bad"
+# branch, which comes before the bare token that would otherwise take its "#".
+_TOKEN = re.compile(r"""
+    [ \t\r\n]*(?:;[^\n]*[ \t\r\n]*)*
+    (?:
+        (?P<open>\()
+      | (?P<close>\))
+      | (?P<string>(?P<hash>\#?)"(?P<body>[^"\\]*(?:\\.[^"\\]*)*)")
+      | (?P<bad>(?=\#?"))
+      | (?P<bare>[^ \t\r\n();"]+)
+      | (?P<end>\Z)
+    )""", re.VERBOSE | re.DOTALL)
+
+_STRING_ESCAPE = re.compile(r'\\([\\"])')
+_DIGIT = re.compile(r"\d")
+
+
+def _is_int(token: str) -> bool:
+    """Exactly whether int(token) succeeds. int() needs a Unicode decimal
+    digit, which is what \\d matches, so most symbols skip the exception."""
+    if not _DIGIT.search(token):
+        return False
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+@dataclass(slots=True)
 class SAtom:
     text: str
     kind: str  # "symbol" | "string" | "regex" | "int"
@@ -39,117 +73,60 @@ class SAtom:
     column: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SList:
     items: tuple
     line: int
     column: int
 
 
-class _Reader:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def _peek(self):
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _next(self):
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-    def _skip_blank(self):
-        while self.pos < len(self.text):
-            ch = self._peek()
-            if ch == ";":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._next()
-            elif ch in " \t\r\n":
-                self._next()
-            else:
-                return
-
-    def _error(self, message):
-        raise SbplSyntaxError(message, self.line, self.col)
-
-    def _read_string(self, regex_mode):
-        line, col = self.line, self.col
-        self._next()  # opening quote
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise SbplSyntaxError("unterminated string", line, col)
-            ch = self._next()
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise SbplSyntaxError("unterminated string", line, col)
-                nxt = self._next()
-                if nxt == '"':
-                    out.append('"')
-                elif nxt == "\\" and not regex_mode:
-                    out.append("\\")
-                else:
-                    out.append("\\")
-                    out.append(nxt)
-            else:
-                out.append(ch)
-
-    def read_form(self):
-        self._skip_blank()
-        if self.pos >= len(self.text):
-            return None
-        line, col = self.line, self.col
-        ch = self._peek()
-        if ch == "(":
-            self._next()
-            items = []
-            while True:
-                self._skip_blank()
-                if self.pos >= len(self.text):
-                    raise SbplSyntaxError("unclosed list", line, col)
-                if self._peek() == ")":
-                    self._next()
-                    return SList(tuple(items), line, col)
-                items.append(self.read_form())
-        if ch == ")":
-            self._error("unexpected )")
-        if ch == '"':
-            return SAtom(self._read_string(regex_mode=False), "string", line, col)
-        if ch == "#" and self.pos + 1 < len(self.text) and self.text[self.pos + 1] == '"':
-            self._next()
-            return SAtom(self._read_string(regex_mode=True), "regex", line, col)
-        # bare token: symbol or integer
-        out = []
-        while self.pos < len(self.text) and self._peek() not in ' \t\r\n();"':
-            out.append(self._next())
-        token = "".join(out)
-        if not token:
-            self._error(f"unexpected character {ch!r}")
-        try:
-            int(token)
-        except ValueError:
-            return SAtom(token, "symbol", line, col)
-        return SAtom(token, "int", line, col)
-
-
 def read_forms(text: str) -> list:
-    reader = _Reader(text)
     forms = []
-    while True:
-        form = reader.read_form()
-        if form is None:
+    items = forms                # items of the innermost open list
+    stack = []                   # (enclosing items, line, column) per open list
+    line, line_start, counted = 1, 0, 0
+    # every match starts where the previous one ended: one of the
+    # alternatives matches at any position
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        newlines = text.count("\n", counted, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        column = start - line_start + 1
+        if kind == "open":
+            if len(stack) == MAX_NESTING:
+                raise SbplSyntaxError(f"nesting deeper than {MAX_NESTING}", line, column)
+            stack.append((items, line, column))
+            items = []
+        elif kind == "close":
+            if not stack:
+                raise SbplSyntaxError("unexpected )", line, column)
+            outer, list_line, list_column = stack.pop()
+            outer.append(SList(tuple(items), list_line, list_column))
+            items = outer
+        elif kind == "bare":
+            token = m.group(kind)
+            items.append(SAtom(token, "int" if _is_int(token) else "symbol", line, column))
+        elif kind == "string":
+            body = m.group("body")
+            if m.group("hash"):
+                items.append(SAtom(body.replace('\\"', '"'), "regex", line, column))
+            else:
+                if "\\" in body:
+                    body = _STRING_ESCAPE.sub(r"\1", body)
+                items.append(SAtom(body, "string", line, column))
+        elif kind == "bad":
+            # a regex literal's error points at its quote, one past the "#"
+            raise SbplSyntaxError("unterminated string", line,
+                                  column + (text[start] == "#"))
+        else:
+            if stack:
+                _, list_line, list_column = stack[-1]
+                raise SbplSyntaxError("unclosed list", list_line, list_column)
             return forms
-        forms.append(form)
 
 
 # ---------------------------------------------------------------------------

@@ -300,3 +300,25 @@ def test_separated_and_bundled_encodings_are_equivalent(small):
         separated = codec.compile_profile(profile, table, vocab)
         report = evaluate.check_equivalence(separated, view, table, vocab)
         assert report.equivalent, (name, str(report))
+
+
+def test_regex_blob_lookup_does_not_copy(small):
+    from sbprof import generate, nfa
+    from sbprof.model import ValueKind
+
+    table, vocab = small
+    regex_keys = {e.code for e in vocab.entries if e.kind is ValueKind.REGEX_INDEX}
+    looked_up = 0
+    for seed in range(10):
+        p = generate.ProfileGenerator(table, vocab, seed=seed).generate()
+        bp = codec.decode_blob(codec.compile_profile(p, table, vocab))
+        for rec in bp.records:
+            if rec.is_terminal or rec.filter_key not in regex_keys:
+                continue
+            blob = bp.regex_blob_at(rec.filter_value)
+            assert isinstance(blob, memoryview) and blob.obj is bp.raw
+            offset = bp.pool_pointers[rec.filter_value] * 8
+            assert blob.nbytes == len(bp.raw) - offset
+            assert nfa.deserialize_nfa(blob) == nfa.deserialize_nfa(bp.raw[offset:])
+            looked_up += 1
+    assert looked_up > 5

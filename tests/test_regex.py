@@ -1,10 +1,16 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from sbprof import generate, nfa, rex
-from sbprof.errors import MalformedRegexBlob, RegexSyntaxError, TooManyStates
+from sbprof import codec, generate, nfa, rex, sbpl
+from sbprof.errors import (
+    InvalidProfile,
+    MalformedRegexBlob,
+    RegexSyntaxError,
+    TooManyStates,
+)
 from sbprof.rex import AnchorStart, Char, CharClass, Concat, Star
 
 REFERENCE_PATTERNS = (
@@ -328,3 +334,26 @@ def test_reversal_state_cap():
                   0, frozenset([4999]))
     with pytest.raises(TooManyStates):
         nfa.nfa_to_regex(big)
+
+
+def test_group_nesting_limit(small):
+    table, vocab = small
+    deepest = "(" * rex.MAX_GROUP_NESTING + "a" + ")*" * rex.MAX_GROUP_NESTING
+    ast = rex.parse_regex(deepest)
+    assert rex.print_regex(rex.simplify(ast))
+    assert nfa.build_nfa(ast).n_states
+
+    pattern = "(" * 500 + "a" + ")" * 500
+    started = time.perf_counter()
+    with pytest.raises(RegexSyntaxError) as info:
+        rex.parse_regex(pattern)
+    assert time.perf_counter() - started < 1
+    # offset of the "(" that opens group MAX_GROUP_NESTING + 1
+    assert info.value.position == rex.MAX_GROUP_NESTING == 128
+    assert "groups nested deeper than 128" in str(info.value)
+
+    profile = sbpl.parse_sbpl(
+        f'(version 1)\n(deny default)\n(allow file-read* (regex #"{pattern}"))\n')
+    with pytest.raises(InvalidProfile) as info:
+        codec.compile_profile(profile, table, vocab)
+    assert [d.code for d in info.value.diagnostics] == ["BadRegex"]

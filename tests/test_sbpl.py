@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from sbprof import generate, sbpl
+from sbprof import codec, generate, sbpl
 from sbprof.errors import SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
 from sbprof.model import Atom, Decision, RequireAny, Rule, ValueForm, canonicalize
 
@@ -166,3 +168,29 @@ def test_condition_evaluation(implicit_rules):
     # default deny means file-read* can return deny, so the guarded
     # webdav rule stays out
     assert not sbpl.condition_holds(conds["network-outbound"], p)
+
+
+def _require_not_chain(depth):
+    """A rule whose lists nest `depth` deep: the rule, then require-not
+    wrappers, then the literal filter."""
+    return ("(version 1)\n(deny default)\n(allow file-read* "
+            + "(require-not " * (depth - 2) + '(literal "/x")' + ")" * (depth - 1) + "\n")
+
+
+def test_nesting_limit(small):
+    table, vocab = small
+    text = _require_not_chain(5000)
+    started = time.perf_counter()
+    with pytest.raises(SbplSyntaxError) as info:
+        sbpl.parse_sbpl(text)
+    assert time.perf_counter() - started < 1
+    # the error names the "(" that opens list number MAX_NESTING + 1
+    opening = text.index("(require-not") + len("(require-not ") * (sbpl.MAX_NESTING - 1)
+    line_start = text.rfind("\n", 0, opening) + 1
+    assert str(info.value) == f"3:{opening - line_start + 1}: nesting deeper than 256"
+    assert sbpl.MAX_NESTING == 256
+    with pytest.raises(SbplSyntaxError):
+        sbpl.parse_sbpl(_require_not_chain(sbpl.MAX_NESTING + 1))
+
+    at_limit = sbpl.parse_sbpl(_require_not_chain(sbpl.MAX_NESTING))
+    assert codec.decode_blob(codec.compile_profile(at_limit, table, vocab)).records
