@@ -2,9 +2,25 @@
 
 The language is a small s-expression dialect: rules are
 (decision operation filter...), filters are (key value) pairs composed with
-require-all / require-any / require-not, ";" comments run to end of line.
-String escapes are restricted to \\" and \\\\; inside #"..." regex literals
-only \\" is special so regex escapes pass through untouched.
+require-all / require-any / require-not.
+
+The reader sees six kinds of token, each after any run of blanks and
+comments. Blanks are space, tab, CR and LF only; a ";" comment runs to the
+end of its line. The tokens are "(" and ")"; a "..." string; a #"..." regex
+literal; a bare token, which runs up to the next blank, "(", ")", ";" or
+'"'; and the end of the text. A bare token is an int when Python's int()
+accepts it (so "1_0", "+1" and "\\x0b3" are ints) and a symbol otherwise;
+a "#" not followed by '"' is part of a bare token. In strings \\" stands
+for '"' and \\\\ for one backslash; any other backslash is kept with the
+character after it. Inside #"..." only \\" is special, so regex escapes
+pass through untouched. Lines count LF characters from 1, and columns count
+characters from 1, CR included.
+
+Lists nest at most MAX_NESTING (256) deep; the "(" that would open a deeper
+list raises SbplSyntaxError. The reader builds lists on an explicit stack,
+so the limit, not Python's recursion limit, bounds what it accepts. Regex
+literals carry their own group-nesting limit, rex.MAX_GROUP_NESTING, which
+validate_profile applies.
 """
 
 from __future__ import annotations
@@ -81,6 +97,7 @@ class SList:
 
 
 def read_forms(text: str) -> list:
+    """The top-level forms of text, as SAtom and SList nodes."""
     forms = []
     items = forms                # items of the innermost open list
     stack = []                   # (enclosing items, line, column) per open list
