@@ -212,7 +212,9 @@ def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):
 
 def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
     """Shortest strings the automaton accepts in search mode; deterministic.
-    Breadth-first over the search-mode DFA states, one prefix per state."""
+    Breadth-first over the search-mode DFA states, one prefix per state. A
+    stepped state that cannot accept within the characters left is dropped:
+    no state reached from it could either, so the output is the same."""
     letters = sorted(set(alphabet))
     out = []
     s0 = matcher.initial(search=True)
@@ -226,12 +228,14 @@ def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
                     return out
         if depth == max_len:
             break
+        left = max_len - depth - 1
         nxt = {}
         for key, prefix in frontier.items():
             for ch, stepped in zip(letters, matcher.successors(key, letters)):
                 if stepped not in seen:
                     seen.add(stepped)
-                    nxt[stepped] = prefix + ch
+                    if matcher.can_accept_within(stepped, left):
+                        nxt[stepped] = prefix + ch
         frontier = nxt
         if not frontier:
             break
@@ -277,12 +281,10 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     """Candidate binding values per context key, plus one never-matching
     sentinel per key so the 'bound but unmatched' path is always exercised."""
     rx = rx_cache or _RegexCache()
-    values: dict[str, list] = {}
+    seen: dict[str, dict] = {}  # per key, its values in insertion order
 
     def add(key, v):
-        values.setdefault(key, [])
-        if v not in values[key]:
-            values[key].append(v)
+        seen.setdefault(key, {})[v] = None
 
     regexes: dict[str, list] = {}
     for ctx_key, kind, value in atom_triples:
@@ -294,20 +296,22 @@ def build_universe(atom_triples, vocab, rx_cache=None):
         else:
             add(ctx_key, value)
 
+    values = {key: list(vals) for key, vals in seen.items()}
     for ctx_key in sorted(set(values) | set(regexes)):
         vals = values.setdefault(ctx_key, [])
+        have = seen.get(ctx_key, {})
         if any(isinstance(v, int) for v in vals):
             sentinel = next(n for n in range(0x10000)
-                            if n not in vals)
+                            if n not in have)
         elif any(isinstance(v, tuple) for v in vals):
             sentinel = ("none", "none:0")
-            if sentinel in vals:
+            if sentinel in have:
                 sentinel = ("none", "none:1")
         else:
             sentinel = None
             for i in range(1000):
                 cand = f"~miss{i}~"
-                if cand in vals:
+                if cand in have:
                     continue
                 if any(nfa_mod.nfa_match(m, cand, full=False)
                        for m in regexes.get(ctx_key, ())):

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,16 +86,6 @@ class Nfa:
     def dfa(self) -> LazyDfa:
         """The compiled matcher, built on first use and kept with the Nfa."""
         return LazyDfa(self)
-
-
-def _label_matches(label, ch: str) -> bool:
-    if isinstance(label, Char):
-        return ord(ch) == label.byte
-    if isinstance(label, AnyChar):
-        return True
-    if isinstance(label, CharClass):
-        return label.matches(ch)
-    return False
 
 
 def _is_consuming(label) -> bool:
@@ -219,7 +210,7 @@ class LazyDfa:
 
     __slots__ = ("_edges", "_first", "_consumers", "_eps", "_accepts", "_end",
                  "_init", "_restart", "_search", "_empty_ok", "_cmap", "_top",
-                 "_width", "_ids", "_rows", "flushes")
+                 "_width", "_ids", "_rows", "_near", "_near_depth", "flushes")
 
     def __init__(self, nfa: Nfa):
         n = nfa.n_states
@@ -249,9 +240,18 @@ class LazyDfa:
             if not (at_start or at_end):
                 eps[src].append(dst)
         start = [nfa.start]
+        cuts = sorted(cuts)
+        cmap = bytearray(0x100)
+        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            cmap[lo:hi] = bytes([c]) * (hi - lo)
+        self._cmap = bytes(cmap)
+        self._top = len(cuts) - 1     # the class of every code point > 0xFF
+        self._width = len(cuts) + 2   # key, accepts at end, one slot a class
         edges.sort(key=operator.itemgetter(0))
-        self._edges = tuple(edges)
-        # state q's consuming edges are _edges[_first[q]:_first[q + 1]]
+        # state q's consuming edges are _edges[_first[q]:_first[q + 1]], each
+        # (label, mask of the byte classes the label matches, destination)
+        self._edges = tuple((label, self._class_mask(label), dst)
+                            for _src, label, dst in edges)
         first = [0] * (n + 1)
         for q, _label, _dst in edges:
             first[q + 1] += 1
@@ -264,21 +264,29 @@ class LazyDfa:
         self._restart = _close(start, eps)
         self._search = 1 << n
         self._empty_ok = bool(_close(start, both) & self._accepts)
-        cuts = sorted(cuts)
-        cmap = bytearray(0x100)
-        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            cmap[lo:hi] = bytes([c]) * (hi - lo)
-        self._cmap = bytes(cmap)
-        self._top = len(cuts) - 1     # the class of every code point > 0xFF
-        self._width = len(cuts) + 2   # key, accepts at end, one slot a class
         self._ids = {}
         self._rows = []
+        self._near = None       # built by can_accept_within
+        self._near_depth = -1
         self.flushes = 0
+
+    def _class_mask(self, label) -> int:
+        """Bitmask of the byte classes a consuming label matches."""
+        every = (2 << self._top) - 1
+        if isinstance(label, Char):
+            return 1 << self._cmap[label.byte]
+        if isinstance(label, AnyChar):
+            return every
+        cmap = self._cmap
+        mask = 0
+        for lo, hi in label.ranges:  # a range covers whole classes
+            mask |= (2 << cmap[hi]) - (1 << cmap[lo])
+        return every ^ mask if label.negated else mask
 
     @property
     def labels(self) -> tuple:
         """Labels of the consuming edges."""
-        return tuple(label for _src, label, _dst in self._edges)
+        return tuple(label for label, _mask, _dst in self._edges)
 
     @property
     def cached_states(self) -> int:
@@ -297,18 +305,79 @@ class LazyDfa:
     def successors(self, key: int, letters) -> list:
         """Keys of the states after reading each of letters in state key; 0
         is the dead full-match state. Walks reach most states once, so this
-        bypasses the cache."""
+        bypasses the cache. Letters whose classes lead to the same NFA
+        states share one epsilon closure."""
         out_edges = self._out_edges(key)
         by_class = {}
+        by_dsts = {}
         out = []
+        cmap, top = self._cmap, self._top
         for ch in letters:
             o = ord(ch)
-            c = self._cmap[o] if o < 0x100 else self._top
+            c = cmap[o] if o < 0x100 else top
             nxt = by_class.get(c)
             if nxt is None:
-                nxt = by_class[c] = self._after(key, out_edges, ch)
+                dsts = frozenset([dst for _label, mask, dst in out_edges
+                                  if mask >> c & 1])
+                nxt = by_dsts.get(dsts)
+                if nxt is None:
+                    nxt = by_dsts[dsts] = self._after(key, dsts)
+                by_class[c] = nxt
             out.append(nxt)
         return out
+
+    def can_accept_within(self, key: int, n: int) -> bool:
+        """False only if no string of at most n characters leads from state
+        key to a state that accepts at end (accepts_at_end without at_start).
+        The bound is the fewest consuming NFA edges from a state of key to
+        one of _end, epsilon edges with both anchors shut costing none. A
+        search key always holds the restart closure, so the start state
+        that search mode re-adds after each character needs no term of its
+        own."""
+        if n > self._near_depth:
+            self._build_near(n)
+        near = self._near
+        return bool(key & near[min(n, len(near) - 1)])
+
+    def _build_near(self, n: int) -> None:
+        """Set _near[k] to the states at most k consuming edges from _end,
+        for k up to n: a backward breadth-first walk, stopped after n
+        layers so it stays linear on the largest automata."""
+        size = self._search.bit_length() - 1
+        rev = [[] for _ in range(size)]      # reversed consuming edges
+        rev_eps = [[] for _ in range(size)]  # reversed epsilon edges
+        first = self._first
+        for q in _members(self._consumers):
+            for _label, _mask, dst in self._edges[first[q]:first[q + 1]]:
+                rev[dst].append(q)
+        for q, dsts in enumerate(self._eps):
+            for dst in dsts:
+                rev_eps[dst].append(q)
+        layer = _members(self._end)
+        seen = bytearray(size)
+        for q in layer:
+            seen[q] = 1
+        near = [self._end]
+        depth = n
+        while len(near) <= n:
+            found = []
+            for q in layer:
+                for p in rev[q]:
+                    if not seen[p]:
+                        seen[p] = 1
+                        found.append(p)
+            for p in found:  # grows while it is read: the epsilon closure
+                for r in rev_eps[p]:
+                    if not seen[r]:
+                        seen[r] = 1
+                        found.append(r)
+            if not found:  # every later layer would be the same
+                depth = sys.maxsize
+                break
+            near.append(near[-1] | _bitset(found))
+            layer = found
+        self._near = near
+        self._near_depth = depth
 
     def _out_edges(self, key: int) -> list:
         """The consuming edges that leave the states of key."""
@@ -316,10 +385,9 @@ class LazyDfa:
         return [edge for q in _members(key & self._consumers)
                 for edge in edges[first[q]:first[q + 1]]]
 
-    def _after(self, key: int, out_edges, ch: str) -> int:
-        """The state after reading ch in state key, given its out_edges."""
-        nxt = _close([dst for _src, label, dst in out_edges
-                      if _label_matches(label, ch)], self._eps)
+    def _after(self, key: int, dsts) -> int:
+        """The state after a step from state key to the NFA states dsts."""
+        nxt = _close(dsts, self._eps)
         return nxt | self._restart | self._search if key & self._search else nxt
 
     def match(self, s: str, full: bool = False) -> bool:
@@ -361,8 +429,8 @@ class LazyDfa:
     def _fill(self, st: int, c: int) -> int:
         """Compute and memoize the transition of state st on class c."""
         key = self._rows[st - 2]
-        ch = chr(self._cmap.index(c)) if c < self._top else "\u0100"
-        nxt_key = self._after(key, self._out_edges(key), ch)
+        nxt_key = self._after(key, [dst for _label, mask, dst in self._out_edges(key)
+                                    if mask >> c & 1])
         stop = nxt_key & self._accepts if nxt_key & self._search else not nxt_key
         flushes = self.flushes
         nxt = self._intern(nxt_key)
