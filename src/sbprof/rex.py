@@ -4,8 +4,12 @@ Supported syntax: literals, ".", "*", "+", "?", "|", "(...)", "[...]" and
 "[^...]" with ranges, "^", "$", and backslash escapes for metacharacters.
 No capture groups, backreferences, lazy quantifiers or class sugar; patterns
 are byte-oriented. Groups nest at most MAX_GROUP_NESTING (128) deep; a
-deeper "(" raises RegexSyntaxError at its offset, so the recursive-descent
-parser stays clear of Python's recursion limit. The matcher here works
+deeper "(" raises RegexSyntaxError at its offset. Quantifiers nest too: the
+open groups plus the quantifiers stacked on an atom, counting those nested
+inside a group atom, may not exceed the same limit, and the first quantifier
+past it raises RegexSyntaxError at its offset. So the recursive-descent
+parser, and the simplifier, printer and automaton builder that recurse on
+its output, stay clear of Python's recursion limit. The matcher here works
 straight off the AST and serves as the independent oracle for the automaton
 pipeline.
 """
@@ -108,6 +112,7 @@ class _Parser:
         self.pattern = pattern
         self.pos = 0
         self.depth = 0  # groups open at self.pos
+        self.height = 0  # most quantifiers nested in the group being read
 
     def _fail(self, message):
         raise RegexSyntaxError(message, self.pos)
@@ -146,8 +151,12 @@ class _Parser:
         return Concat(tuple(parts))
 
     def _repeat(self):
-        ast = self._atom()
+        ast, height = self._atom()
         while self._peek() in ("*", "+", "?"):
+            height += 1
+            if self.depth + height > MAX_GROUP_NESTING:
+                self._fail(f"quantifiers and groups nested deeper than "
+                           f"{MAX_GROUP_NESTING}")
             op = self.pattern[self.pos]
             self.pos += 1
             if op == "*":
@@ -156,9 +165,11 @@ class _Parser:
                 ast = Plus(ast)
             else:
                 ast = Optional(ast)
+        self.height = max(self.height, height)
         return ast
 
     def _atom(self):
+        """The next atom and the most quantifiers nested in it."""
         ch = self._peek()
         if ch == "":
             self._fail("pattern ended where a term was expected")
@@ -166,37 +177,40 @@ class _Parser:
             if self.depth == MAX_GROUP_NESTING:
                 self._fail(f"groups nested deeper than {MAX_GROUP_NESTING}")
             open_pos = self.pos
+            outer = self.height
             self.pos += 1
             self.depth += 1
+            self.height = 0
             inner = self._alternate()
             if self._peek() != ")":
                 self.pos = open_pos
                 self._fail("unbalanced (")
             self.pos += 1
             self.depth -= 1
-            return inner
+            height, self.height = self.height, outer
+            return inner, height
         if ch == "[":
-            return self._char_class()
+            return self._char_class(), 0
         if ch == ".":
             self.pos += 1
-            return AnyChar()
+            return AnyChar(), 0
         if ch == "^":
             self.pos += 1
-            return AnchorStart()
+            return AnchorStart(), 0
         if ch == "$":
             self.pos += 1
-            return AnchorEnd()
+            return AnchorEnd(), 0
         if ch == "\\":
             self.pos += 1
             if self.pos >= len(self.pattern):
                 self._fail("dangling escape")
             lit = self.pattern[self.pos]
             self.pos += 1
-            return Char(self._byte(lit))
+            return Char(self._byte(lit)), 0
         if ch in ("*", "+", "?", ")", "]"):
             self._fail(f"misplaced {ch!r}")
         self.pos += 1
-        return Char(self._byte(ch))
+        return Char(self._byte(ch)), 0
 
     def _class_char(self):
         ch = self._peek()

@@ -357,3 +357,35 @@ def test_group_nesting_limit(small):
     with pytest.raises(InvalidProfile) as info:
         codec.compile_profile(profile, table, vocab)
     assert [d.code for d in info.value.diagnostics] == ["BadRegex"]
+
+
+def test_stacked_quantifier_limit(small):
+    table, vocab = small
+    limit = rex.MAX_GROUP_NESTING
+    # the open groups plus the quantifiers on an atom, counting those inside
+    # a group atom, reach the limit exactly
+    for deepest in ("a" + "*" * limit,
+                    "(" * 28 + "a" + "?" * 100 + ")" * 28,
+                    "(a" + "+" * 100 + ")" + "*" * 28):
+        ast = rex.parse_regex(deepest)
+        assert rex.print_regex(rex.simplify(ast))
+        assert nfa.build_nfa(ast).n_states
+
+    for pattern, offset in (("a" + "*" * 3000, 129),
+                            ("(" * 28 + "a" + "?" * 101 + ")" * 28, 129),
+                            ("(a" + "+" * 100 + ")" + "*" * 3000, 131)):
+        started = time.perf_counter()
+        with pytest.raises(RegexSyntaxError) as info:
+            rex.parse_regex(pattern)
+        assert time.perf_counter() - started < 1
+        assert info.value.position == offset
+        assert pattern[offset] in "*+?"
+        assert "nested deeper than 128" in str(info.value)
+
+        profile = sbpl.parse_sbpl(
+            f'(version 1)\n(deny default)\n(allow file-read* (regex #"{pattern}"))\n')
+        started = time.perf_counter()
+        with pytest.raises(InvalidProfile) as info:
+            codec.compile_profile(profile, table, vocab)
+        assert time.perf_counter() - started < 1
+        assert [d.code for d in info.value.diagnostics] == ["BadRegex"]
