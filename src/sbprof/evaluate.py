@@ -299,19 +299,18 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     values = {key: list(vals) for key, vals in seen.items()}
     for ctx_key in sorted(set(values) | set(regexes)):
         vals = values.setdefault(ctx_key, [])
-        have = seen.get(ctx_key, {})
         if any(isinstance(v, int) for v in vals):
             sentinel = next(n for n in range(0x10000)
-                            if n not in have)
+                            if n not in vals)
         elif any(isinstance(v, tuple) for v in vals):
             sentinel = ("none", "none:0")
-            if sentinel in have:
+            if sentinel in vals:
                 sentinel = ("none", "none:1")
         else:
             sentinel = None
             for i in range(1000):
                 cand = f"~miss{i}~"
-                if cand in have:
+                if cand in vals:
                     continue
                 if any(nfa_mod.nfa_match(m, cand, full=False)
                        for m in regexes.get(ctx_key, ())):

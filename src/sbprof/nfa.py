@@ -11,10 +11,16 @@ with both anchors shut; the anchors are position predicates, so `^` is
 applied only when the initial state is built and `$` only through each
 state's accepts-at-end bit. Matching computes transitions on first use and
 memoizes them per byte class: classes are cut at every Char/CharClass bound,
-and all code points above 0xFF share one class. The walks seldom take a step
-twice, so they step the same states without the cache. At most
-DFA_STATE_CAP states are cached per automaton; past that the cache is flushed
-and refilled, so hostile blobs keep memory bounded.
+and all code points above 0xFF share one class. Each consuming edge carries
+an int mask of the classes its label matches, so a step tests bits instead
+of labels. The walks seldom take a step twice, so they step the same states
+without the cache, and letters whose classes lead to the same set of NFA
+states share one epsilon closure. can_accept_within bounds from below how
+many characters a state needs to reach acceptance, from a backward
+breadth-first walk that stops at the depth asked for; the evaluator's
+sample walk drops states that cannot accept within the characters it has
+left. At most DFA_STATE_CAP states are cached per automaton; past that the
+cache is flushed and refilled, so hostile blobs keep memory bounded.
 
 Wire format (documented bit-exactly in docs/format.md): a u16-le node count
 followed by one record per node. Records are 1-byte tag + 2-byte le operand,
@@ -343,7 +349,7 @@ class LazyDfa:
         """Set _near[k] to the states at most k consuming edges from _end,
         for k up to n: a backward breadth-first walk, stopped after n
         layers so it stays linear on the largest automata."""
-        size = self._search.bit_length() - 1
+        size = len(self._eps)
         rev = [[] for _ in range(size)]      # reversed consuming edges
         rev_eps = [[] for _ in range(size)]  # reversed epsilon edges
         first = self._first
