@@ -213,8 +213,9 @@ def test_can_accept_within_equals_brute_force():
 
 
 def test_hostile_sizes_stay_bounded():
-    # 48,001 and 32,002 wire nodes: a first prototype that walked every
-    # layer took 0.50 s on the second and kept a bitset per layer
+    # 48,001 and 32,002 wire nodes; the backward walk from the accepting
+    # states must stop at the depth asked for, or it would keep one bitset
+    # per layer of the second's thousands of layers
     for pattern, states, samples in (("a?" * 8000, 48001, ["", "a"]),
                                      ("(ab|b)" * 4000 + "$", 32002, [])):
         blob = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(pattern)))
