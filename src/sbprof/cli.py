@@ -199,14 +199,16 @@ def cmd_eval(args) -> int:
     source = _load_profile_source(Path(args.input), table, vocab)
     ctx = _read_context(args, vocab)
     src = evaluate.as_source(source, table, vocab)
-    if args.trace and isinstance(src, evaluate.BlobEvaluator):
-        trace = []
-        verdict = src.verdict(args.op, ctx, trace=trace)
-        for unit, label, matched in trace:
+    trace = [] if args.trace else None
+    verdict = src.verdict(args.op, ctx, trace=trace)
+    if isinstance(src, evaluate.BlobEvaluator):
+        for unit, label, matched in trace or ():
             mark = "" if matched is None else (" match" if matched else " unmatch")
             print(f"  0x{unit:04x} {label}{mark}")
     else:
-        verdict = src.verdict(args.op, ctx)
+        for owner, rule in trace or ():
+            print(f"  ({verdict} default)" if rule is None
+                  else "  " + sbpl.format_rule(owner, rule))
     print(verdict.value)
     return EXIT_OK if verdict is Decision.ALLOW else EXIT_DENY
 
@@ -309,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ctx", help="file of key=value lines")
     p.add_argument("bindings", nargs="*", help="key=value pairs")
     p.add_argument("--trace", action="store_true",
-                   help="print the node path taken (binary profiles)")
+                   help="print the node path taken (binary profiles) or "
+                        "the rule that decided (.sb profiles)")
     _vocab_arg(p)
     p.set_defaults(func=cmd_eval)
 

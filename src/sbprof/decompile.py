@@ -19,7 +19,7 @@ from .errors import (
     SandboxError,
     UnknownFilterValue,
 )
-from .evaluate import check_equivalence
+from .evaluate import EquivalenceChecker, check_equivalence
 from .model import (
     Atom,
     Decision,
@@ -532,7 +532,8 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
     """Strip rules matching the implicit standard policy, plus operations
     whose rules cannot change the default verdict. Every removal is verified
     against the evaluator: the cleaned profile with implicits re-injected
-    must agree with the input everywhere we can observe."""
+    must agree with the input everywhere we can observe. One checker serves
+    every trial, and a trial re-checks only the operations it changed."""
     items = [(it.operation, it.rule) for it in implicit.rules]
     current = {op: _rule_runs(rs, vocab) for op, rs in profile.rules.items()}
 
@@ -541,12 +542,20 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
         return Profile(profile.name, profile.default_decision,
                        {op: rs for op, rs in rules.items() if rs})
 
+    checker = EquivalenceChecker(table, vocab)
+    before = inject_implicit(as_profile(current), implicit)
+
     def verdict_safe(candidate_runs):
         # a removal is safe when the compiled result (profile plus injected
         # standard policy) keeps every verdict it had before the removal
-        before = inject_implicit(as_profile(current), implicit)
+        nonlocal before
         after = inject_implicit(as_profile(candidate_runs), implicit)
-        return check_equivalence(before, after, table, vocab).equivalent
+        report = check_equivalence(before, after, table, vocab,
+                                   ops=checker.changed_ops(before, after),
+                                   checker=checker)
+        if report.equivalent:
+            before = after
+        return report.equivalent
 
     def copy_runs(runs_dict):
         return {op: [[d, None if cs is None else list(cs)] for d, cs in runs]

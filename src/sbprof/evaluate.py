@@ -54,11 +54,17 @@ class QueryContext:
 
 
 class _RegexCache:
-    """Compiled matcher per pattern text, shared by everything that
-    evaluates one set of sources."""
+    """Compiled matchers shared by everything that evaluates one set of
+    sources: one automaton per pattern text and one per regex wire
+    encoding, and each automaton's universe samples. With memo set it also
+    remembers every (matcher, text) match result; an EquivalenceChecker
+    sets it, evaluators built on their own do not."""
 
-    def __init__(self):
+    def __init__(self, memo: bool = False):
         self.by_pattern = {}
+        self.by_wire = {}
+        self.samples = {}
+        self.results = {} if memo else None
 
     def automaton(self, pattern: str) -> nfa_mod.LazyDfa:
         m = self.by_pattern.get(pattern)
@@ -67,6 +73,32 @@ class _RegexCache:
             self.by_pattern[pattern] = m
         return m
 
+    def from_wire(self, data) -> nfa_mod.LazyDfa:
+        """Automaton of the regex record stream at the start of data."""
+        key = bytes(data[:nfa_mod.wire_length(data)])
+        m = self.by_wire.get(key)
+        if m is None:
+            m = nfa_mod.LazyDfa(nfa_mod.deserialize_nfa(data))
+            self.by_wire[key] = m
+        return m
+
+    def memo_match(self, matcher, text: str) -> bool:
+        """Whether text matches the pattern or automaton, remembered per pair."""
+        hit = self.results.get((matcher, text))
+        if hit is None:
+            m = self.automaton(matcher) if isinstance(matcher, str) else matcher
+            hit = nfa_mod.nfa_match(m, text, full=False)
+            self.results[(matcher, text)] = hit
+        return hit
+
+    def accepted_samples(self, matcher) -> tuple:
+        """_accepted_samples of the automaton over its own alphabet."""
+        out = self.samples.get(matcher)
+        if out is None:
+            out = tuple(_accepted_samples(matcher, _pattern_alphabet(matcher)))
+            self.samples[matcher] = out
+        return out
+
 
 def _value_matches(kind: ValueKind, atom_value, bound, rx_cache) -> bool:
     if bound is None:
@@ -74,6 +106,8 @@ def _value_matches(kind: ValueKind, atom_value, bound, rx_cache) -> bool:
     if kind is ValueKind.REGEX_INDEX:
         if not isinstance(bound, str):
             return False
+        if rx_cache.results is not None:
+            return rx_cache.memo_match(atom_value, bound)
         matcher = rx_cache.automaton(atom_value) \
             if isinstance(atom_value, str) else atom_value
         return nfa_mod.nfa_match(matcher, bound, full=False)
@@ -113,24 +147,38 @@ class AstEvaluator:
         self.rx = rx_cache or _RegexCache()
         self._effective = {}
 
+    def _owner(self, op: str):
+        """The operation whose rules op follows: op itself, else its nearest
+        ancestor with rules, else None."""
+        cur = op
+        while cur is not None and not self.profile.rules.get(cur):
+            cur = self.table.parents.get(cur)
+        return cur
+
     def _rules(self, op: str):
+        """op's effective rules, after parent fallback."""
         cached = self._effective.get(op)
         if cached is None:
-            cur = op
-            while cur is not None and not self.profile.rules.get(cur):
-                cur = self.table.parents.get(cur)
+            cur = self._owner(op)
             cached = self.profile.rules.get(cur, ()) if cur else ()
             self._effective[op] = cached
         return cached
 
-    def verdict(self, op_name: str, ctx: QueryContext) -> Decision:
+    def verdict(self, op_name: str, ctx: QueryContext,
+                trace: list | None = None) -> Decision:
+        """trace, when given, receives one (operation, rule) pair: the rule
+        that decided and the operation that owns it, or ("default", None)
+        when the default decision did."""
         self.table.index(op_name)  # raises UnknownOperation
-        if op_name == "default":
-            return self.profile.default_decision
-        for rule in self._rules(op_name):
-            if rule.filter is None or expr_matches(rule.filter, ctx,
-                                                   self.vocab, self.rx):
-                return rule.decision
+        if op_name != "default":
+            for rule in self._rules(op_name):
+                if rule.filter is None or expr_matches(rule.filter, ctx,
+                                                       self.vocab, self.rx):
+                    if trace is not None:
+                        trace.append((self._owner(op_name), rule))
+                    return rule.decision
+        if trace is not None:
+            trace.append(("default", None))
         return self.profile.default_decision
 
 
@@ -138,7 +186,8 @@ class AstEvaluator:
 # Graph-walk semantics
 
 class BlobEvaluator:
-    def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary):
+    def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary,
+                 rx_cache: _RegexCache | None = None):
         if isinstance(bp, (bytes, bytearray)):
             bp = decode_blob(bytes(bp))
         if bp.op_count != len(table):
@@ -147,6 +196,7 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
+        self.rx = rx_cache or _RegexCache()
         self._prepared = {}
 
     def _prepare(self, unit: int):
@@ -166,8 +216,7 @@ class BlobEvaluator:
                 if value is None:
                     raise UnknownFilterValue(entry.name, rec.filter_value)
             elif kind is ValueKind.REGEX_INDEX:
-                value = nfa_mod.LazyDfa(
-                    nfa_mod.deserialize_nfa(self.bp.regex_blob_at(rec.filter_value)))
+                value = self.rx.from_wire(self.bp.regex_blob_at(rec.filter_value))
             elif kind is ValueKind.NETWORK_ENDPOINT:
                 text = self.bp.string_at(rec.filter_value)
                 proto, _, addr = text.partition(" ")
@@ -189,7 +238,7 @@ class BlobEvaluator:
                     trace.append((unit, str(value), None))
                 return value
             bound = ctx.get(entry.context_key)
-            matched = _value_matches(entry.kind, value, bound, None)
+            matched = _value_matches(entry.kind, value, bound, self.rx)
             if trace is not None:
                 trace.append((unit, entry.name, matched))
             unit = match_off if matched else unmatch_off
@@ -201,7 +250,7 @@ def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):
     if isinstance(thing, Profile):
         return AstEvaluator(thing, table, vocab, rx_cache)
     if isinstance(thing, (bytes, bytearray, BinaryProfile)):
-        return BlobEvaluator(thing, table, vocab)
+        return BlobEvaluator(thing, table, vocab, rx_cache)
     if hasattr(thing, "verdict"):
         return thing
     raise TypeError(f"not a verdict source: {thing!r}")
@@ -286,12 +335,12 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     def add(key, v):
         seen.setdefault(key, {})[v] = None
 
-    regexes: dict[str, list] = {}
+    regexes: dict[str, dict] = {}  # per key, its automata in insertion order
     for ctx_key, kind, value in atom_triples:
         if kind is ValueKind.REGEX_INDEX:
             matcher = rx.automaton(value) if isinstance(value, str) else value
-            regexes.setdefault(ctx_key, []).append(matcher)
-            for s in _accepted_samples(matcher, _pattern_alphabet(matcher)):
+            regexes.setdefault(ctx_key, {})[matcher] = None
+            for s in rx.accepted_samples(matcher):
                 add(ctx_key, s)
         else:
             add(ctx_key, value)
@@ -390,51 +439,111 @@ class EquivalenceReport:
                 f"op={op} ctx={ctx}: {va} vs {vb}")
 
 
-def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
-                      ops=None, mode: str = "exhaustive", seed: int = 0,
-                      samples: int = 1000) -> EquivalenceReport:
-    """Compare two verdict sources. Exhaustive mode enumerates, per
-    operation, every combination of that operation's own atom values;
-    sampled mode draws seeded random contexts from the combined universe."""
-    rx = _RegexCache()  # one compiled matcher per pattern for both sides
-    src_a = as_source(a, table, vocab, rx)
-    src_b = as_source(b, table, vocab, rx)
-    if ops is None:
-        ops = list(table.entries)
-    atoms = collect_atoms(src_a, table, vocab) + collect_atoms(src_b, table, vocab)
-    universe = build_universe(atoms, vocab, rx)
-    checked = 0
+class EquivalenceChecker:
+    """Prepared state for equivalence checks over one operation table and
+    vocabulary, kept for as long as the checker is: one check, or all the
+    trials of one cleanup.
 
-    def compare(op, ctx):
-        nonlocal checked
-        checked += 1
-        va = src_a.verdict(op, ctx)
-        vb = src_b.verdict(op, ctx)
-        if va is not vb:
-            return EquivalenceReport(False, checked, mode, (op, ctx, va, vb))
-        return None
+    It caches one automaton per regex pattern text and per regex wire
+    encoding, shared by both sides of every check; each automaton's
+    universe samples; every (matcher, value) match result; and the sources
+    of the latest check, each prepared once with its atoms. A source is
+    known by identity, so hand the same object back to reuse it."""
 
-    if mode == "exhaustive":
-        # only the keys an operation's own (inherited) atoms test can change
-        # its verdict; everything else stays at the empty context
-        for op in ops:
-            keys = _source_op_keys(src_a, op, vocab) | _source_op_keys(src_b, op, vocab)
-            sub = {k: universe[k] for k in sorted(keys) if k in universe}
-            for ctx in exhaustive_contexts(sub):
+    # the two sources of the latest check: cleanup hands its unchanged side
+    # back on every trial, so that one stays prepared
+    KEEP_SOURCES = 2
+
+    def __init__(self, table: OperationTable, vocab: FilterVocabulary):
+        self.table = table
+        self.vocab = vocab
+        self.rx = _RegexCache(memo=True)
+        # id(thing) -> (thing, source, atoms), oldest first; holding thing
+        # keeps its id from being reused while the entry lives
+        self._sources = {}
+
+    def _prepared(self, thing):
+        key = id(thing)
+        hit = self._sources.pop(key, None)
+        if hit is None:
+            src = as_source(thing, self.table, self.vocab, self.rx)
+            hit = (thing, src, collect_atoms(src, self.table, self.vocab))
+            if len(self._sources) >= self.KEEP_SOURCES:
+                del self._sources[next(iter(self._sources))]
+        self._sources[key] = hit
+        return hit
+
+    def changed_ops(self, a: Profile, b: Profile) -> list:
+        """The operations whose verdicts two profiles may disagree on, in
+        table order. An operation whose effective rules (after parent
+        fallback) are equal on both sides decides every context the same
+        way when the default decisions are equal, so it is left out."""
+        if a.default_decision is not b.default_decision:
+            return list(self.table.entries)
+        src_a, src_b = self._prepared(a)[1], self._prepared(b)[1]
+        return [op for op in self.table.entries
+                if src_a._rules(op) != src_b._rules(op)]
+
+    def check(self, a, b, ops=None, mode: str = "exhaustive", seed: int = 0,
+              samples: int = 1000) -> EquivalenceReport:
+        """check_equivalence with this checker's caches."""
+        vocab = self.vocab
+        _a, src_a, atoms_a = self._prepared(a)
+        _b, src_b, atoms_b = self._prepared(b)
+        if ops is None:
+            ops = list(self.table.entries)
+        universe = build_universe(atoms_a + atoms_b, vocab, self.rx)
+        checked = 0
+
+        def compare(op, ctx):
+            nonlocal checked
+            checked += 1
+            va = src_a.verdict(op, ctx)
+            vb = src_b.verdict(op, ctx)
+            if va is not vb:
+                return EquivalenceReport(False, checked, mode, (op, ctx, va, vb))
+            return None
+
+        if mode == "exhaustive":
+            # only the keys an operation's own (inherited) atoms test can
+            # change its verdict; everything else stays at the empty context
+            for op in ops:
+                keys = _source_op_keys(src_a, op, vocab) | \
+                    _source_op_keys(src_b, op, vocab)
+                sub = {k: universe[k] for k in sorted(keys) if k in universe}
+                for ctx in exhaustive_contexts(sub):
+                    bad = compare(op, ctx)
+                    if bad:
+                        return bad
+        else:
+            interesting = [op for op in ops if op != "default"]
+            rng = random.Random(seed)
+            ctxs = list(sampled_contexts(universe, seed, samples))
+            for ctx in ctxs:
+                op = rng.choice(interesting)
                 bad = compare(op, ctx)
                 if bad:
                     return bad
-    else:
-        interesting = [op for op in ops if op != "default"]
-        rng = random.Random(seed)
-        ctxs = list(sampled_contexts(universe, seed, samples))
-        for ctx in ctxs:
-            op = rng.choice(interesting)
-            bad = compare(op, ctx)
-            if bad:
-                return bad
-        for op in ops:
-            bad = compare(op, QueryContext({}))
-            if bad:
-                return bad
-    return EquivalenceReport(True, checked, mode)
+            for op in ops:
+                bad = compare(op, QueryContext({}))
+                if bad:
+                    return bad
+        return EquivalenceReport(True, checked, mode)
+
+
+def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
+                      ops=None, mode: str = "exhaustive", seed: int = 0,
+                      samples: int = 1000,
+                      checker: EquivalenceChecker | None = None
+                      ) -> EquivalenceReport:
+    """Compare two verdict sources. Exhaustive mode enumerates, per
+    operation, every combination of that operation's own atom values;
+    sampled mode draws seeded random contexts from the combined universe.
+    ops limits the operations compared, in that order. checker, built for
+    the same table and vocabulary, lends its caches to this check and keeps
+    what it adds; by default the check builds its own."""
+    if checker is None:
+        checker = EquivalenceChecker(table, vocab)
+    elif checker.table is not table or checker.vocab is not vocab:
+        raise ValueError("checker was built for another table or vocabulary")
+    return checker.check(a, b, ops, mode, seed, samples)

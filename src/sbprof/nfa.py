@@ -711,17 +711,29 @@ def deserialize_nfa(data: bytes) -> Nfa:
     return Nfa(count, tuple(transitions), 0, frozenset(accepts))
 
 
-def serialized_length(data: bytes) -> int:
-    """Byte length of the record stream starting at data[0] (header included)."""
-    nfa = deserialize_nfa(data)  # bounds-checked walk
+def wire_length(data) -> int:
+    """Byte length of the record stream starting at data[0] (header
+    included), read from the record tags alone and capped at len(data).
+    Nothing else is checked; deserialize_nfa rejects a malformed stream."""
+    if len(data) < 2:
+        return len(data)
+    (count,) = struct.unpack_from("<H", data, 0)
     pos = 2
-    for _ in range(nfa.n_states):
+    for _ in range(count):
+        if pos + 2 > len(data):  # every record takes at least two bytes
+            return len(data)
         tag = data[pos]
         if tag in (TAG_CLASS, TAG_CLASS_NEG):
             pos += 2 + 2 * data[pos + 1]
         else:
             pos += 3
-    return pos
+    return min(pos, len(data))
+
+
+def serialized_length(data: bytes) -> int:
+    """Byte length of the record stream starting at data[0] (header included)."""
+    deserialize_nfa(data)  # bounds-checked walk
+    return wire_length(data)
 
 
 # ---------------------------------------------------------------------------

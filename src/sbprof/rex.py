@@ -8,10 +8,11 @@ deeper "(" raises RegexSyntaxError at its offset. Quantifiers nest too: the
 open groups plus the quantifiers stacked on an atom, counting those nested
 inside a group atom, may not exceed the same limit, and the first quantifier
 past it raises RegexSyntaxError at its offset. So the recursive-descent
-parser, and the simplifier, printer and automaton builder that recurse on
-its output, stay clear of Python's recursion limit. The matcher here works
-straight off the AST and serves as the independent oracle for the automaton
-pipeline.
+parser, and the printer and automaton builder that recurse on its output,
+stay clear of Python's recursion limit; the simplifier, whose rewrites and
+tree comparisons recurse further, stops at its last finished pass when it
+would not. The matcher here works straight off the AST and serves as the
+independent oracle for the automaton pipeline.
 """
 
 from __future__ import annotations
@@ -542,10 +543,18 @@ def _simp_opt(inner):
 
 
 def simplify(ast: RegexAst) -> RegexAst:
+    """Rewrite passes to a fixed point, at most 30. Every pass matches the
+    same strings, so when a tree is too deep for a pass or for the equality
+    test that ends the loop (about 100 nested groups), the last finished
+    pass is returned as it stands. Where that cut falls depends on how deep
+    the caller's stack already is."""
     cur = ast
-    for _ in range(30):
-        nxt = _simp(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    try:
+        for _ in range(30):
+            nxt = _simp(cur)
+            if nxt == cur:
+                return cur
+            cur = nxt
+    except RecursionError:
+        pass
     return cur

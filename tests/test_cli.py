@@ -69,6 +69,22 @@ def test_eval_context_file_and_trace(workdir, capsys):
     assert "0x" in out  # trace lines carry node offsets
 
 
+def test_eval_trace_on_sbpl_source(workdir, capsys):
+    sample = workdir / "sample.sb"
+    assert run("eval", sample, "--op", "file-read*", "path=/bin/secret.txt",
+               "--trace") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        '  (deny file-read* (literal "/bin/secret.txt"))', "deny"]
+    # a rule-less operation decides by its parent's rules
+    assert run("eval", sample, "--op", "file-read-data", "path=/bin/ls",
+               "--trace") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        '  (allow file-read* (regex #"/bin/*"))', "allow"]
+    assert run("eval", sample, "--op", "file-read*", "path=/etc/passwd",
+               "--trace") == 1
+    assert capsys.readouterr().out.splitlines() == ["  (deny default)", "deny"]
+
+
 def test_pack_unpack_round_trip(workdir, capsys, small):
     table, vb = small
     bundle = workdir / "both.sbbundle"

@@ -15,7 +15,12 @@ from sbprof.decompile import (
     inject_implicit,
     normalize_graph,
 )
-from sbprof.errors import CycleDetected, DecompileError, IrreducibleGraph
+from sbprof.errors import (
+    CycleDetected,
+    DecompileError,
+    IrreducibleGraph,
+    SandboxError,
+)
 from sbprof.evaluate import build_universe, exhaustive_contexts, expr_matches
 from sbprof.model import (
     Atom,
@@ -338,6 +343,32 @@ def test_cleanup_never_breaks_verdicts(small, implicit_rules):
     cleaned = cleanup(emitted, implicit_rules, table, vocab)
     merged = inject_implicit(cleaned, implicit_rules)
     assert evaluate.check_equivalence(emitted, merged, table, vocab).equivalent
+
+
+def test_pruned_cleanup_checks_agree_with_full_checks(cleanup_cases,
+                                                      implicit_rules, monkeypatch):
+    # every cleanup trial checks only the operations it changed; a full
+    # check over every operation must reach the same decision
+    full_check = evaluate.check_equivalence
+    outcomes = []
+
+    def both(a, b, table, vocab, ops=None, checker=None):
+        pruned = full_check(a, b, table, vocab, ops=ops, checker=checker)
+        full = full_check(a, b, table, vocab)
+        assert pruned.equivalent == full.equivalent, (ops, str(pruned), str(full))
+        outcomes.append(pruned.equivalent)
+        return pruned
+
+    monkeypatch.setattr(decompile, "check_equivalence", both)
+    for name, profile, table, voc in cleanup_cases:
+        try:
+            blob = codec.compile_profile(inject_implicit(profile, implicit_rules),
+                                         table, voc)
+        except SandboxError:
+            continue  # the injected profile is invalid; nothing to clean up
+        decompile.decompile(blob, table, voc, implicit=implicit_rules)
+    assert len(outcomes) > 400
+    assert outcomes.count(False) >= 4  # rejected trials are covered too
 
 
 def test_dot_graph_shape(small):

@@ -121,6 +121,40 @@ def test_check_equivalence_reports_witness(small, blacklist):
     assert va is not vb
 
 
+def test_reused_checker_matches_fresh_checks(small, large):
+    # one checker per vocabulary serves every check, so prepared sources come
+    # and go and automata, samples and match results carry over
+    checkers = {id(t[0]): evaluate.EquivalenceChecker(*t) for t in (small, large)}
+    cases = [(sbpl.parse_sbpl(c.sbpl_text), large if c.vocab == "large" else small)
+             for c in generate.CORPUS]
+    cases += [(generate.ProfileGenerator(*small, seed=seed).generate(), small)
+              for seed in range(40)]
+    disagreements = 0
+    for profile, (table, vocab) in cases:
+        blob = codec.compile_profile(profile, table, vocab)
+        ops = sorted(profile.rules)
+        trimmed = Profile("", profile.default_decision,
+                          {op: rs for op, rs in profile.rules.items() if op != ops[0]})
+        for a, b, kwargs in ((profile, blob, {}), (blob, trimmed, {}),
+                             (profile, trimmed, {"ops": ops}),
+                             (profile, trimmed, {"mode": "sampled", "seed": 3,
+                                                 "samples": 50})):
+            fresh = evaluate.check_equivalence(a, b, table, vocab, **kwargs)
+            reused = evaluate.check_equivalence(
+                a, b, table, vocab, checker=checkers[id(table)], **kwargs)
+            assert (reused.equivalent, reused.checked, reused.witness) == \
+                (fresh.equivalent, fresh.checked, fresh.witness)
+            disagreements += not fresh.equivalent
+    assert disagreements > len(cases)
+
+
+def test_checker_rejects_other_tables(small, large, blacklist):
+    profile, _blob = blacklist
+    checker = evaluate.EquivalenceChecker(*large)
+    with pytest.raises(ValueError):
+        evaluate.check_equivalence(profile, profile, *small, checker=checker)
+
+
 def test_sampled_mode_is_deterministic(small, blacklist):
     table, vocab = small
     profile, blob = blacklist

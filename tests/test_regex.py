@@ -359,6 +359,20 @@ def test_group_nesting_limit(small):
     assert [d.code for d in info.value.diagnostics] == ["BadRegex"]
 
 
+@pytest.mark.parametrize("depth", [100, 128])
+def test_simplify_deep_alternation_groups(depth):
+    # (a|b(a|b...x...c)*c)*: deep enough that a rewrite pass or its fixed-point
+    # test would exceed Python's recursion limit
+    pattern = "x"
+    for _ in range(depth):
+        pattern = "(a|b" + pattern + "c)*"
+    ast = rex.parse_regex(pattern)
+    simplified = rex.simplify(ast)
+    dfa = nfa.LazyDfa(nfa.build_nfa(ast))
+    for text in ("", "a", "aab", "bxc", "bbxcc", "abxca", "bac", "bbxc", "x"):
+        assert rex.ast_match(simplified, text) == dfa.match(text, full=True), text
+
+
 def test_stacked_quantifier_limit(small):
     table, vocab = small
     limit = rex.MAX_GROUP_NESTING
