@@ -1,0 +1,51 @@
+"""Byte-identity guard for the regex program writer.
+
+The digest was computed with `serialize_nfa` as it stood before it was
+rewritten as one loop over fall-through chains. It pins
+`serialize_nfa(build_nfa(parse_regex(p)))` and
+`serialize_nfa(deserialize_nfa(...))` of that for 2,000 random patterns, the
+regexes of the golden corpus, of small seeds 0-39 and of container seeds 0-2,
+and a few shapes with anchors, empty branches and negated classes. It does
+not depend on PYTHONHASHSEED.
+"""
+
+import hashlib
+import random
+
+from sbprof import generate, model, nfa, rex, sbpl
+
+DIGEST = "bd6e8c65ba5da7ba0a1569eec37f7eafd3348b27d79bee671346211897d2c0b3"
+
+SHAPES = ("^$", "$", "^", "(|a)", "((a)*)*", "[^a-z]+", "(ab|b)*$", "a|^b$",
+          "(^a|b$)*", "[^/.]?[a-c]*", "a?b+c*", ".*x(y|)")
+
+
+def _regexes(profile):
+    for rules in profile.rules.values():
+        for rule in rules:
+            if rule.filter is not None:
+                for atom in model.expr_atoms(rule.filter):
+                    if atom.form is model.ValueForm.REGEX:
+                        yield atom.value
+
+
+def _patterns(small, large):
+    rng = random.Random(1608)
+    yield from (generate.random_regex_pattern(rng) for _ in range(2000))
+    for case in generate.CORPUS:
+        yield from _regexes(sbpl.parse_sbpl(case.sbpl_text, name=case.name))
+    for seed in range(40):
+        yield from _regexes(generate.ProfileGenerator(*small, seed=seed).generate())
+    for seed in range(3):
+        yield from _regexes(generate.ProfileGenerator(
+            *large, seed=seed, scale="container").generate())
+    yield from SHAPES
+
+
+def test_serialize_nfa_digest(small, large):
+    digest = hashlib.sha256()
+    for pattern in _patterns(small, large):
+        wire = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(pattern)))
+        digest.update(wire)
+        digest.update(nfa.serialize_nfa(nfa.deserialize_nfa(wire)))
+    assert digest.hexdigest() == DIGEST
