@@ -49,6 +49,7 @@ from .model import (
     RequireAny,
     RequireNot,
     ValueKind,
+    rule_owner,
     validate_profile,
 )
 
@@ -364,23 +365,12 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     links, everything else lands on the default terminal."""
     default = profile.default_decision
     owner_refs: dict[str, tuple] = {}
-
-    def owner_of(op):
-        seen = set()
-        cur = op
-        while cur not in profile.rules or not profile.rules[cur]:
-            cur = table.parents.get(cur)
-            if cur is None or cur in seen:
-                return None
-            seen.add(cur)
-        return cur
-
     entries = []
     for op in table.entries:
         if op == "default":
             entries.append(_term(default))
             continue
-        owner = owner_of(op)
+        owner = rule_owner(op, profile.rules, table)
         if owner is None:
             entries.append(_term(default))
             continue

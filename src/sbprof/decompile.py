@@ -33,6 +33,7 @@ from .model import (
     ValueForm,
     ValueKind,
     canonicalize,
+    rule_owner,
 )
 from .sbpl import ImplicitRuleSet, condition_holds, print_sbpl
 
@@ -448,9 +449,7 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
         unit = bp.op_pointers[idx]
         # an operation sharing its entry with an emitted ancestor is the
         # compiled image of plain fallback; the parent link reproduces it
-        ancestor = table.parents.get(op)
-        while ancestor is not None and ancestor not in emitted_units:
-            ancestor = table.parents.get(ancestor)
+        ancestor = rule_owner(table.parents.get(op), rules, table)
         if ancestor is not None and emitted_units[ancestor] == unit:
             continue
         try:

@@ -34,6 +34,7 @@ from .model import (
     RequireNot,
     ValueKind,
     expr_atoms,
+    rule_owner,
 )
 
 
@@ -147,19 +148,11 @@ class AstEvaluator:
         self.rx = rx_cache or _RegexCache()
         self._effective = {}
 
-    def _owner(self, op: str):
-        """The operation whose rules op follows: op itself, else its nearest
-        ancestor with rules, else None."""
-        cur = op
-        while cur is not None and not self.profile.rules.get(cur):
-            cur = self.table.parents.get(cur)
-        return cur
-
     def _rules(self, op: str):
         """op's effective rules, after parent fallback."""
         cached = self._effective.get(op)
         if cached is None:
-            cur = self._owner(op)
+            cur = rule_owner(op, self.profile.rules, self.table)
             cached = self.profile.rules.get(cur, ()) if cur else ()
             self._effective[op] = cached
         return cached
@@ -175,7 +168,8 @@ class AstEvaluator:
                 if rule.filter is None or expr_matches(rule.filter, ctx,
                                                        self.vocab, self.rx):
                     if trace is not None:
-                        trace.append((self._owner(op_name), rule))
+                        owner = rule_owner(op_name, self.profile.rules, self.table)
+                        trace.append((owner, rule))
                     return rule.decision
         if trace is not None:
             trace.append(("default", None))
@@ -517,13 +511,14 @@ class EquivalenceChecker:
                         return bad
         else:
             interesting = [op for op in ops if op != "default"]
-            rng = random.Random(seed)
-            ctxs = list(sampled_contexts(universe, seed, samples))
-            for ctx in ctxs:
-                op = rng.choice(interesting)
-                bad = compare(op, ctx)
-                if bad:
-                    return bad
+            if interesting:  # else only the empty context below is checked
+                rng = random.Random(seed)
+                ctxs = list(sampled_contexts(universe, seed, samples))
+                for ctx in ctxs:
+                    op = rng.choice(interesting)
+                    bad = compare(op, ctx)
+                    if bad:
+                        return bad
             for op in ops:
                 bad = compare(op, QueryContext({}))
                 if bad:

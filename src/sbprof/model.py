@@ -268,6 +268,15 @@ class Profile:
     rules: Mapping[str, tuple[Rule, ...]]
 
 
+def rule_owner(op: str | None, rules: Mapping[str, tuple],
+               table: OperationTable) -> str | None:
+    """The operation whose rules op follows: op itself if it has rules, else
+    its nearest ancestor through table.parents that has rules, else None."""
+    while op is not None and not rules.get(op):
+        op = table.parents.get(op)
+    return op
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     code: str

@@ -2,7 +2,7 @@
 language operation, the serialized wire format, and reversal back to regex
 text via state removal.
 
-Matching and the bounded-language walks (enumeration, equivalence, the
+Matching and the bounded-language walks (equivalence and the
 evaluator's sample strings) all run on LazyDfa, a lazily determinized
 automaton in the manner of RE2 (Thompson, CACM 1968; Cox, "Regular Expression
 Matching Can Be Simple And Fast", 2007). Each Nfa is compiled once. A DFA
@@ -458,27 +458,6 @@ def nfa_match(nfa, s: str, full: bool = False) -> bool:
     return _lazy(nfa).match(s, full)
 
 
-def enumerate_language(nfa, alphabet, max_len: int) -> set:
-    """Exact set of accepted strings up to max_len, full-match mode."""
-    if max_len > 10:
-        raise ValueError("enumerate_language caps at length 10")
-    dfa = _lazy(nfa)
-    letters = sorted(set(alphabet))
-    found = set()
-
-    def walk(key, prefix):
-        if dfa.accepts_at_end(key, not prefix):
-            found.add(prefix)
-        if len(prefix) == max_len:
-            return
-        for ch, nxt in zip(letters, dfa.successors(key, letters)):
-            if nxt:
-                walk(nxt, prefix + ch)
-
-    walk(dfa.initial(), "")
-    return found
-
-
 def bounded_language_equal(a, b, alphabet, max_len: int):
     """Compare full-match languages up to max_len by a breadth-first walk
     over pairs of DFA states. Returns (True, None) or (False, witness) where
@@ -512,6 +491,13 @@ def bounded_language_equal(a, b, alphabet, max_len: int):
 # ---------------------------------------------------------------------------
 # Serialization
 
+# the records whose operand is unused, by label type and by tag
+_FIXED_TAGS = {AnyChar: TAG_ANY, AnchorStart: TAG_LINE_START, AnchorEnd: TAG_LINE_END}
+_FIXED_LABELS = {tag: kind() for kind, tag in _FIXED_TAGS.items()}
+
+_DEAD = bytes((TAG_CLASS, 0))  # a class with no ranges never matches
+
+
 def _label_sort_key(label):
     if isinstance(label, Char):
         return (0, label.byte, 0)
@@ -526,107 +512,71 @@ def _label_sort_key(label):
     return (5, 0, 0)  # epsilon last
 
 
+def _label_record(label) -> bytes:
+    """The record that reads or asserts label; none for an epsilon."""
+    if isinstance(label, Char):
+        return bytes((TAG_CHAR, label.byte, 0))
+    if isinstance(label, CharClass):
+        return bytes((TAG_CLASS_NEG if label.negated else TAG_CLASS, len(label.ranges),
+                      *itertools.chain.from_iterable(label.ranges)))
+    tag = _FIXED_TAGS.get(type(label))
+    return b"" if tag is None else bytes((tag, 0, 0))
+
+
 def serialize_nfa(nfa: Nfa) -> bytes:
-    """Flatten the reachable part of the automaton into the wire format."""
+    """Flatten the reachable part of the automaton into the wire format, laid
+    out by the rule docs/format.md gives under "Serialized regex records"."""
     out_edges = {}
     for src, label, dst in nfa.transitions:
-        if isinstance(label, Empty) and src == dst:
-            continue  # epsilon self-loop is a no-op
-        out_edges.setdefault(src, []).append((label, dst))
-    for src in out_edges:
-        out_edges[src].sort(key=lambda e: (_label_sort_key(e[0]), e[1]))
+        if not (isinstance(label, Empty) and src == dst):  # epsilon self-loop is a no-op
+            out_edges.setdefault(src, []).append(
+                (_label_sort_key(label), dst, _label_record(label)))
+    out = bytearray(2)  # the node count goes in last
+    n = 0               # records written
+    placed = {}         # state -> index of its block's first record
+    pending = {}        # unplaced state -> offsets of the jump operands awaiting it
 
-    recs = []       # dicts: kind=accept|dead|consume|jump
-    placed = {}     # state -> record index of its block
-    pending = {}    # state -> [record indexes awaiting the block index]
-
-    def emit_jump(target_state):
-        idx = len(recs)
-        recs.append({"kind": "jump", "target": None})
-        if target_state in placed:
-            recs[idx]["target"] = placed[target_state]
+    def goto(dst):  # a jump, then a dead end so that only the jump goes on
+        if dst in placed:
+            out.extend(struct.pack("<BH", TAG_JUMP_BCK, placed[dst]))
         else:
-            pending.setdefault(target_state, []).append(idx)
-        recs.append({"kind": "dead"})
+            pending.setdefault(dst, []).append(len(out) + 1)
+            out.extend(bytes((TAG_JUMP_FWD, 0, 0)))
+        out.extend(_DEAD)
 
-    def place(state):
-        # Depth-first: a block's final item may fall straight through into
-        # its target's block, so tail pushes always run before anything else.
-        work = [("block", state)]
-        while work:
-            op, arg = work.pop()
-            if op == "block":
-                if arg in placed:
-                    continue
-                placed[arg] = len(recs)
-                for idx in pending.pop(arg, ()):
-                    recs[idx]["target"] = placed[arg]
-                items = []
-                if arg in nfa.accepts:
-                    items.append(("accept", None, None))
-                for label, dst in out_edges.get(arg, ()):
-                    items.append(("edge", label, dst))
-                if not items:
-                    recs.append({"kind": "dead"})
-                    continue
-                work.append(("last", items[-1]))
-                # every earlier item gets a fork record and emits in full now
-                for kind, label, dst in items[:-1]:
-                    branch_idx = len(recs)
-                    recs.append({"kind": "jump", "target": None})
-                    if kind == "accept":
-                        recs.append({"kind": "accept"})
-                    else:
-                        if not isinstance(label, Empty):
-                            recs.append({"kind": "consume", "label": label})
-                        emit_jump(dst)
-                    recs[branch_idx]["target"] = len(recs)
-            else:  # the block's final item
-                kind, label, dst = arg
-                if kind == "accept":
-                    recs.append({"kind": "accept"})
-                    continue
-                if not isinstance(label, Empty):
-                    recs.append({"kind": "consume", "label": label})
-                if dst not in placed:
-                    work.append(("block", dst))  # fall through, no jump
-                else:
-                    emit_jump(dst)
-
-    place(nfa.start)
-    while pending:
-        nxt = min(pending)
-        place(nxt)
-    if len(recs) > MAX_NODES:
-        raise TooManyStates(f"{len(recs)} serialized nodes")
-
-    out = [struct.pack("<H", len(recs))]
-    for i, rec in enumerate(recs):
-        kind = rec["kind"]
-        if kind == "accept":
-            out.append(struct.pack("<BH", TAG_ACCEPT, 0))
-        elif kind == "dead":
-            out.append(struct.pack("<BB", TAG_CLASS, 0))
-        elif kind == "jump":
-            target = rec["target"]
-            tag = TAG_JUMP_FWD if target > i else TAG_JUMP_BCK
-            out.append(struct.pack("<BH", tag, target))
-        else:
-            label = rec["label"]
-            if isinstance(label, Char):
-                out.append(struct.pack("<BH", TAG_CHAR, label.byte))
-            elif isinstance(label, AnyChar):
-                out.append(struct.pack("<BH", TAG_ANY, 0))
-            elif isinstance(label, AnchorStart):
-                out.append(struct.pack("<BH", TAG_LINE_START, 0))
-            elif isinstance(label, AnchorEnd):
-                out.append(struct.pack("<BH", TAG_LINE_END, 0))
-            else:
-                tag = TAG_CLASS_NEG if label.negated else TAG_CLASS
-                out.append(struct.pack("<BB", tag, len(label.ranges)))
-                for lo, hi in label.ranges:
-                    out.append(struct.pack("<BB", lo, hi))
-    return b"".join(out)
+    state = nfa.start
+    try:
+        while True:  # one block a pass; a chain of blocks falls through
+            placed[state] = n
+            for at in pending.pop(state, ()):
+                struct.pack_into("<H", out, at, n)
+            items = sorted(out_edges.get(state, ()))  # (key, dst, record)
+            if state in nfa.accepts:
+                items.insert(0, (None, None, bytes((TAG_ACCEPT, 0, 0))))
+            *forked, (_key, dst, record) = items or [(None, None, _DEAD)]
+            for _key, fork_dst, fork_record in forked:
+                # fork: run this item, and the next one past its records
+                size = 1 + bool(fork_record) + (0 if fork_dst is None else 2)
+                out.extend(struct.pack("<BH", TAG_JUMP_FWD, n + size))
+                out.extend(fork_record)
+                if fork_dst is not None:
+                    goto(fork_dst)
+                n += size
+            out.extend(record)
+            n += bool(record)
+            if dst is not None and dst not in placed:
+                state = dst  # fall through into dst's block
+                continue
+            if dst is not None:
+                goto(dst)
+                n += 2
+            if not pending:
+                break
+            state = min(pending)
+        struct.pack_into("<H", out, 0, n)
+    except struct.error:  # a node index or the node count past 0xFFFF
+        raise TooManyStates(f"more than {MAX_NODES} serialized nodes") from None
+    return bytes(out)
 
 
 def deserialize_nfa(data: bytes) -> Nfa:
@@ -658,20 +608,16 @@ def deserialize_nfa(data: bytes) -> Nfa:
             need(2, "record")
             pos += 2
             accepts.add(i)
-        elif tag in (TAG_CHAR, TAG_ANY, TAG_LINE_START, TAG_LINE_END):
+        elif tag == TAG_CHAR or tag in _FIXED_LABELS:
             need(2, "record")
             (operand,) = struct.unpack_from("<H", data, pos)
             pos += 2
-            if tag == TAG_CHAR:
-                if operand > 0xFF:
-                    raise MalformedRegexBlob(rec_at, "char operand out of range")
-                label = _CHARS[operand]
-            elif tag == TAG_ANY:
-                label = AnyChar()
-            elif tag == TAG_LINE_START:
-                label = AnchorStart()
+            if tag != TAG_CHAR:
+                label = _FIXED_LABELS[tag]
+            elif operand > 0xFF:
+                raise MalformedRegexBlob(rec_at, "char operand out of range")
             else:
-                label = AnchorEnd()
+                label = _CHARS[operand]
             flows_next(i, "matchable node")
             transitions.append((i, label, i + 1))
         elif tag in (TAG_JUMP_FWD, TAG_JUMP_BCK):

@@ -188,32 +188,23 @@ def _parse_filter(form) -> FilterExpr:
     _err(form, f"cannot read value of filter {name!r}")
 
 
-def _parse_rule(form, rules, state):
-    decision = Decision(form.items[0].text)
+def _read_rule(form) -> tuple[str, Rule]:
+    """The operation and rule of an (allow|deny op filter...) form."""
     if len(form.items) < 2 or not isinstance(form.items[1], SAtom) \
             or form.items[1].kind != "symbol":
         _err(form, "rule needs an operation name")
-    op = form.items[1].text
     filters = [_parse_filter(f) for f in form.items[2:]]
-    if op == "default" and not filters and not state["have_default"]:
-        state["have_default"] = True
-        state["default"] = decision
-        return
-    if len(filters) == 0:
-        rule = Rule(decision, None)
-    elif len(filters) == 1:
-        rule = Rule(decision, filters[0])
-    else:
-        # sibling filters are require-any sugar; lower at parse time
-        rule = Rule(decision, RequireAny(tuple(filters)))
-    rules.setdefault(op, []).append(rule)
+    if len(filters) > 1:  # sibling filters are require-any sugar; lower at parse time
+        filters = [RequireAny(tuple(filters))]
+    decision = Decision(form.items[0].text)
+    return form.items[1].text, Rule(decision, filters[0] if filters else None)
 
 
 def parse_sbpl(text: str, name: str = "") -> Profile:
     """Parse policy text. Syntax errors raise; semantic problems are left
     for validate_profile so the caller can report them all at once."""
     rules: dict[str, list[Rule]] = {}
-    state = {"have_default": False, "default": None}
+    default = None
     for form in read_forms(text):
         if not isinstance(form, SList) or not form.items:
             _err(form, "top-level form must be a rule list")
@@ -228,7 +219,11 @@ def parse_sbpl(text: str, name: str = "") -> Profile:
                 raise UnsupportedVersion(int(form.items[1].text))
             continue
         if head.text in ("allow", "deny"):
-            _parse_rule(form, rules, state)
+            op, rule = _read_rule(form)
+            if op == "default" and rule.filter is None and default is None:
+                default = rule.decision
+            else:
+                rules.setdefault(op, []).append(rule)
             continue
         if head.text in ("define", "if", "import", "let", "lambda"):
             raise UnsupportedConstruct(
@@ -237,7 +232,7 @@ def parse_sbpl(text: str, name: str = "") -> Profile:
         _err(form, f"unknown rule head {head.text!r}")
     return Profile(
         name=name,
-        default_decision=state["default"],
+        default_decision=default,
         rules={op: tuple(rs) for op, rs in rules.items()},
     )
 
@@ -332,13 +327,6 @@ class ImplicitRuleSet:
     rules: tuple[ImplicitRule, ...]
     default_decision: Decision | None = None
 
-    def as_profile(self, name: str = "implicit") -> Profile:
-        grouped: dict[str, list[Rule]] = {}
-        for item in self.rules:
-            grouped.setdefault(item.operation, []).append(item.rule)
-        return Profile(name, self.default_decision,
-                       {op: tuple(rs) for op, rs in grouped.items()})
-
 
 def _parse_condition(form):
     if isinstance(form, SList) and form.items:
@@ -361,19 +349,11 @@ def parse_implicit_rules(text: str) -> ImplicitRuleSet:
 
     def add_rules(form, condition):
         nonlocal default
-        decision = Decision(form.items[0].text)
-        op = form.items[1].text
-        filters = [_parse_filter(f) for f in form.items[2:]]
-        if op == "default" and not filters:
-            default = decision
-            return
-        if len(filters) == 0:
-            filt = None
-        elif len(filters) == 1:
-            filt = filters[0]
+        op, rule = _read_rule(form)
+        if op == "default" and rule.filter is None:
+            default = rule.decision
         else:
-            filt = RequireAny(tuple(filters))
-        collected.append(ImplicitRule(op, Rule(decision, filt), condition))
+            collected.append(ImplicitRule(op, rule, condition))
 
     for form in read_forms(text):
         if not isinstance(form, SList) or not form.items:

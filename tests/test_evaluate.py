@@ -165,6 +165,19 @@ def test_sampled_mode_is_deterministic(small, blacklist):
     assert r1.equivalent and r2.equivalent and r1.checked == r2.checked
 
 
+def test_sampled_mode_with_only_default(small, blacklist):
+    # no operation to draw for random contexts: only the empty context runs
+    table, vocab = small
+    profile, blob = blacklist
+    report = evaluate.check_equivalence(profile, blob, table, vocab,
+                                        ops=["default"], mode="sampled")
+    assert (report.equivalent, report.checked) == (True, 1)
+    opened = Profile("", Decision.ALLOW, profile.rules)
+    report = evaluate.check_equivalence(profile, opened, table, vocab,
+                                        ops=["default"], mode="sampled")
+    assert not report.equivalent and report.witness[0] == "default"
+
+
 def test_trace_reports_path(small, blacklist):
     table, vocab = small
     _profile, blob = blacklist

@@ -249,22 +249,15 @@ def test_state_removal_step_count():
         assert steps == m.n_states
 
 
-def test_enumerate_language_examples():
-    m = nfa.build_nfa(rex.parse_regex("a*"))
-    assert nfa.enumerate_language(m, "ab", 2) == {"", "a", "aa"}
-    m = nfa.build_nfa(rex.parse_regex("a|b"))
-    assert nfa.enumerate_language(m, "ab", 1) == {"a", "b"}
-
-
 def test_enumerate_commutes_with_serialization():
     rng = random.Random(41)
     for _ in range(40):
         pat = generate.random_regex_pattern(rng, 2)
         m = nfa.build_nfa(rex.parse_regex(pat))
         m2 = nfa.deserialize_nfa(nfa.serialize_nfa(m))
-        alphabet = _pattern_alphabet(pat, cap=5)
-        assert nfa.enumerate_language(m, alphabet, 4) == \
-            nfa.enumerate_language(m2, alphabet, 4)
+        equal, witness = nfa.bounded_language_equal(
+            m, m2, _pattern_alphabet(pat, cap=5), 4)
+        assert equal, (pat, witness)
 
 
 def test_bounded_language_equal_detects_differences():

@@ -160,6 +160,17 @@ def test_implicit_rules_file_parses(implicit_rules):
     assert len(conded) == 2
 
 
+@pytest.mark.parametrize("text, column", [
+    ("(allow)", 1),
+    ("(allow (x))", 1),
+    ("(if (allowed? a) (allow))", 18),
+])
+def test_malformed_implicit_rule_is_a_syntax_error(text, column):
+    with pytest.raises(SbplSyntaxError, match="operation name") as info:
+        sbpl.parse_implicit_rules(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_condition_evaluation(implicit_rules):
     p = sbpl.parse_sbpl("(deny default)\n(allow mach-lookup)")
     conds = {it.operation: it.condition for it in implicit_rules.rules
