@@ -322,3 +322,46 @@ def test_regex_blob_lookup_does_not_copy(small):
             assert nfa.deserialize_nfa(blob) == nfa.deserialize_nfa(bp.raw[offset:])
             looked_up += 1
     assert looked_up > 5
+
+
+def _patch_value(blob: bytes, value: int):
+    """blob with its one filter record's u16 value set to value, and that
+    record's unit."""
+    (rec,) = [r for r in codec.decode_blob(blob).records if not r.is_terminal]
+    out = bytearray(blob)
+    struct.pack_into("<H", out, 8 * rec.unit + 2, value)
+    return bytes(out), rec.unit
+
+
+def test_crafted_record_values_raise_structured_errors(small):
+    from sbprof import decompile, evaluate
+    from sbprof.errors import DecompileError, UnknownFilterValue
+
+    table, vocab = small
+    ctx = evaluate.QueryContext({})
+
+    def compiled(body):
+        text = f"(version 1)\n(deny default)\n(allow file-read* {body})\n"
+        return codec.compile_profile(sbpl.parse_sbpl(text), table, vocab)
+
+    # an enum code the vocabulary does not name
+    enum_blob, _unit = _patch_value(compiled("(vnode-type REGULAR-FILE)"), 0x00FF)
+    with pytest.raises(UnknownFilterValue):
+        evaluate.BlobEvaluator(enum_blob, table, vocab).verdict("file-read*", ctx)
+    with pytest.raises(DecompileError) as info:
+        decompile.decompile(enum_blob, table, vocab)
+    assert isinstance(info.value.cause, UnknownFilterValue)
+    # extraction copies inline values as stored
+    assert codec.extract_profile(codec.decode_blob(enum_blob), vocab) == enum_blob
+
+    # a literal string pointing past the end of a one-item pool
+    literal = compiled('(literal "/bin/ls")')
+    assert codec.decode_blob(literal).pool_count == 1
+    pool_blob, _unit = _patch_value(literal, 9)
+    with pytest.raises(MalformedBlob):
+        evaluate.BlobEvaluator(pool_blob, table, vocab).verdict("file-read*", ctx)
+    with pytest.raises(MalformedBlob):
+        codec.extract_profile(codec.decode_blob(pool_blob), vocab)
+    with pytest.raises(DecompileError) as info:
+        decompile.decompile(pool_blob, table, vocab)
+    assert isinstance(info.value.cause, MalformedBlob)
