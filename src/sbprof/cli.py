@@ -81,14 +81,14 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _verify_output(blob_or_view, text, table, vocab, seed, implicit=None) -> bool:
+def _verify_output(source, text, table, vocab, seed, implicit=None) -> bool:
     reparsed = sbpl.parse_sbpl(text)
     if implicit is not None:
         # cleanup stripped the standard policy; put it back for the check
         reparsed = decompile.inject_implicit(reparsed, implicit)
     recompiled = codec.compile_profile(reparsed, table, vocab)
     report = evaluate.check_equivalence(
-        blob_or_view, recompiled, table, vocab, mode="sampled",
+        source, recompiled, table, vocab, mode="sampled",
         seed=seed, samples=400)
     print(f"  self-check: {report}")
     return report.equivalent
@@ -102,30 +102,24 @@ def cmd_decompile(args) -> int:
             Path(args.implicit).read_text(encoding="utf-8"))
     data = Path(args.input).read_bytes()
     out = Path(args.output)
-    fmt = _sniff_format(data)
-    ok = True
-    if fmt == FORMAT_BUNDLED:
-        _offset, views = codec.unpack_bundle(data)
+    # one (source, target, name) per profile: each view of a bundle goes to
+    # the output directory, a single blob to the output file
+    if _sniff_format(data) == FORMAT_BUNDLED:
         out.mkdir(parents=True, exist_ok=True)
-        for name, view in views:
-            text = decompile.decompile_view(view, table, vocab, implicit,
-                                            permissive=args.permissive)
-            target = out / f"{_safe_name(name)}.sb"
-            target.write_text(text, encoding="utf-8")
-            print(f"wrote {target}")
-            if not args.no_verify:
-                ok = _verify_output(view, text, table, vocab, args.seed,
-                                    implicit) and ok
+        jobs = [(view, out / f"{_safe_name(name)}.sb", name)
+                for name, view in codec.unpack_bundle(data)[1]]
     else:
-        text = decompile.decompile(data, table, vocab, implicit,
-                                   permissive=args.permissive,
-                                   name=Path(args.input).stem)
-        if out.is_dir():
-            out = out / (Path(args.input).stem + ".sb")
-        out.write_text(text, encoding="utf-8")
-        print(f"wrote {out}")
+        stem = Path(args.input).stem
+        jobs = [(data, out / f"{stem}.sb" if out.is_dir() else out, stem)]
+    ok = True
+    for source, target, name in jobs:
+        text = decompile.decompile(source, table, vocab, implicit,
+                                   permissive=args.permissive, name=name)
+        target.write_text(text, encoding="utf-8")
+        print(f"wrote {target}")
         if not args.no_verify:
-            ok = _verify_output(data, text, table, vocab, args.seed, implicit)
+            ok = _verify_output(source, text, table, vocab, args.seed,
+                                implicit) and ok
     return EXIT_OK if ok else EXIT_VERIFY
 
 

@@ -42,6 +42,7 @@ from .errors import (
 from .model import (
     Atom,
     Decision,
+    FilterKey,
     FilterVocabulary,
     OperationTable,
     Profile,
@@ -158,18 +159,34 @@ class BinaryProfile:
             raise DanglingOffset(unit)
         return self.records[idx]
 
-    def _pool_offset(self, index: int) -> int:
+    def _pool_offset(self, rec: NodeRecord) -> int:
+        """Byte offset of the pool item rec's value indexes; a bad index is
+        reported at rec's value field."""
+        index = rec.filter_value
         if not 0 <= index < self.pool_count:
-            raise MalformedBlob(0, f"pool index {index} out of range")
+            raise MalformedBlob(8 * rec.unit + 2, f"pool index {index} out of range")
         return self.pool_pointers[index] * 8
 
-    def string_at(self, index: int) -> str:
-        return _read_pool_string(self.raw, self._pool_offset(index))
-
-    def regex_blob_at(self, index: int) -> memoryview:
-        """The pool from the regex item onwards, without copying it; the
-        item's own header says where it ends."""
-        return memoryview(self.raw)[self._pool_offset(index):]
+    def value_at(self, rec: NodeRecord, entry: FilterKey):
+        """The filter value of non-terminal rec, read by entry's kind: a
+        number, an enum name, a string, an endpoint (proto, addr), or for a
+        regex the pool from its program onwards, not copied (the program's
+        own header says where it ends)."""
+        kind = entry.kind
+        if kind is ValueKind.NUMERIC:
+            return rec.filter_value
+        if kind is ValueKind.ENUM_NAMED:
+            for name, code in entry.named_values.items():
+                if code == rec.filter_value:
+                    return name
+            raise UnknownFilterValue(entry.name, rec.filter_value)
+        if kind is ValueKind.REGEX_INDEX:
+            return memoryview(self.raw)[self._pool_offset(rec):]
+        text = _read_pool_string(self.raw, self._pool_offset(rec))
+        if kind is ValueKind.NETWORK_ENDPOINT:
+            proto, _, addr = text.partition(" ")
+            return (proto, addr)
+        return text
 
     def default_decision(self) -> Decision:
         entry = self.record_at(self.op_pointers[0])
@@ -296,21 +313,13 @@ def _term(decision: Decision):
 class _NodeStore:
     """Interning store for lowered nodes; identical records share one id."""
 
-    def __init__(self, vocab: FilterVocabulary, dedup: bool = True):
+    def __init__(self, vocab: FilterVocabulary):
         self.vocab = vocab
-        self.dedup = dedup
-        self.rows = []   # (key_code, payload, match_ref, unmatch_ref)
-        self.memo = {}
+        # (key_code, payload, match_ref, unmatch_ref) -> node id, in id order
+        self.ids = {}
 
-    def intern(self, key_code, payload, match_ref, unmatch_ref):
-        key = (key_code, payload, match_ref, unmatch_ref)
-        if self.dedup:
-            found = self.memo.get(key)
-            if found is not None:
-                return ("n", found)
-        self.rows.append(key)
-        self.memo[key] = len(self.rows) - 1
-        return ("n", len(self.rows) - 1)
+    def intern(self, *row):
+        return ("n", self.ids.setdefault(row, len(self.ids)))
 
     def lower_atom(self, atom: Atom, match_ref, unmatch_ref):
         entry = self.vocab.by_name(atom.key)
@@ -380,8 +389,9 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     return entries
 
 
-def _dfs_order(rows, entries):
-    """Node emission order: preorder from each entry, match edge first."""
+def _dfs_order(entries, successors):
+    """Node emission order: preorder from each entry ref, match edge first.
+    successors(node) gives the node's (match_ref, unmatch_ref)."""
     order = []
     position = {}
     for ref in entries:
@@ -394,7 +404,7 @@ def _dfs_order(rows, entries):
                 continue
             position[node] = len(order)
             order.append(node)
-            _key, _payload, match_ref, unmatch_ref = rows[node]
+            match_ref, unmatch_ref = successors(node)
             for nxt in (unmatch_ref, match_ref):  # LIFO: match visited first
                 if nxt[0] == "n" and nxt[1] not in position:
                     stack.append(nxt[1])
@@ -402,12 +412,14 @@ def _dfs_order(rows, entries):
 
 
 def _write_layout(rows, op_refs, names=None) -> bytes:
-    """Lay lowered rows out as a blob with one operation table per list of
-    entry refs in op_refs: a separated profile when names is None, else a
-    bundle whose tables are named by names. Records follow the match-first
-    preorder from the entries; pool items are numbered by first use (node
-    payloads, then bundle names) and deduplicated on their laid-out bytes."""
-    order, position = _dfs_order(rows, [ref for refs in op_refs for ref in refs])
+    """Lay lowered rows (indexed by node) out as a blob with one operation
+    table per list of entry refs in op_refs: a separated profile when names
+    is None, else a bundle whose tables are named by names. Records follow
+    the match-first preorder from the entries; pool items are numbered by
+    first use (node payloads, then bundle names) and deduplicated on their
+    laid-out bytes."""
+    order, position = _dfs_order([ref for refs in op_refs for ref in refs],
+                                 lambda node: rows[node][2:])
     pool = {}  # item bytes -> pool index, in index order
     values = []
     for node in order:
@@ -449,15 +461,14 @@ def _write_layout(rows, op_refs, names=None) -> bytes:
 
 
 def compile_profile(profile: Profile, table: OperationTable,
-                    vocab: FilterVocabulary, *, dedup: bool = True) -> bytes:
-    """Deterministic lowering of a validated profile to a separated blob.
-    dedup=False keeps duplicate records; it exists so tests can show that
-    record sharing never changes a verdict."""
+                    vocab: FilterVocabulary) -> bytes:
+    """Deterministic lowering of a validated profile to a separated blob."""
     diagnostics = validate_profile(profile, table, vocab)
     if diagnostics:
         raise InvalidProfile(diagnostics)
-    store = _NodeStore(vocab, dedup=dedup)
-    return _write_layout(store.rows, [_resolve_entries(profile, table, store)])
+    store = _NodeStore(vocab)
+    entries = _resolve_entries(profile, table, store)
+    return _write_layout(list(store.ids), [entries])
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +487,7 @@ def pack_bundle(profiles, table: OperationTable, vocab: FilterVocabulary) -> byt
 
     store = _NodeStore(vocab)  # shared across profiles: cross-profile dedup
     op_refs = [_resolve_entries(p, table, store) for p in profiles]
-    return _write_layout(store.rows, op_refs, names)
+    return _write_layout(list(store.ids), op_refs, names)
 
 
 def unpack_bundle(blob: bytes, scan: bool = True):
@@ -503,41 +514,31 @@ def unpack_bundle(blob: bytes, scan: bool = True):
 def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
     """Re-encode one profile view as a separated blob. The node walk, pool
     ordering and layout match compile_profile, so extracting a bundled
-    profile reproduces its standalone compilation byte for byte."""
-    row_of = {}
-    ordered_units = []
-    for ptr in view.op_pointers:
-        stack = [ptr]
-        while stack:
-            unit = stack.pop()
-            rec = view.record_at(unit)
-            if rec.is_terminal or unit in row_of:
-                continue
-            row_of[unit] = len(ordered_units)
-            ordered_units.append(unit)
-            stack.append(rec.unmatch_offset)
-            stack.append(rec.match_offset)  # LIFO: match edge numbered first
-
+    profile reproduces its standalone compilation byte for byte. Inline
+    values are copied as stored."""
     def ref(unit):
         rec = view.record_at(unit)
-        if rec.is_terminal:
-            return _term(rec.decision)
-        return ("n", row_of[unit])
+        return _term(rec.decision) if rec.is_terminal else ("n", unit)
 
-    rows = []
-    for unit in ordered_units:
+    def successors(unit):
+        rec = view.record_at(unit)
+        return ref(rec.match_offset), ref(rec.unmatch_offset)
+
+    entries = [ref(ptr) for ptr in view.op_pointers]
+    rows = {}  # unit -> lowered row, for every node the entries reach
+    for unit in _dfs_order(entries, successors)[0]:
         rec = view.record_at(unit)
         entry = vocab.by_code(rec.filter_key)
         if entry.kind in (ValueKind.NUMERIC, ValueKind.ENUM_NAMED):
             payload = ("inline", rec.filter_value)
         elif entry.kind is ValueKind.REGEX_INDEX:
-            blob = view.regex_blob_at(rec.filter_value)
+            blob = view.value_at(rec, entry)
             payload = ("pool", bytes(blob[:nfa.serialized_length(blob)]))
         else:
-            payload = ("pool", _pack_string(view.string_at(rec.filter_value)))
-        rows.append((entry.code, payload, ref(rec.match_offset), ref(rec.unmatch_offset)))
-
-    return _write_layout(rows, [[ref(ptr) for ptr in view.op_pointers]])
+            text = _read_pool_string(view.raw, view._pool_offset(rec))
+            payload = ("pool", _pack_string(text))
+        rows[unit] = (entry.code, payload) + successors(unit)
+    return _write_layout(rows, [entries])
 
 
 def section_sizes(blob: bytes) -> dict:

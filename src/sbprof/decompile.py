@@ -17,7 +17,6 @@ from .errors import (
     IrreducibleGraph,
     MalformedBlob,
     SandboxError,
-    UnknownFilterValue,
 )
 from .evaluate import EquivalenceChecker, check_equivalence
 from .model import (
@@ -56,29 +55,28 @@ class OpGraph:
     default: Decision | None = None  # set once normalized
 
 
+_FORMS = {
+    ValueKind.NUMERIC: ValueForm.NUMBER,
+    ValueKind.ENUM_NAMED: ValueForm.SYMBOL,
+    ValueKind.REGEX_INDEX: ValueForm.REGEX,
+    ValueKind.NETWORK_ENDPOINT: ValueForm.ENDPOINT,
+    ValueKind.LITERAL_STRING: ValueForm.STRING,
+}
+
+
 def _resolve_atom(bp: BinaryProfile, rec, vocab: FilterVocabulary,
                   regex_text_cache: dict) -> Atom:
     entry = vocab.by_code(rec.filter_key)
-    kind = entry.kind
-    if kind is ValueKind.NUMERIC:
-        return Atom(entry.name, rec.filter_value, ValueForm.NUMBER)
-    if kind is ValueKind.ENUM_NAMED:
-        name = entry.value_name(rec.filter_value)
-        if name is None:
-            raise UnknownFilterValue(entry.name, rec.filter_value)
-        return Atom(entry.name, name, ValueForm.SYMBOL)
-    if kind is ValueKind.REGEX_INDEX:
-        text = regex_text_cache.get(rec.filter_value)
-        if text is None:
-            automaton = nfa_mod.deserialize_nfa(bp.regex_blob_at(rec.filter_value))
-            text = rex.print_regex(nfa_mod.nfa_to_regex(automaton))
-            regex_text_cache[rec.filter_value] = text
-        return Atom(entry.name, text, ValueForm.REGEX)
-    if kind is ValueKind.NETWORK_ENDPOINT:
-        raw = bp.string_at(rec.filter_value)
-        proto, _, addr = raw.partition(" ")
-        return Atom(entry.name, (proto, addr), ValueForm.ENDPOINT)
-    return Atom(entry.name, bp.string_at(rec.filter_value), ValueForm.STRING)
+    if entry.kind is ValueKind.REGEX_INDEX:
+        # keyed by pool index, so a shared regex is decoded and reversed once
+        value = regex_text_cache.get(rec.filter_value)
+        if value is None:
+            automaton = nfa_mod.deserialize_nfa(bp.value_at(rec, entry))
+            value = rex.print_regex(nfa_mod.nfa_to_regex(automaton))
+            regex_text_cache[rec.filter_value] = value
+    else:
+        value = bp.value_at(rec, entry)
+    return Atom(entry.name, value, _FORMS[entry.kind])
 
 
 def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
@@ -413,20 +411,16 @@ def _emit_op_rules(expr, default: Decision, vocab) -> tuple:
 
 
 def _parents_first(table: OperationTable):
+    """Every operation once, each after its ancestors, else in table order."""
     seen = set()
     out = []
-
-    def visit(op):
-        if op in seen:
-            return
-        seen.add(op)
-        parent = table.parents.get(op)
-        if parent is not None:
-            visit(parent)
-        out.append(op)
-
     for op in table.entries:
-        visit(op)
+        chain = []  # op and its ancestors not yet listed, nearest first
+        while op is not None and op not in seen:
+            seen.add(op)
+            chain.append(op)
+            op = table.parents.get(op)
+        out.extend(reversed(chain))
     return out
 
 
@@ -604,10 +598,16 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
 # ---------------------------------------------------------------------------
 # Full pipeline
 
-def decompile_view(view: BinaryProfile, table: OperationTable,
-                   vocab: FilterVocabulary, implicit=None,
-                   permissive: bool = False, name: str = "") -> str:
-    profile, errors = emit_rules(view, table, vocab, permissive=permissive)
+def decompile(source, table: OperationTable, vocab: FilterVocabulary,
+              implicit: ImplicitRuleSet | None = None,
+              permissive: bool = False, name: str = "") -> str:
+    """decode -> per-operation reversal -> cleanup -> SBPL text, for a blob
+    or a decoded BinaryProfile (a bundle view, say). The output reparses
+    and recompiles; with permissive set, operations that cannot be reversed
+    become comment lines instead of failing the run. name, when given,
+    replaces the profile's own name."""
+    bp = source if isinstance(source, BinaryProfile) else decode_blob(source)
+    profile, errors = emit_rules(bp, table, vocab, permissive=permissive)
     if name:
         profile = Profile(name, profile.default_decision, profile.rules)
     if implicit is not None:
@@ -616,16 +616,6 @@ def decompile_view(view: BinaryProfile, table: OperationTable,
     if errors:
         text += "".join(f"; unreversed {e.operation}: {e.cause}\n" for e in errors)
     return text
-
-
-def decompile(blob: bytes, table: OperationTable, vocab: FilterVocabulary,
-              implicit: ImplicitRuleSet | None = None,
-              permissive: bool = False, name: str = "") -> str:
-    """decode -> per-operation reversal -> cleanup -> SBPL text. The output
-    reparses and recompiles; with permissive set, operations that cannot be
-    reversed become comment lines instead of failing the run."""
-    return decompile_view(decode_blob(blob), table, vocab, implicit,
-                          permissive=permissive, name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .errors import (
     InvalidProfile,
     MalformedBlob,
     SandboxError,
-    UnknownFilterValue,
 )
 from .model import (
     Atom,
@@ -202,21 +201,9 @@ class BlobEvaluator:
             node = (None, rec.decision, None, None)
         else:
             entry = self.vocab.by_code(rec.filter_key)
-            kind = entry.kind
-            if kind is ValueKind.NUMERIC:
-                value = rec.filter_value
-            elif kind is ValueKind.ENUM_NAMED:
-                value = entry.value_name(rec.filter_value)
-                if value is None:
-                    raise UnknownFilterValue(entry.name, rec.filter_value)
-            elif kind is ValueKind.REGEX_INDEX:
-                value = self.rx.from_wire(self.bp.regex_blob_at(rec.filter_value))
-            elif kind is ValueKind.NETWORK_ENDPOINT:
-                text = self.bp.string_at(rec.filter_value)
-                proto, _, addr = text.partition(" ")
-                value = (proto, addr)
-            else:
-                value = self.bp.string_at(rec.filter_value)
+            value = self.bp.value_at(rec, entry)
+            if entry.kind is ValueKind.REGEX_INDEX:
+                value = self.rx.from_wire(value)
             node = (entry, value, rec.match_offset, rec.unmatch_offset)
         self._prepared[unit] = node
         return node

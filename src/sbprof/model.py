@@ -54,14 +54,6 @@ class FilterKey:
         if not self.context_key:
             object.__setattr__(self, "context_key", self.name)
 
-    def value_name(self, code: int) -> str | None:
-        if not self.named_values:
-            return None
-        for name, c in self.named_values.items():
-            if c == code:
-                return name
-        return None
-
 
 @dataclass(frozen=True)
 class FilterVocabulary:
@@ -126,17 +118,20 @@ class OperationTable:
             raise VocabularyError("duplicate operation names")
         object.__setattr__(self, "_positions", positions)
         for child, parent in self.parents.items():
-            if child not in self.entries or parent not in self.entries:
+            if child not in positions or parent not in positions:
                 raise VocabularyError(f"parent link {child} -> {parent} names unknown op")
-        # reject parent cycles up front
+        # reject parent cycles up front; a walk stops at an operation an
+        # earlier walk already proved acyclic
+        acyclic = set()
         for name in self.parents:
             seen = set()
             cur = name
-            while cur in self.parents:
+            while cur in self.parents and cur not in acyclic:
                 if cur in seen:
                     raise VocabularyError(f"parent cycle through {cur!r}")
                 seen.add(cur)
                 cur = self.parents[cur]
+            acyclic |= seen
 
     def index(self, name: str) -> int:
         position = self._positions.get(name)

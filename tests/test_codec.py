@@ -276,13 +276,12 @@ def test_section_sizes_cover_blob(small):
 def test_dedup_never_changes_verdicts(small):
     from sbprof import evaluate, generate
 
+    # the AST evaluator shares nothing, so it checks every shared record
     table, vocab = small
     for seed in range(25):
         p = generate.ProfileGenerator(table, vocab, seed=seed).generate()
         shared = codec.compile_profile(p, table, vocab)
-        plain = codec.compile_profile(p, table, vocab, dedup=False)
-        assert len(plain) >= len(shared)
-        report = evaluate.check_equivalence(shared, plain, table, vocab)
+        report = evaluate.check_equivalence(p, shared, table, vocab)
         assert report.equivalent, (seed, str(report))
 
 
@@ -315,7 +314,7 @@ def test_regex_blob_lookup_does_not_copy(small):
         for rec in bp.records:
             if rec.is_terminal or rec.filter_key not in regex_keys:
                 continue
-            blob = bp.regex_blob_at(rec.filter_value)
+            blob = bp.value_at(rec, vocab.by_code(rec.filter_key))
             assert isinstance(blob, memoryview) and blob.obj is bp.raw
             offset = bp.pool_pointers[rec.filter_value] * 8
             assert blob.nbytes == len(bp.raw) - offset
@@ -355,13 +354,30 @@ def test_crafted_record_values_raise_structured_errors(small):
     assert codec.extract_profile(codec.decode_blob(enum_blob), vocab) == enum_blob
 
     # a literal string pointing past the end of a one-item pool
+    # the error names the record's value field
     literal = compiled('(literal "/bin/ls")')
     assert codec.decode_blob(literal).pool_count == 1
-    pool_blob, _unit = _patch_value(literal, 9)
-    with pytest.raises(MalformedBlob):
+    pool_blob, unit = _patch_value(literal, 9)
+    with pytest.raises(MalformedBlob) as bad:
         evaluate.BlobEvaluator(pool_blob, table, vocab).verdict("file-read*", ctx)
-    with pytest.raises(MalformedBlob):
+    assert bad.value.offset == 8 * unit + 2
+    with pytest.raises(MalformedBlob) as bad:
         codec.extract_profile(codec.decode_blob(pool_blob), vocab)
+    assert bad.value.offset == 8 * unit + 2
     with pytest.raises(DecompileError) as info:
         decompile.decompile(pool_blob, table, vocab)
     assert isinstance(info.value.cause, MalformedBlob)
+    assert info.value.cause.offset == 8 * unit + 2
+
+    # in a bundle found past leading garbage, offsets count from its start
+    profile = sbpl.parse_sbpl('(deny default)\n(allow file-read* (literal "/bin/ls"))',
+                              name="p")
+    bundle = bytearray(codec.pack_bundle([profile], table, vocab))
+    _off, [(_name, view)] = codec.unpack_bundle(bytes(bundle), scan=False)
+    (rec,) = [r for r in view.records if not r.is_terminal]
+    struct.pack_into("<H", bundle, 8 * rec.unit + 2, 9)
+    offset, [(_name, view)] = codec.unpack_bundle(b"\xff" * 24 + bundle)
+    assert offset == 24
+    with pytest.raises(MalformedBlob) as bad:
+        codec.extract_profile(view, vocab)
+    assert bad.value.offset == 8 * rec.unit + 2

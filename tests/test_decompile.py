@@ -400,3 +400,23 @@ def test_emit_rules_rejects_table_size_mismatch(small, large):
     blob = codec.compile_profile(sbpl.parse_sbpl("(deny default)"), table_s, vocab_s)
     with pytest.raises(MalformedBlob):
         emit_rules(codec.decode_blob(blob), table_l, vocab_l)
+
+
+def test_deep_child_first_parent_chain_round_trips():
+    import time
+
+    from sbprof import vocab
+
+    # op1 is the root; every later operation is listed before its parent
+    depth = 3000
+    lines = ["version deep", "operation default"]
+    lines += [f"operation op{i} parent=op{i - 1}" for i in range(depth, 1, -1)]
+    lines += ["operation op1", "filter literal code=0x01 kind=literal_string ctx=path"]
+    started = time.perf_counter()
+    table, voc = vocab.parse_vocabulary("\n".join(lines) + "\n")
+    profile = sbpl.parse_sbpl('(deny default)\n(allow op1 (literal "/a"))\n'
+                              '(allow op1500 (literal "/b"))\n')
+    blob = codec.compile_profile(profile, table, voc)
+    text = decompile.decompile(blob, table, voc)
+    assert codec.compile_profile(sbpl.parse_sbpl(text), table, voc) == blob
+    assert time.perf_counter() - started < 10.0
