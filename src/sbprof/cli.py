@@ -81,14 +81,14 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _verify_output(source, text, table, vocab, seed, implicit=None) -> bool:
+def _verify_output(blob_or_view, text, table, vocab, seed, implicit=None) -> bool:
     reparsed = sbpl.parse_sbpl(text)
     if implicit is not None:
         # cleanup stripped the standard policy; put it back for the check
         reparsed = decompile.inject_implicit(reparsed, implicit)
     recompiled = codec.compile_profile(reparsed, table, vocab)
     report = evaluate.check_equivalence(
-        source, recompiled, table, vocab, mode="sampled",
+        blob_or_view, recompiled, table, vocab, mode="sampled",
         seed=seed, samples=400)
     print(f"  self-check: {report}")
     return report.equivalent

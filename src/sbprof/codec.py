@@ -520,13 +520,10 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         rec = view.record_at(unit)
         return _term(rec.decision) if rec.is_terminal else ("n", unit)
 
-    def successors(unit):
-        rec = view.record_at(unit)
-        return ref(rec.match_offset), ref(rec.unmatch_offset)
-
-    entries = [ref(ptr) for ptr in view.op_pointers]
     rows = {}  # unit -> lowered row, for every node the entries reach
-    for unit in _dfs_order(entries, successors)[0]:
+
+    def lower(unit):
+        """Lower one reached node into rows; return its successor refs."""
         rec = view.record_at(unit)
         entry = vocab.by_code(rec.filter_key)
         if entry.kind in (ValueKind.NUMERIC, ValueKind.ENUM_NAMED):
@@ -537,7 +534,11 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         else:
             text = _read_pool_string(view.raw, view._pool_offset(rec))
             payload = ("pool", _pack_string(text))
-        rows[unit] = (entry.code, payload) + successors(unit)
+        rows[unit] = (entry.code, payload, ref(rec.match_offset), ref(rec.unmatch_offset))
+        return rows[unit][2:]
+
+    entries = [ref(ptr) for ptr in view.op_pointers]
+    _dfs_order(entries, lower)
     return _write_layout(rows, [entries])
 
 
