@@ -467,7 +467,7 @@ def compile_profile(profile: Profile, table: OperationTable,
     if diagnostics:
         raise InvalidProfile(diagnostics)
     store = _NodeStore(vocab)
-    entries = _resolve_entries(profile, table, store)
+    entries = _resolve_entries(profile, table, store)  # fills store.ids
     return _write_layout(list(store.ids), [entries])
 
 
