@@ -50,7 +50,6 @@ from .model import (
     RequireAny,
     RequireNot,
     ValueKind,
-    rule_owner,
     validate_profile,
 )
 
@@ -194,16 +193,6 @@ class BinaryProfile:
             raise MalformedBlob(self.op_pointers[0] * 8,
                                 "default operation does not point at a terminal")
         return entry.decision
-
-    def to_bytes(self) -> bytes:
-        """Re-encode the decoded view; byte-identical for decoded blobs."""
-        if self.format_id != FORMAT_SEPARATED:
-            raise WrongFormatId(self.format_id, FORMAT_SEPARATED)
-        records = b"".join(
-            _RECORD.pack(r.node_type, r.filter_key, r.filter_value,
-                         r.match_offset, r.unmatch_offset) for r in self.records)
-        return (_pack_tables([self.op_pointers], None, self.pool_pointers)
-                + records + self.raw[self.pool_start:])
 
 
 def _parse_records(raw, node_start, pool_start):
@@ -373,13 +362,11 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     """Entry ref per operation; rule-less operations inherit through parent
     links, everything else lands on the default terminal."""
     default = profile.default_decision
+    owners = table.owners(profile.rules)
     owner_refs: dict[str, tuple] = {}
     entries = []
     for op in table.entries:
-        if op == "default":
-            entries.append(_term(default))
-            continue
-        owner = rule_owner(op, profile.rules, table)
+        owner = None if op == "default" else owners[op]
         if owner is None:
             entries.append(_term(default))
             continue

@@ -32,7 +32,6 @@ from .model import (
     ValueForm,
     ValueKind,
     canonicalize,
-    rule_owner,
 )
 from .sbpl import ImplicitRuleSet, condition_holds, print_sbpl
 
@@ -410,20 +409,6 @@ def _emit_op_rules(expr, default: Decision, vocab) -> tuple:
     return tuple(exceptions + positives)
 
 
-def _parents_first(table: OperationTable):
-    """Every operation once, each after its ancestors, else in table order."""
-    seen = set()
-    out = []
-    for op in table.entries:
-        chain = []  # op and its ancestors not yet listed, nearest first
-        while op is not None and op not in seen:
-            seen.add(op)
-            chain.append(op)
-            op = table.parents.get(op)
-        out.extend(reversed(chain))
-    return out
-
-
 def emit_rules(bp: BinaryProfile, table: OperationTable,
                vocab: FilterVocabulary, permissive: bool = False):
     """Decompile every operation. Returns (profile, errors); errors is empty
@@ -434,17 +419,19 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
     default = bp.default_decision()
     regex_text_cache: dict = {}
     rules = {}
-    emitted_units = {}
+    # op -> entry unit of the nearest emitted operation among op and its
+    # ancestors, None when there is none
+    emitted_unit = {}
     errors = []
-    for op in _parents_first(table):
+    for op in table.parents_first:
         idx = table.index(op)
         if idx == 0:
             continue
         unit = bp.op_pointers[idx]
         # an operation sharing its entry with an emitted ancestor is the
         # compiled image of plain fallback; the parent link reproduces it
-        ancestor = rule_owner(table.parents.get(op), rules, table)
-        if ancestor is not None and emitted_units[ancestor] == unit:
+        ancestor_unit = emitted_unit[op] = emitted_unit.get(table.parents.get(op))
+        if ancestor_unit == unit:
             continue
         try:
             graph = build_graph(bp, idx, vocab, regex_text_cache)
@@ -453,17 +440,17 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
             # constant-node splicing can collapse the whole graph to a terminal
             if isinstance(normalized.entry, Decision):
                 if normalized.entry == default:
-                    if ancestor is not None:
+                    if ancestor_unit is not None:
                         # an emitted ancestor would otherwise capture this
                         # operation through the parent link; pin it back
                         rules[op] = (Rule(default, None),)
-                        emitted_units[op] = unit
+                        emitted_unit[op] = unit
                     continue
                 expr = None
             else:
                 expr = aggregate(normalized)
             rules[op] = _emit_op_rules(expr, default, vocab)
-            emitted_units[op] = unit
+            emitted_unit[op] = unit
         except SandboxError as exc:
             wrapped = DecompileError(op, exc)
             if not permissive:

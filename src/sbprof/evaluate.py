@@ -33,7 +33,6 @@ from .model import (
     RequireNot,
     ValueKind,
     expr_atoms,
-    rule_owner,
 )
 
 
@@ -145,16 +144,12 @@ class AstEvaluator:
         self.table = table
         self.vocab = vocab
         self.rx = rx_cache or _RegexCache()
-        self._effective = {}
+        self._owner = table.owners(profile.rules)
 
     def _rules(self, op: str):
         """op's effective rules, after parent fallback."""
-        cached = self._effective.get(op)
-        if cached is None:
-            cur = rule_owner(op, self.profile.rules, self.table)
-            cached = self.profile.rules.get(cur, ()) if cur else ()
-            self._effective[op] = cached
-        return cached
+        owner = self._owner.get(op)
+        return self.profile.rules[owner] if owner else ()
 
     def verdict(self, op_name: str, ctx: QueryContext,
                 trace: list | None = None) -> Decision:
@@ -167,8 +162,7 @@ class AstEvaluator:
                 if rule.filter is None or expr_matches(rule.filter, ctx,
                                                        self.vocab, self.rx):
                     if trace is not None:
-                        owner = rule_owner(op_name, self.profile.rules, self.table)
-                        trace.append((owner, rule))
+                        trace.append((self._owner[op_name], rule))
                     return rule.decision
         if trace is not None:
             trace.append(("default", None))

@@ -103,7 +103,10 @@ class FilterVocabulary:
 
 @dataclass(frozen=True)
 class OperationTable:
-    """Ordered operation names; list position is the wire index."""
+    """Ordered operation names; list position is the wire index.
+
+    parents_first lists every operation once, each after its ancestors,
+    otherwise in table order."""
 
     entries: tuple[str, ...]
     version_tag: str = ""
@@ -120,18 +123,22 @@ class OperationTable:
         for child, parent in self.parents.items():
             if child not in positions or parent not in positions:
                 raise VocabularyError(f"parent link {child} -> {parent} names unknown op")
-        # reject parent cycles up front; a walk stops at an operation an
-        # earlier walk already proved acyclic
-        acyclic = set()
-        for name in self.parents:
-            seen = set()
-            cur = name
-            while cur in self.parents and cur not in acyclic:
-                if cur in seen:
-                    raise VocabularyError(f"parent cycle through {cur!r}")
-                seen.add(cur)
-                cur = self.parents[cur]
-            acyclic |= seen
+        # one walk lists every operation after its ancestors, else in table
+        # order, and rejects parent cycles on the way: a chain of ancestors
+        # longer than the table has gone round a cycle
+        order = {}
+        for op in self.entries:
+            chain = []  # op's ancestors not yet listed, nearest first
+            up = self.parents.get(op)
+            while up is not None and up not in order:
+                if len(chain) == len(self.entries):
+                    raise VocabularyError(f"parent cycle through {up!r}")
+                chain.append(up)
+                up = self.parents.get(up)
+            if chain:
+                order.update(dict.fromkeys(reversed(chain)))
+            order[op] = None
+        object.__setattr__(self, "parents_first", tuple(order))
 
     def index(self, name: str) -> int:
         position = self._positions.get(name)
@@ -141,6 +148,15 @@ class OperationTable:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def owners(self, rules: Mapping[str, tuple]) -> dict:
+        """The operation whose rules each operation follows: itself if it has
+        rules, else its nearest ancestor through parents that has rules, else
+        None. One pass, in parents_first order."""
+        owner = {}
+        for op in self.parents_first:
+            owner[op] = op if rules.get(op) else owner.get(self.parents.get(op))
+        return owner
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +277,6 @@ class Profile:
     name: str
     default_decision: Decision | None
     rules: Mapping[str, tuple[Rule, ...]]
-
-
-def rule_owner(op: str | None, rules: Mapping[str, tuple],
-               table: OperationTable) -> str | None:
-    """The operation whose rules op follows: op itself if it has rules, else
-    its nearest ancestor through table.parents that has rules, else None."""
-    while op is not None and not rules.get(op):
-        op = table.parents.get(op)
-    return op
 
 
 @dataclass(frozen=True)

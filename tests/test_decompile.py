@@ -408,7 +408,7 @@ def test_deep_child_first_parent_chain_round_trips():
     from sbprof import vocab
 
     # op1 is the root; every later operation is listed before its parent
-    depth = 3000
+    depth = 6000
     lines = ["version deep", "operation default"]
     lines += [f"operation op{i} parent=op{i - 1}" for i in range(depth, 1, -1)]
     lines += ["operation op1", "filter literal code=0x01 kind=literal_string ctx=path"]
@@ -419,4 +419,9 @@ def test_deep_child_first_parent_chain_round_trips():
     blob = codec.compile_profile(profile, table, voc)
     text = decompile.decompile(blob, table, voc)
     assert codec.compile_profile(sbpl.parse_sbpl(text), table, voc) == blob
-    assert time.perf_counter() - started < 10.0
+    ast_ev = evaluate.AstEvaluator(profile, table, voc)
+    blob_ev = evaluate.BlobEvaluator(blob, table, voc)
+    for ctx in (evaluate.QueryContext(), evaluate.QueryContext({"path": "/b"})):
+        for op in table.entries:
+            assert ast_ev.verdict(op, ctx) == blob_ev.verdict(op, ctx), (op, ctx)
+    assert time.perf_counter() - started < 2.0

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sbprof import generate, sbpl
@@ -91,6 +93,60 @@ def test_operation_table_requires_default_first():
 def test_operation_table_rejects_parent_cycle():
     with pytest.raises(VocabularyError):
         OperationTable(("default", "a", "b"), parents={"a": "b", "b": "a"})
+    with pytest.raises(VocabularyError):
+        OperationTable(("default", "a"), parents={"a": "a"})
+    with pytest.raises(VocabularyError):
+        OperationTable(("default", "x", "a", "b", "c"),
+                       parents={"x": "a", "a": "b", "b": "c", "c": "a"})
+
+
+def _reference_owner(op, rules, table):
+    """Nearest ancestor-or-self with rules, one parent link at a time."""
+    while op is not None and not rules.get(op):
+        op = table.parents.get(op)
+    return op
+
+
+def _random_forest_table(rng, size):
+    """A table whose parent links form a forest; entries are shuffled, so
+    children come both before and after their parents."""
+    ops = [f"op{i}" for i in range(size)]
+    parents = {}
+    for i, op in enumerate(ops):
+        if i and rng.random() < 0.8:  # the rest are roots
+            parents[op] = ops[rng.randrange(i)]
+    rng.shuffle(ops)
+    return OperationTable(("default", *ops), parents=parents)
+
+
+def test_parents_first_lists_every_operation_after_its_parent():
+    rng = random.Random(5)
+    for _ in range(50):
+        table = _random_forest_table(rng, rng.randint(1, 40))
+        order = table.parents_first
+        assert sorted(order) == sorted(table.entries)
+        position = {op: i for i, op in enumerate(order)}
+        for child, parent in table.parents.items():
+            assert position[parent] < position[child]
+    flat = OperationTable(("default", "b", "a"))
+    assert flat.parents_first == flat.entries
+
+
+def test_owners_match_the_nearest_ancestor_walk():
+    rng = random.Random(11)
+    for _ in range(200):
+        table = _random_forest_table(rng, rng.randint(1, 40))
+        rules = {}
+        for op in table.entries[1:]:
+            roll = rng.random()
+            if roll < 0.25:  # roots and mid-chain operations alike
+                rules[op] = ("rule",)
+            elif roll < 0.3:
+                rules[op] = ()  # an empty rule list does not own
+        owners = table.owners(rules)
+        assert set(owners) == set(table.entries)
+        for op in table.entries:
+            assert owners[op] == _reference_owner(op, rules, table)
 
 
 def _atom(key="literal", value="/x"):
