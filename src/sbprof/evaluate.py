@@ -42,9 +42,6 @@ class QueryContext:
 
     bindings: dict = field(default_factory=dict)
 
-    def get(self, key):
-        return self.bindings.get(key)
-
     def __str__(self):
         if not self.bindings:
             return "{}"
@@ -99,34 +96,59 @@ class _RegexCache:
         return out
 
 
-def _value_matches(kind: ValueKind, atom_value, bound, rx_cache) -> bool:
-    if bound is None:
+def _regex_matches(matcher, bound, rx_cache) -> bool:
+    """Whether a regex atom's pattern text or automaton matches bound."""
+    if not isinstance(bound, str):
         return False
-    if kind is ValueKind.REGEX_INDEX:
-        if not isinstance(bound, str):
-            return False
-        if rx_cache.results is not None:
-            return rx_cache.memo_match(atom_value, bound)
-        matcher = rx_cache.automaton(atom_value) \
-            if isinstance(atom_value, str) else atom_value
-        return nfa_mod.nfa_match(matcher, bound, full=False)
-    return bound == atom_value
+    if rx_cache.results is not None:
+        return rx_cache.memo_match(matcher, bound)
+    if isinstance(matcher, str):
+        matcher = rx_cache.automaton(matcher)
+    return nfa_mod.nfa_match(matcher, bound, full=False)
+
+
+def _filter_kind(entry) -> tuple:
+    """(context key, is-regex) of one vocabulary entry."""
+    return entry.context_key, entry.kind is ValueKind.REGEX_INDEX
+
+
+def _filter_kinds(vocab: FilterVocabulary) -> dict:
+    """filter name -> _filter_kind, for every entry of the vocabulary."""
+    return {e.name: _filter_kind(e) for e in vocab.entries}
+
+
+def _matches(expr, bindings: dict, kinds: dict, vocab: FilterVocabulary,
+             rx) -> bool:
+    """Whether a filter expression matches the bindings; kinds is
+    _filter_kinds(vocab). An unbound key matches no atom."""
+    t = type(expr)
+    if t is Atom:
+        # a name missing from kinds is not in vocab: by_name raises
+        key, is_regex = kinds.get(expr.key) or _filter_kind(vocab.by_name(expr.key))
+        bound = bindings.get(key)
+        if is_regex:
+            return _regex_matches(expr.value, bound, rx)
+        return bound is not None and bound == expr.value
+    if t is RequireNot:
+        return not _matches(expr.child, bindings, kinds, vocab, rx)
+    if t is RequireAll:
+        for c in expr.children:
+            if not _matches(c, bindings, kinds, vocab, rx):
+                return False
+        return True
+    if t is RequireAny:
+        for c in expr.children:
+            if _matches(c, bindings, kinds, vocab, rx):
+                return True
+        return False
+    raise TypeError(f"not a filter expression: {expr!r}")
 
 
 def expr_matches(expr, ctx: "QueryContext", vocab: FilterVocabulary,
                  rx_cache: "_RegexCache | None" = None) -> bool:
     """Reference matching semantics for a filter expression."""
-    rx = rx_cache or _RegexCache()
-    if isinstance(expr, Atom):
-        entry = vocab.by_name(expr.key)
-        return _value_matches(entry.kind, expr.value, ctx.get(entry.context_key), rx)
-    if isinstance(expr, RequireNot):
-        return not expr_matches(expr.child, ctx, vocab, rx)
-    if isinstance(expr, RequireAll):
-        return all(expr_matches(c, ctx, vocab, rx) for c in expr.children)
-    if isinstance(expr, RequireAny):
-        return any(expr_matches(c, ctx, vocab, rx) for c in expr.children)
-    raise TypeError(f"not a filter expression: {expr!r}")
+    return _matches(expr, ctx.bindings, _filter_kinds(vocab), vocab,
+                    rx_cache or _RegexCache())
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +167,7 @@ class AstEvaluator:
         self.vocab = vocab
         self.rx = rx_cache or _RegexCache()
         self._owner = table.owners(profile.rules)
+        self._kinds = _filter_kinds(vocab)
 
     def _rules(self, op: str):
         """op's effective rules, after parent fallback."""
@@ -158,9 +181,10 @@ class AstEvaluator:
         when the default decision did."""
         self.table.index(op_name)  # raises UnknownOperation
         if op_name != "default":
+            bindings, kinds, vocab, rx = ctx.bindings, self._kinds, self.vocab, self.rx
             for rule in self._rules(op_name):
-                if rule.filter is None or expr_matches(rule.filter, ctx,
-                                                       self.vocab, self.rx):
+                if rule.filter is None or _matches(rule.filter, bindings, kinds,
+                                                   vocab, rx):
                     if trace is not None:
                         trace.append((self._owner[op_name], rule))
                     return rule.decision
@@ -187,18 +211,23 @@ class BlobEvaluator:
         self._prepared = {}
 
     def _prepare(self, unit: int):
+        """The node at unit as (context key, is-regex, value, match offset,
+        unmatch offset, vocabulary entry), prepared once; a terminal is
+        (None, False, decision, None, None, None)."""
         node = self._prepared.get(unit)
         if node is not None:
             return node
         rec = self.bp.record_at(unit)
         if rec.is_terminal:
-            node = (None, rec.decision, None, None)
+            node = (None, False, rec.decision, None, None, None)
         else:
             entry = self.vocab.by_code(rec.filter_key)
             value = self.bp.value_at(rec, entry)
-            if entry.kind is ValueKind.REGEX_INDEX:
+            is_regex = entry.kind is ValueKind.REGEX_INDEX
+            if is_regex:
                 value = self.rx.from_wire(value)
-            node = (entry, value, rec.match_offset, rec.unmatch_offset)
+            node = (entry.context_key, is_regex, value, rec.match_offset,
+                    rec.unmatch_offset, entry)
         self._prepared[unit] = node
         return node
 
@@ -206,14 +235,19 @@ class BlobEvaluator:
                 trace: list | None = None) -> Decision:
         idx = self.table.index(op_name)
         unit = self.bp.op_pointers[idx]
+        bindings, prepared, rx = ctx.bindings, self._prepared, self.rx
         for _ in range(len(self.bp.records) + 1):
-            entry, value, match_off, unmatch_off = self._prepare(unit)
-            if entry is None:
+            key, is_regex, value, match_off, unmatch_off, entry = \
+                prepared.get(unit) or self._prepare(unit)
+            if key is None:
                 if trace is not None:
                     trace.append((unit, str(value), None))
                 return value
-            bound = ctx.get(entry.context_key)
-            matched = _value_matches(entry.kind, value, bound, self.rx)
+            bound = bindings.get(key)
+            if is_regex:
+                matched = _regex_matches(value, bound, rx)
+            else:
+                matched = bound == value
             if trace is not None:
                 trace.append((unit, entry.name, matched))
             unit = match_off if matched else unmatch_off
@@ -294,10 +328,9 @@ def collect_atoms(source, table, vocab):
                     out.append((entry.context_key, entry.kind, atom.value))
     else:
         for rec in src.bp.records:
-            if rec.is_terminal:
-                continue
-            entry, value, _m, _u = src._prepare(rec.unit)
-            out.append((entry.context_key, entry.kind, value))
+            key, _r, value, _m, _u, entry = src._prepare(rec.unit)
+            if key is not None:
+                out.append((key, entry.kind, value))
     return out
 
 
@@ -390,10 +423,10 @@ def _source_op_keys(src, op: str, vocab) -> set:
         if unit in seen:
             continue
         seen.add(unit)
-        if src.bp.record_at(unit).is_terminal:
+        key, _r, _v, match_off, unmatch_off, _e = src._prepare(unit)
+        if key is None:
             continue
-        entry, _value, match_off, unmatch_off = src._prepare(unit)
-        keys.add(entry.context_key)
+        keys.add(key)
         stack.append(match_off)
         stack.append(unmatch_off)
     return keys

@@ -472,15 +472,21 @@ def _factor_once(options):
     return None
 
 
-def _simp(ast):
+def _simp(ast, memo):
+    """One rewrite pass. memo maps id(node) -> (node, result) for every node
+    the pass has rewritten: reversal builds a DAG whose subtrees are shared,
+    so each is rewritten once, and holding node keeps its id from being
+    reused while the pass runs."""
+    hit = memo.get(id(ast))
+    if hit is not None:
+        return hit[1]
     if isinstance(ast, Concat):
-        parts = _simplify_cat([_simp(p) for p in ast.parts])
-        return cat(parts)
-    if isinstance(ast, Alternate):
+        out = cat(_simplify_cat([_simp(p, memo) for p in ast.parts]))
+    elif isinstance(ast, Alternate):
         options = []
         has_empty = False
         for o in ast.options:
-            o = _simp(o)
+            o = _simp(o, memo)
             if isinstance(o, Empty):
                 has_empty = True
             elif isinstance(o, Alternate):
@@ -498,20 +504,22 @@ def _simp(ast):
         options = [o for o in options if o not in drop]
         factored = _factor_once(options) if len(options) > 1 else None
         if factored is not None:
-            options = [_simp(o) for o in factored]
+            options = [_simp(o, memo) for o in factored]
         if not options:
-            return Empty()
-        body = options[0] if len(options) == 1 else Alternate(tuple(options))
-        if has_empty:
-            return _simp_opt(body)
-        return body
-    if isinstance(ast, Star):
-        return _simp_star(_simp(ast.inner))
-    if isinstance(ast, Plus):
-        return _simp_plus(_simp(ast.inner))
-    if isinstance(ast, Optional):
-        return _simp_opt(_simp(ast.inner))
-    return ast
+            out = Empty()
+        else:
+            body = options[0] if len(options) == 1 else Alternate(tuple(options))
+            out = _simp_opt(body) if has_empty else body
+    elif isinstance(ast, Star):
+        out = _simp_star(_simp(ast.inner, memo))
+    elif isinstance(ast, Plus):
+        out = _simp_plus(_simp(ast.inner, memo))
+    elif isinstance(ast, Optional):
+        out = _simp_opt(_simp(ast.inner, memo))
+    else:
+        out = ast
+    memo[id(ast)] = (ast, out)
+    return out
 
 
 def _simp_star(inner):
@@ -551,7 +559,7 @@ def simplify(ast: RegexAst) -> RegexAst:
     cur = ast
     try:
         for _ in range(30):
-            nxt = _simp(cur)
+            nxt = _simp(cur, {})
             if nxt == cur:
                 return cur
             cur = nxt

@@ -1,8 +1,9 @@
 import struct
+import time
 
 import pytest
 
-from sbprof import codec, decompile, evaluate, generate, sbpl
+from sbprof import codec, decompile, evaluate, generate, rex, sbpl
 from sbprof.decompile import (
     GraphNode,
     OpGraph,
@@ -403,8 +404,6 @@ def test_emit_rules_rejects_table_size_mismatch(small, large):
 
 
 def test_deep_child_first_parent_chain_round_trips():
-    import time
-
     from sbprof import vocab
 
     # op1 is the root; every later operation is listed before its parent
@@ -425,3 +424,20 @@ def test_deep_child_first_parent_chain_round_trips():
         for op in table.entries:
             assert ast_ev.verdict(op, ctx) == blob_ev.verdict(op, ctx), (op, ctx)
     assert time.perf_counter() - started < 2.0
+
+
+def test_nested_star_rule_at_group_limit_decompiles(small):
+    # state elimination shares subtrees between the regexes it builds, so
+    # a rewrite pass that walked the result as a tree took time exponential
+    # in the nesting depth (3.6 s at 16 levels)
+    table, vocab = small
+    depth = rex.MAX_GROUP_NESTING
+    pattern = "(" * depth + "a" + ")*" * depth
+    profile = sbpl.parse_sbpl(
+        f'(version 1)\n(deny default)\n(allow file-read* (regex #"{pattern}"))\n')
+    blob = codec.compile_profile(profile, table, vocab)
+    started = time.perf_counter()
+    text = decompile.decompile(blob, table, vocab)
+    assert time.perf_counter() - started < 2.0
+    assert evaluate.check_equivalence(profile, sbpl.parse_sbpl(text), table,
+                                      vocab).equivalent

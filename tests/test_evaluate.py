@@ -4,9 +4,18 @@ import random
 import pytest
 
 from sbprof import codec, evaluate, generate, nfa, rex, sbpl
-from sbprof.errors import UnknownOperation
+from sbprof.errors import UnknownFilterKey, UnknownOperation
 from sbprof.evaluate import QueryContext as Q
-from sbprof.model import Decision, Profile, Rule
+from sbprof.model import (
+    Atom,
+    Decision,
+    Profile,
+    RequireAll,
+    RequireAny,
+    RequireNot,
+    Rule,
+    ValueKind,
+)
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -187,6 +196,185 @@ def test_trace_reports_path(small, blacklist):
     assert verdict is Decision.ALLOW
     assert trace[-1][1] == "allow"
     assert len(trace) >= 2
+
+
+# deep-nesting corpus case: bindings -> (AST trace as (owner, rule index),
+# blob trace) for file-read-data, which falls back to file-read*
+PINNED_TRACES = (
+    ({"path": "/bin/ls", "vnode-type": "SYMLINK"}, [("default", None)],
+     [(6, "regex", True), (7, "vnode-type", True), (8, "literal", False),
+      (11, "deny", None)]),
+    ({"path": "/bin/ls"}, [("file-read*", 0)],
+     [(6, "regex", True), (7, "vnode-type", False), (10, "allow", None)]),
+    ({"path": "/etc/hosts", "vnode-type": "REGULAR-FILE"}, [("file-read*", 0)],
+     [(6, "regex", False), (8, "literal", True), (9, "vnode-type", True),
+      (10, "allow", None)]),
+    ({"path": 7}, [("default", None)],
+     [(6, "regex", False), (8, "literal", False), (11, "deny", None)]),
+    ({}, [("default", None)],
+     [(6, "regex", False), (8, "literal", False), (11, "deny", None)]),
+)
+
+
+def test_trace_pinned_on_corpus_case(small):
+    table, vocab = small
+    case = next(c for c in generate.CORPUS if c.name == "deep-nesting")
+    profile = sbpl.parse_sbpl(case.sbpl_text)
+    blob = codec.compile_profile(profile, table, vocab)
+    ast_ev = evaluate.AstEvaluator(profile, table, vocab)
+    blob_ev = evaluate.BlobEvaluator(blob, table, vocab)
+    for bindings, want_ast, want_blob in PINNED_TRACES:
+        ast_trace, blob_trace = [], []
+        ast_ev.verdict("file-read-data", Q(bindings), trace=ast_trace)
+        blob_ev.verdict("file-read-data", Q(bindings), trace=blob_trace)
+        assert [(owner, None if rule is None else profile.rules[owner].index(rule))
+                for owner, rule in ast_trace] == want_ast, bindings
+        assert blob_trace == want_blob, bindings
+        trace = []
+        blob_ev.verdict("network-outbound", Q(bindings), trace=trace)
+        assert trace == [(11, "deny", None)]
+        trace = []
+        ast_ev.verdict("network-outbound", Q(bindings), trace=trace)
+        assert trace == [("default", None)]
+
+
+def _reference_matches(expr, ctx, vocab, automata):
+    """The recursive matcher evaluate used before its hot paths became one
+    loop each, kept as the reference they are checked against. automata
+    caches one automaton per pattern text."""
+    if isinstance(expr, Atom):
+        entry = vocab.by_name(expr.key)
+        bound = ctx.bindings.get(entry.context_key)
+        if bound is None:
+            return False
+        if entry.kind is ValueKind.REGEX_INDEX:
+            if not isinstance(bound, str):
+                return False
+            if expr.value not in automata:
+                automata[expr.value] = nfa.LazyDfa(
+                    nfa.build_nfa(rex.parse_regex(expr.value)))
+            return nfa.nfa_match(automata[expr.value], bound, full=False)
+        return bound == expr.value
+    if isinstance(expr, RequireNot):
+        return not _reference_matches(expr.child, ctx, vocab, automata)
+    if isinstance(expr, RequireAll):
+        return all(_reference_matches(c, ctx, vocab, automata) for c in expr.children)
+    if isinstance(expr, RequireAny):
+        return any(_reference_matches(c, ctx, vocab, automata) for c in expr.children)
+    raise TypeError(f"not a filter expression: {expr!r}")
+
+
+class _Differential:
+    """One profile's reference verdicts beside the AST and blob evaluators
+    and expr_matches, compared query by query."""
+
+    def __init__(self, profile, table, vocab):
+        self.profile, self.table, self.vocab = profile, table, vocab
+        self.owner = table.owners(profile.rules)
+        self.automata = {}
+        self.ast_ev = evaluate.AstEvaluator(profile, table, vocab)
+        self.blob_ev = evaluate.BlobEvaluator(
+            codec.compile_profile(profile, table, vocab), table, vocab)
+        self.checked = 0
+
+    def rules(self, op):
+        owner = self.owner[op] if op != "default" else None
+        return self.profile.rules[owner] if owner else ()
+
+    def check(self, op, ctx):
+        want = self.profile.default_decision
+        for rule in self.rules(op):
+            if rule.filter is not None:
+                ref = _reference_matches(rule.filter, ctx, self.vocab, self.automata)
+                assert evaluate.expr_matches(rule.filter, ctx, self.vocab) is ref, \
+                    (op, str(ctx), rule)
+            if rule.filter is None or ref:
+                want = rule.decision
+                break
+        assert self.ast_ev.verdict(op, ctx) is want, (op, str(ctx))
+        assert self.blob_ev.verdict(op, ctx) is want, (op, str(ctx))
+        self.checked += 1
+
+
+def test_verdicts_agree_with_reference_matcher(small, large):
+    tables = {"small": small, "large": large}
+    cases = [(sbpl.parse_sbpl(c.sbpl_text), tables[c.vocab]) for c in generate.CORPUS]
+    cases += [(generate.ProfileGenerator(*small, seed=seed).generate(), small)
+              for seed in range(40)]
+    for profile, (table, vocab) in cases:
+        diff = _Differential(profile, table, vocab)
+        universe = evaluate.build_universe(
+            evaluate.collect_atoms(profile, table, vocab), vocab)
+        for op in table.entries:
+            keys = evaluate._source_op_keys(diff.ast_ev, op, vocab)
+            sub = {k: universe[k] for k in sorted(keys)}
+            for ctx in evaluate.exhaustive_contexts(sub):
+                diff.check(op, ctx)
+        assert diff.checked >= len(table)
+    table, vocab = large
+    profile = generate.ProfileGenerator(table, vocab, seed=0,
+                                        scale="container").generate()
+    diff = _Differential(profile, table, vocab)
+    universe = evaluate.build_universe(
+        evaluate.collect_atoms(profile, table, vocab), vocab)
+    rng = random.Random(0)
+    ops = sorted(profile.rules)
+    for ctx in evaluate.sampled_contexts(universe, 0, 400):
+        diff.check(rng.choice(ops), ctx)
+    assert diff.checked == 400
+
+
+# bindings of the wrong type for their filters: a regex key bound to a
+# number, a list or an endpoint, an endpoint key bound to a tuple or a
+# string, a numeric key bound to a string, an enum key bound to a number
+ODD_BINDINGS = (
+    {"path": 7},
+    {"path": ["/bin/ls"]},
+    {"path": ("tcp", "localhost:22")},
+    {"remote": ("tcp", "localhost:22")},
+    {"remote": ("tcp", "localhost:23")},
+    {"remote": "tcp localhost:22"},
+    {"file-mode": "438"},
+    {"file-mode": 438},
+    {"vnode-type": 1},
+    {"target": "self", "global-name": 0},
+)
+
+
+def test_odd_bindings_agree_with_reference_matcher(small, large):
+    tables = {"small": small, "large": large}
+    allowed = []
+    for case in generate.CORPUS:
+        table, vocab = tables[case.vocab]
+        diff = _Differential(sbpl.parse_sbpl(case.sbpl_text), table, vocab)
+        for bindings in ODD_BINDINGS:
+            for op in table.entries:
+                diff.check(op, Q(bindings))
+                if diff.profile.default_decision is Decision.DENY \
+                        and case.name != "require-not" and op in diff.profile.rules \
+                        and diff.blob_ev.verdict(op, Q(bindings)) is Decision.ALLOW:
+                    allowed.append((case.name, op, bindings))
+    # only the well-typed bindings match an atom
+    assert allowed == [
+        ("multi-operation", "network-outbound", {"remote": ("tcp", "localhost:22")}),
+        ("multi-operation", "signal", {"target": "self", "global-name": 0}),
+        ("numeric-filter", "file-ioctl", {"file-mode": 438}),
+    ]
+
+
+def test_unknown_filter_name_raises(small):
+    table, vocab = small
+    ctx = Q({"path": "/x"})
+    unknown = Atom("no-such-filter", "/x")
+    for expr in (unknown, RequireNot(unknown), RequireAny((unknown,))):
+        with pytest.raises(UnknownFilterKey):
+            _reference_matches(expr, ctx, vocab, {})
+        with pytest.raises(UnknownFilterKey):
+            evaluate.expr_matches(expr, ctx, vocab)
+        profile = Profile("", Decision.DENY,
+                          {"file-read*": (Rule(Decision.ALLOW, expr),)})
+        with pytest.raises(UnknownFilterKey):
+            evaluate.AstEvaluator(profile, table, vocab).verdict("file-read*", ctx)
 
 
 def _brute_force_accepted(ast, alphabet, max_len):
