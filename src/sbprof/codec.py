@@ -28,7 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from . import nfa, rex
+from . import nfa
 from .errors import (
     CapacityExceeded,
     DanglingOffset,
@@ -320,8 +320,7 @@ class _NodeStore:
                 raise UnknownFilterValue(atom.key, atom.value)
             payload = ("inline", code)
         elif entry.kind is ValueKind.REGEX_INDEX:
-            blob = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(atom.value)))
-            payload = ("pool", blob)
+            payload = ("pool", nfa.pattern(atom.value).wire)
         elif entry.kind is ValueKind.NETWORK_ENDPOINT:
             proto, addr = atom.value
             payload = ("pool", _pack_string(f"{proto} {addr}"))
@@ -516,8 +515,7 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         if entry.kind in (ValueKind.NUMERIC, ValueKind.ENUM_NAMED):
             payload = ("inline", rec.filter_value)
         elif entry.kind is ValueKind.REGEX_INDEX:
-            blob = view.value_at(rec, entry)
-            payload = ("pool", bytes(blob[:nfa.serialized_length(blob)]))
+            payload = ("pool", nfa.program_at(view.value_at(rec, entry)).wire)
         else:
             text = _read_pool_string(view.raw, view._pool_offset(rec))
             payload = ("pool", _pack_string(text))

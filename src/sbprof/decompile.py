@@ -9,7 +9,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import nfa as nfa_mod
-from . import rex
 from .codec import BinaryProfile, decode_blob
 from .errors import (
     CycleDetected,
@@ -63,27 +62,17 @@ _FORMS = {
 }
 
 
-def _resolve_atom(bp: BinaryProfile, rec, vocab: FilterVocabulary,
-                  regex_text_cache: dict) -> Atom:
+def _resolve_atom(bp: BinaryProfile, rec, vocab: FilterVocabulary) -> Atom:
     entry = vocab.by_code(rec.filter_key)
+    value = bp.value_at(rec, entry)
     if entry.kind is ValueKind.REGEX_INDEX:
-        # keyed by pool index, so a shared regex is decoded and reversed once
-        value = regex_text_cache.get(rec.filter_value)
-        if value is None:
-            automaton = nfa_mod.deserialize_nfa(bp.value_at(rec, entry))
-            value = rex.print_regex(nfa_mod.nfa_to_regex(automaton))
-            regex_text_cache[rec.filter_value] = value
-    else:
-        value = bp.value_at(rec, entry)
+        value = nfa_mod.program_at(value).text
     return Atom(entry.name, value, _FORMS[entry.kind])
 
 
-def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
-                regex_text_cache: dict | None = None) -> OpGraph:
+def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary) -> OpGraph:
     """Reachable graph for one operation, atoms resolved through the
     vocabulary and regex values reversed to pattern text."""
-    if regex_text_cache is None:
-        regex_text_cache = {}
     if not 0 <= op_index < bp.op_count:
         raise MalformedBlob(0, f"operation index {op_index} out of range")
     entry_unit = bp.op_pointers[op_index]
@@ -121,7 +110,7 @@ def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
     for unit in order:
         rec = bp.record_at(unit)
         nodes[ids[unit]] = GraphNode(
-            expr=_resolve_atom(bp, rec, vocab, regex_text_cache),
+            expr=_resolve_atom(bp, rec, vocab),
             match=succ(rec.match_offset),
             unmatch=succ(rec.unmatch_offset))
     return OpGraph(nodes=nodes, entry=succ(entry_unit))
@@ -182,18 +171,6 @@ def normalize_graph(g: OpGraph, default: Decision) -> OpGraph:
             node.expr = _negated(node.expr)
             node.match, node.unmatch = node.unmatch, node.match
     return out
-
-
-def check_match_graph(g: OpGraph) -> None:
-    """Machine check of the normalized-graph invariant."""
-    assert g.default is not None, "graph not normalized"
-    success = g.default.negate()
-    fail = g.default
-    for nid, node in g.nodes.items():
-        if node.match == fail:
-            raise AssertionError(f"node {nid}: match edge reaches {fail}")
-        if node.unmatch == success:
-            raise AssertionError(f"node {nid}: unmatch edge reaches {success}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +394,6 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
         raise MalformedBlob(0, f"blob has {bp.op_count} operations, "
                                f"table has {len(table)}")
     default = bp.default_decision()
-    regex_text_cache: dict = {}
     rules = {}
     # op -> entry unit of the nearest emitted operation among op and its
     # ancestors, None when there is none
@@ -434,9 +410,7 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
         if ancestor_unit == unit:
             continue
         try:
-            graph = build_graph(bp, idx, vocab, regex_text_cache)
-            normalized = normalize_graph(graph, default)
-            check_match_graph(normalized)
+            normalized = normalize_graph(build_graph(bp, idx, vocab), default)
             # constant-node splicing can collapse the whole graph to a terminal
             if isinstance(normalized.entry, Decision):
                 if normalized.entry == default:

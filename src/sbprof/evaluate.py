@@ -50,61 +50,52 @@ class QueryContext:
 
 
 class _RegexCache:
-    """Compiled matchers shared by everything that evaluates one set of
-    sources: one automaton per pattern text and one per regex wire
-    encoding, and each automaton's universe samples. With memo set it also
-    remembers every (matcher, text) match result; an EquivalenceChecker
-    sets it, evaluators built on their own do not."""
+    """What an EquivalenceChecker remembers about regexes for as long as it
+    lives: every (matcher, text) match result, and the universe samples of
+    each matcher, a pattern text or an automaton. The automata themselves
+    come from nfa's process-wide memo."""
 
-    def __init__(self, memo: bool = False):
-        self.by_pattern = {}
-        self.by_wire = {}
+    def __init__(self):
         self.samples = {}
-        self.results = {} if memo else None
+        self.results = {}
 
-    def automaton(self, pattern: str) -> nfa_mod.LazyDfa:
-        m = self.by_pattern.get(pattern)
-        if m is None:
-            m = nfa_mod.LazyDfa(nfa_mod.build_nfa(rex.parse_regex(pattern)))
-            self.by_pattern[pattern] = m
-        return m
-
-    def from_wire(self, data) -> nfa_mod.LazyDfa:
-        """Automaton of the regex record stream at the start of data."""
-        key = bytes(data[:nfa_mod.wire_length(data)])
-        m = self.by_wire.get(key)
-        if m is None:
-            m = nfa_mod.LazyDfa(nfa_mod.deserialize_nfa(data))
-            self.by_wire[key] = m
-        return m
-
-    def memo_match(self, matcher, text: str) -> bool:
-        """Whether text matches the pattern or automaton, remembered per pair."""
-        hit = self.results.get((matcher, text))
-        if hit is None:
-            m = self.automaton(matcher) if isinstance(matcher, str) else matcher
-            hit = nfa_mod.nfa_match(m, text, full=False)
-            self.results[(matcher, text)] = hit
-        return hit
-
-    def accepted_samples(self, matcher) -> tuple:
-        """_accepted_samples of the automaton over its own alphabet."""
+    def accepted_samples(self, matcher, automaton) -> tuple:
+        """_accepted_samples of matcher's automaton over its own alphabet."""
         out = self.samples.get(matcher)
         if out is None:
-            out = tuple(_accepted_samples(matcher, _pattern_alphabet(matcher)))
+            out = tuple(_accepted_samples(automaton, _pattern_alphabet(automaton)))
             self.samples[matcher] = out
         return out
 
 
-def _regex_matches(matcher, bound, rx_cache) -> bool:
+class _Held(dict):
+    """The regex memo entries one evaluator holds while it lives, so that
+    nfa's memo finds them again whatever its cache has dropped: a Pattern
+    per pattern text, taken on first use, and in a BlobEvaluator a Program
+    per pool index. results is the match-result memo of the checker that
+    lent one, else None."""
+
+    def __init__(self, rx_cache: _RegexCache | None = None):
+        super().__init__()
+        self.results = rx_cache and rx_cache.results
+
+    def __missing__(self, text: str) -> nfa_mod.Pattern:
+        made = self[text] = nfa_mod.pattern(text)
+        return made
+
+
+def _regex_matches(matcher, bound, rx: _Held) -> bool:
     """Whether a regex atom's pattern text or automaton matches bound."""
     if not isinstance(bound, str):
         return False
-    if rx_cache.results is not None:
-        return rx_cache.memo_match(matcher, bound)
-    if isinstance(matcher, str):
-        matcher = rx_cache.automaton(matcher)
-    return nfa_mod.nfa_match(matcher, bound, full=False)
+    results = rx.results
+    hit = None if results is None else results.get((matcher, bound))
+    if hit is None:
+        m = rx[matcher].dfa if isinstance(matcher, str) else matcher
+        hit = nfa_mod.nfa_match(m, bound, full=False)
+        if results is not None:
+            results[(matcher, bound)] = hit
+    return hit
 
 
 def _filter_kind(entry) -> tuple:
@@ -144,11 +135,9 @@ def _matches(expr, bindings: dict, kinds: dict, vocab: FilterVocabulary,
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
-def expr_matches(expr, ctx: "QueryContext", vocab: FilterVocabulary,
-                 rx_cache: "_RegexCache | None" = None) -> bool:
+def expr_matches(expr, ctx: "QueryContext", vocab: FilterVocabulary) -> bool:
     """Reference matching semantics for a filter expression."""
-    return _matches(expr, ctx.bindings, _filter_kinds(vocab), vocab,
-                    rx_cache or _RegexCache())
+    return _matches(expr, ctx.bindings, _filter_kinds(vocab), vocab, _Held())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,7 @@ class AstEvaluator:
         self.profile = profile
         self.table = table
         self.vocab = vocab
-        self.rx = rx_cache or _RegexCache()
+        self.rx = _Held(rx_cache)
         self._owner = table.owners(profile.rules)
         self._kinds = _filter_kinds(vocab)
 
@@ -207,7 +196,7 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
-        self.rx = rx_cache or _RegexCache()
+        self.rx = _Held(rx_cache)
         self._prepared = {}
 
     def _prepare(self, unit: int):
@@ -224,8 +213,10 @@ class BlobEvaluator:
             entry = self.vocab.by_code(rec.filter_key)
             value = self.bp.value_at(rec, entry)
             is_regex = entry.kind is ValueKind.REGEX_INDEX
-            if is_regex:
-                value = self.rx.from_wire(value)
+            if is_regex:  # held while the evaluator lives, so shared
+                program = self.rx.get(rec.filter_value) or self.rx.setdefault(
+                    rec.filter_value, nfa_mod.program_at(value))
+                value = program.nfa.dfa
             node = (entry.context_key, is_regex, value, rec.match_offset,
                     rec.unmatch_offset, entry)
         self._prepared[unit] = node
@@ -343,12 +334,15 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     def add(key, v):
         seen.setdefault(key, {})[v] = None
 
-    regexes: dict[str, dict] = {}  # per key, its automata in insertion order
+    # per key, pattern text or automaton -> automaton, in insertion order
+    regexes: dict[str, dict] = {}
     for ctx_key, kind, value in atom_triples:
         if kind is ValueKind.REGEX_INDEX:
-            matcher = rx.automaton(value) if isinstance(value, str) else value
-            regexes.setdefault(ctx_key, {})[matcher] = None
-            for s in rx.accepted_samples(matcher):
+            automata = regexes.setdefault(ctx_key, {})
+            if value not in automata:
+                automata[value] = nfa_mod.pattern(value).dfa \
+                    if isinstance(value, str) else value
+            for s in rx.accepted_samples(value, automata[value]):
                 add(ctx_key, s)
         else:
             add(ctx_key, value)
@@ -370,7 +364,7 @@ def build_universe(atom_triples, vocab, rx_cache=None):
                 if cand in vals:
                     continue
                 if any(nfa_mod.nfa_match(m, cand, full=False)
-                       for m in regexes.get(ctx_key, ())):
+                       for m in regexes.get(ctx_key, {}).values()):
                     continue
                 sentinel = cand
                 break
@@ -452,11 +446,10 @@ class EquivalenceChecker:
     vocabulary, kept for as long as the checker is: one check, or all the
     trials of one cleanup.
 
-    It caches one automaton per regex pattern text and per regex wire
-    encoding, shared by both sides of every check; each automaton's
-    universe samples; every (matcher, value) match result; and the sources
-    of the latest check, each prepared once with its atoms. A source is
-    known by identity, so hand the same object back to reuse it."""
+    It caches every regex matcher's universe samples, every (matcher,
+    value) match result, and the sources of the latest check, each prepared
+    once with its atoms; the automata come from nfa's process-wide memo. A
+    source is known by identity, so hand the same object back to reuse it."""
 
     # the two sources of the latest check: cleanup hands its unchanged side
     # back on every trial, so that one stays prepared
@@ -465,7 +458,7 @@ class EquivalenceChecker:
     def __init__(self, table: OperationTable, vocab: FilterVocabulary):
         self.table = table
         self.vocab = vocab
-        self.rx = _RegexCache(memo=True)
+        self.rx = _RegexCache()
         # id(thing) -> (thing, source, atoms), oldest first; holding thing
         # keeps its id from being reused while the entry lives
         self._sources = {}

@@ -10,7 +10,6 @@ import random
 from dataclasses import dataclass, field
 
 from . import codec, decompile, evaluate, sbpl
-from .decompile import GraphNode, OpGraph
 from .errors import SandboxError
 from .model import (
     Atom,
@@ -288,24 +287,6 @@ class ProfileGenerator:
                           {op: tuple(rs) for op, rs in sorted(rules.items())})
         assert not validate_profile(profile, self.table, self.vocab)
         return profile
-
-
-def random_op_graph(seed: int, vocab: FilterVocabulary, max_nodes: int = 24) -> OpGraph:
-    """Random acyclic operation graph (successors always point forward),
-    used to exercise normalization on shapes no compiler would emit."""
-    rng = random.Random(seed)
-    gen = ProfileGenerator(OperationTable(("default",)), vocab, seed=seed)
-    n = rng.randint(1, max_nodes)
-    nodes = {}
-    for i in range(n):
-        succ = []
-        for _ in range(2):
-            if i + 1 < n and rng.random() < 0.6:
-                succ.append(rng.randint(i + 1, n - 1))
-            else:
-                succ.append(Decision.ALLOW if rng.random() < 0.5 else Decision.DENY)
-        nodes[i] = GraphNode(gen._random_atom(), succ[0], succ[1])
-    return OpGraph(nodes=nodes, entry=0)
 
 
 # ---------------------------------------------------------------------------

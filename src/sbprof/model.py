@@ -290,7 +290,7 @@ class Diagnostic:
 
 
 def _check_expr(expr, op, vocab, out):
-    from . import rex  # local import: model stays importable standalone
+    from . import nfa  # local import: model stays importable standalone
 
     if isinstance(expr, Atom):
         try:
@@ -313,7 +313,7 @@ def _check_expr(expr, op, vocab, out):
                                       f"{expr.key}: expected a regex pattern"))
             else:
                 try:
-                    rex.parse_regex(expr.value)
+                    nfa.pattern(expr.value)
                 except RegexSyntaxError as exc:
                     out.append(Diagnostic("BadRegex", op, f"{expr.key}: {exc}"))
         elif kind is ValueKind.NETWORK_ENDPOINT:

@@ -22,6 +22,11 @@ sample walk drops states that cannot accept within the characters it has
 left. At most DFA_STATE_CAP states are cached per automaton; past that the
 cache is flushed and refilled, so hostile blobs keep memory bounded.
 
+The regex memo at the end of the module keeps each pattern text's and each
+wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
+the whole process, at most MEMO_CAPACITY of each, so a regex that many calls
+and profiles share is parsed, decoded, reversed and warmed once.
+
 Wire format (documented bit-exactly in docs/format.md): a u16-le node count
 followed by one record per node. Records are 1-byte tag + 2-byte le operand,
 except classes which carry a range-count byte and (lo, hi) byte pairs.
@@ -37,8 +42,9 @@ import itertools
 import operator
 import struct
 import sys
+import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import MalformedRegexBlob, TooManyStates
 from . import rex
@@ -69,8 +75,10 @@ TAG_CLASS_NEG = 0x09
 MAX_NODES = 0xFFFF
 REVERSAL_STATE_CAP = 4096  # guards state removal against absurd foreign blobs
 
-# one shared label per byte: compiled automata keep their labels for life
-_CHARS = tuple(Char(b) for b in range(0x100))
+# one shared label per byte, and one epsilon: automata keep their labels for
+# life, and the regex memo keeps automata
+_CHARS = rex.CHARS
+_EPSILON = Empty()
 
 
 @dataclass(frozen=True)
@@ -124,35 +132,36 @@ def build_nfa(ast) -> Nfa:
             first_in, out = build(a.parts[0])
             for part in a.parts[1:]:
                 nxt_in, nxt_out = build(part)
-                edge(out, Empty(), nxt_in)
+                edge(out, _EPSILON, nxt_in)
                 out = nxt_out
             return first_in, out
         if isinstance(a, Alternate):
             s, t = new(), new()
             for opt in a.options:
                 i, o = build(opt)
-                edge(s, Empty(), i)
-                edge(o, Empty(), t)
+                edge(s, _EPSILON, i)
+                edge(o, _EPSILON, t)
             return s, t
         if isinstance(a, Star):
             hub = new()
             i, o = build(a.inner)
-            edge(hub, Empty(), i)
-            edge(o, Empty(), hub)
+            edge(hub, _EPSILON, i)
+            edge(o, _EPSILON, hub)
             return hub, hub
         if isinstance(a, Plus):
             i, o = build(a.inner)
-            edge(o, Empty(), i)
+            edge(o, _EPSILON, i)
             return i, o
         if isinstance(a, Optional):
             s = new()
             i, o = build(a.inner)
-            edge(s, Empty(), i)
-            edge(s, Empty(), o)
+            edge(s, _EPSILON, i)
+            edge(s, _EPSILON, o)
             return s, o
         raise TypeError(f"not a regex node: {a!r}")
 
     start, out = build(ast)
+    build = None  # break the closure's own reference cycle: frees it at once
     return Nfa(counter[0], tuple(transitions), start, frozenset([out]))
 
 
@@ -214,9 +223,10 @@ class LazyDfa:
     stored as -2 - state.
     """
 
-    __slots__ = ("_edges", "_first", "_consumers", "_eps", "_accepts", "_end",
-                 "_init", "_restart", "_search", "_empty_ok", "_cmap", "_top",
-                 "_width", "_ids", "_rows", "_near", "_near_depth", "flushes")
+    __slots__ = ("labels", "_edges", "_first", "_consumers", "_eps", "_accepts",
+                 "_end", "_init", "_restart", "_search", "_empty_ok", "_cmap",
+                 "_top", "_width", "_ids", "_rows", "_near", "_near_depth",
+                 "flushes")
 
     def __init__(self, nfa: Nfa):
         n = nfa.n_states
@@ -255,8 +265,10 @@ class LazyDfa:
         self._width = len(cuts) + 2   # key, accepts at end, one slot a class
         edges.sort(key=operator.itemgetter(0))
         # state q's consuming edges are _edges[_first[q]:_first[q + 1]], each
-        # (label, mask of the byte classes the label matches, destination)
-        self._edges = tuple((label, self._class_mask(label), dst)
+        # (mask of the byte classes its label matches, destination): ints
+        # only, so the collector stops tracking them, and the labels apart
+        self.labels = tuple(label for _src, label, _dst in edges)
+        self._edges = tuple((self._class_mask(label), dst)
                             for _src, label, dst in edges)
         first = [0] * (n + 1)
         for q, _label, _dst in edges:
@@ -290,11 +302,6 @@ class LazyDfa:
         return every ^ mask if label.negated else mask
 
     @property
-    def labels(self) -> tuple:
-        """Labels of the consuming edges."""
-        return tuple(label for label, _mask, _dst in self._edges)
-
-    @property
     def cached_states(self) -> int:
         """Number of DFA states in the cache, at most DFA_STATE_CAP."""
         return len(self._ids)
@@ -323,7 +330,7 @@ class LazyDfa:
             c = cmap[o] if o < 0x100 else top
             nxt = by_class.get(c)
             if nxt is None:
-                dsts = frozenset([dst for _label, mask, dst in out_edges
+                dsts = frozenset([dst for mask, dst in out_edges
                                   if mask >> c & 1])
                 nxt = by_dsts.get(dsts)
                 if nxt is None:
@@ -354,7 +361,7 @@ class LazyDfa:
         rev_eps = [[] for _ in range(size)]  # reversed epsilon edges
         first = self._first
         for q in _members(self._consumers):
-            for _label, _mask, dst in self._edges[first[q]:first[q + 1]]:
+            for _mask, dst in self._edges[first[q]:first[q + 1]]:
                 rev[dst].append(q)
         for q, dsts in enumerate(self._eps):
             for dst in dsts:
@@ -435,7 +442,7 @@ class LazyDfa:
     def _fill(self, st: int, c: int) -> int:
         """Compute and memoize the transition of state st on class c."""
         key = self._rows[st - 2]
-        nxt_key = self._after(key, [dst for _label, mask, dst in self._out_edges(key)
+        nxt_key = self._after(key, [dst for mask, dst in self._out_edges(key)
                                     if mask >> c & 1])
         stop = nxt_key & self._accepts if nxt_key & self._search else not nxt_key
         flushes = self.flushes
@@ -631,8 +638,8 @@ def deserialize_nfa(data: bytes) -> Nfa:
             if tag == TAG_JUMP_BCK and target >= i:
                 raise MalformedRegexBlob(rec_at, "backward jump going forwards")
             flows_next(i, "jump")
-            transitions.append((i, Empty(), target))
-            transitions.append((i, Empty(), i + 1))
+            transitions.append((i, _EPSILON, target))
+            transitions.append((i, _EPSILON, i + 1))
         elif tag in (TAG_CLASS, TAG_CLASS_NEG):
             need(1, "class header")
             n_ranges = data[pos]
@@ -661,25 +668,19 @@ def wire_length(data) -> int:
     """Byte length of the record stream starting at data[0] (header
     included), read from the record tags alone and capped at len(data).
     Nothing else is checked; deserialize_nfa rejects a malformed stream."""
-    if len(data) < 2:
-        return len(data)
-    (count,) = struct.unpack_from("<H", data, 0)
+    end = len(data)
+    if end < 2:
+        return end
+    count = data[0] | data[1] << 8
     pos = 2
     for _ in range(count):
-        if pos + 2 > len(data):  # every record takes at least two bytes
-            return len(data)
-        tag = data[pos]
-        if tag in (TAG_CLASS, TAG_CLASS_NEG):
+        if pos + 2 > end:  # every record takes at least two bytes
+            return end
+        if data[pos] | 1 == TAG_CLASS_NEG:  # a class, negated or not
             pos += 2 + 2 * data[pos + 1]
         else:
             pos += 3
-    return min(pos, len(data))
-
-
-def serialized_length(data: bytes) -> int:
-    """Byte length of the record stream starting at data[0] (header included)."""
-    deserialize_nfa(data)  # bounds-checked walk
-    return wire_length(data)
+    return min(pos, end)
 
 
 # ---------------------------------------------------------------------------
@@ -732,3 +733,70 @@ def nfa_to_regex(nfa: Nfa):
     """Language-equivalent regex AST for the automaton."""
     ast, _ = reverse_with_stats(nfa)
     return ast
+
+
+# ---------------------------------------------------------------------------
+# The regex memo: one process-wide, bounded store of regex artifacts, keyed by
+# content, that validation, lowering, decompile and evaluation all read. A
+# miss calls the module functions above by name; a failure is never stored,
+# so a bad input raises the same error on every call.
+
+MEMO_CAPACITY = 64  # entries per memo; the least recently used one goes
+
+
+class Pattern:
+    """A pattern text, parsed; its wire bytes and its LazyDfa are built on
+    first use, each from an Nfa that is then dropped. An Nfa holds a tuple
+    per edge that the garbage collector would walk while the memo kept it."""
+
+    def __init__(self, text: str):
+        self.ast = rex.parse_regex(text)
+
+    @cached_property
+    def wire(self) -> bytes:
+        return serialize_nfa(build_nfa(self.ast))
+
+    @cached_property
+    def dfa(self) -> LazyDfa:
+        return LazyDfa(build_nfa(self.ast))
+
+
+class Program:
+    """A serialized regex program, decoded; its pattern text, reversed by
+    state removal, and its LazyDfa (nfa.dfa) are built on first use."""
+
+    def __init__(self, wire: bytes):
+        self.nfa = deserialize_nfa(wire)
+        self.wire = wire
+
+    @cached_property
+    def text(self) -> str:
+        return rex.print_regex(nfa_to_regex(self.nfa))
+
+
+def _memo(kind):
+    """A bounded memo of kind(key): an LRU cache over a weak index of every
+    kind(key) still alive, so that an entry the cache has dropped is found
+    again for as long as an evaluator holds it."""
+    alive = weakref.WeakValueDictionary()
+
+    @lru_cache(maxsize=MEMO_CAPACITY)
+    def memo(key):
+        made = alive.get(key)
+        if made is None:
+            made = alive[key] = kind(key)
+        return made
+    return memo
+
+
+# pattern(text): RegexSyntaxError if text does not parse; program(wire):
+# MalformedRegexBlob if wire does not start with a valid record stream
+pattern = _memo(Pattern)
+program = _memo(Program)
+
+
+def program_at(data) -> Program:
+    """The memoized Program of the record stream at the start of data, keyed
+    by its bytes as wire_length reads them; deserialize_nfa reads the same
+    bytes, so a malformed stream raises what deserialize_nfa(data) would."""
+    return program(bytes(data[:wire_length(data)]))

@@ -35,6 +35,10 @@ class Char:
     byte: int
 
 
+# one shared node per byte: parsed patterns and automata reuse them
+CHARS = tuple(Char(b) for b in range(0x100))
+
+
 @dataclass(frozen=True)
 class AnyChar:
     pass
@@ -207,11 +211,11 @@ class _Parser:
                 self._fail("dangling escape")
             lit = self.pattern[self.pos]
             self.pos += 1
-            return Char(self._byte(lit)), 0
+            return CHARS[self._byte(lit)], 0
         if ch in ("*", "+", "?", ")", "]"):
             self._fail(f"misplaced {ch!r}")
         self.pos += 1
-        return Char(self._byte(ch)), 0
+        return CHARS[self._byte(ch)], 0
 
     def _class_char(self):
         ch = self._peek()

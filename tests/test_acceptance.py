@@ -17,6 +17,8 @@ from sbprof.model import (
     canonicalize,
 )
 
+from oracles import random_op_graph
+
 SIBLINGS = '''(version 1)
 (deny default)
 (allow file-read*
@@ -98,7 +100,7 @@ def test_criterion_3_normalization_invariant(small):
     _table, vb = small
     checked_edges = 0
     for seed in range(1000):
-        g = generate.random_op_graph(seed, vb)
+        g = random_op_graph(seed, vb)
         ng = normalize_graph(g, Decision.DENY)
         for node in ng.nodes.values():
             assert node.match != Decision.DENY

@@ -9,7 +9,6 @@ from sbprof.decompile import (
     OpGraph,
     aggregate,
     build_graph,
-    check_match_graph,
     cleanup,
     dot_graph,
     emit_rules,
@@ -32,6 +31,8 @@ from sbprof.model import (
     ValueForm,
     canonicalize,
 )
+
+from oracles import check_match_graph, random_op_graph
 
 ALLOW, DENY = Decision.ALLOW, Decision.DENY
 
@@ -156,7 +157,7 @@ def test_normalize_splices_constant_nodes(small):
 def test_normalize_preserves_verdicts_on_random_graphs(small):
     _table, vocab = small
     for seed in range(300):
-        g = generate.random_op_graph(seed, vocab)
+        g = random_op_graph(seed, vocab)
         ng = normalize_graph(g, DENY)
         check_match_graph(ng)
         for ctx in graph_contexts(g, vocab):
@@ -239,7 +240,7 @@ def test_aggregate_requires_normalized_graph():
 def test_aggregation_preserves_semantics_on_random_graphs(small):
     _table, vocab = small
     for seed in range(150):
-        g = generate.random_op_graph(seed, vocab, max_nodes=10)
+        g = random_op_graph(seed, vocab, max_nodes=10)
         ng = normalize_graph(g, DENY)
         if isinstance(ng.entry, Decision):
             continue

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from sbprof import codec, generate, nfa, rex, sbpl
+from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
 from sbprof.errors import (
     InvalidProfile,
     MalformedRegexBlob,
@@ -396,3 +396,132 @@ def test_stacked_quantifier_limit(small):
             codec.compile_profile(profile, table, vocab)
         assert time.perf_counter() - started < 1
         assert [d.code for d in info.value.diagnostics] == ["BadRegex"]
+
+
+# ---------------------------------------------------------------------------
+# The process-wide regex memo
+
+MEMOS = (nfa.pattern, nfa.program)
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def _memo_cases(small, large):
+    tables = {"small": small, "large": large}
+    for case in generate.CORPUS:
+        yield sbpl.parse_sbpl(case.sbpl_text, name=case.name), tables[case.vocab]
+    for seed in range(40):
+        yield generate.ProfileGenerator(*small, seed=seed).generate(), small
+
+
+def _memo_outputs(profile, table, vocab):
+    """Compiled bytes, decompiled text and the verdicts of both evaluators
+    over sampled contexts of the profile's own universe."""
+    blob = codec.compile_profile(profile, table, vocab)
+    text = decompile.decompile(blob, table, vocab)
+    universe = evaluate.build_universe(
+        evaluate.collect_atoms(profile, table, vocab), vocab)
+    blob_ev = evaluate.BlobEvaluator(blob, table, vocab)
+    ast_ev = evaluate.AstEvaluator(profile, table, vocab)
+    verdicts = [(blob_ev.verdict(op, ctx).value, ast_ev.verdict(op, ctx).value)
+                for ctx in evaluate.sampled_contexts(universe, 0, 12)
+                for op in table.entries]
+    return blob, text, verdicts
+
+
+def test_memo_cold_and_warm_give_the_same_outputs(small, large):
+    warm_hits = 0
+    for profile, (table, vocab) in _memo_cases(small, large):
+        _clear_memos()
+        cold = _memo_outputs(profile, table, vocab)
+        hits = sum(memo.cache_info().hits for memo in MEMOS)
+        warm = _memo_outputs(profile, table, vocab)
+        warm_hits += sum(memo.cache_info().hits for memo in MEMOS) - hits
+        assert warm == cold, profile.name
+    assert warm_hits > 0
+
+
+@pytest.mark.parametrize("bad", ["a(b", "[z-a]", "a**)", "(" * 200 + "a"])
+def test_bad_pattern_raises_the_same_error_every_call(bad, small):
+    table, vocab = small
+    _clear_memos()
+    seen = []
+    for _ in range(2):
+        with pytest.raises(RegexSyntaxError) as info:
+            nfa.pattern(bad)
+        seen.append((str(info.value), info.value.position))
+        assert nfa.pattern.cache_info().currsize == 0
+    assert seen[0] == seen[1]
+    with pytest.raises(RegexSyntaxError) as info:
+        rex.parse_regex(bad)
+    assert seen[0] == (str(info.value), info.value.position)
+    profile = sbpl.parse_sbpl(
+        f'(version 1)\n(deny default)\n(allow file-read* (regex #"{bad}"))\n')
+    diagnostics = []
+    for _ in range(2):
+        with pytest.raises(InvalidProfile) as info:
+            codec.compile_profile(profile, table, vocab)
+        diagnostics.append([str(d) for d in info.value.diagnostics])
+    assert diagnostics[0] == diagnostics[1] == [
+        f"[BadRegex] file-read*: regex: {seen[0][0]}"]
+    assert nfa.pattern.cache_info().currsize == 0
+
+
+def _outcome(decode, view):
+    try:
+        return ("ok", decode(view).nfa if decode is nfa.program_at else decode(view))
+    except MalformedRegexBlob as exc:
+        return (type(exc), str(exc), exc.offset)
+
+
+def test_memo_decodes_mutated_programs_like_deserialize(small, large):
+    programs = []
+    for profile, (table, vocab) in _memo_cases(small, large):
+        bp = codec.decode_blob(codec.compile_profile(profile, table, vocab))
+        for rec in bp.records:
+            if rec.is_terminal:
+                continue
+            entry = vocab.by_code(rec.filter_key)
+            if entry.kind.name == "REGEX_INDEX":
+                view = bp.value_at(rec, entry)
+                programs.append(bytes(view[:nfa.wire_length(view) + 8]))
+    assert len(programs) > 100
+    rng = random.Random(1212)
+    _clear_memos()
+    failures = 0
+    for i in range(3000):
+        data = bytearray(programs[i % len(programs)])
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data))
+            data[at] = rng.choice((0, 1, 2, 0xFF, rng.randrange(256)))
+        if rng.random() < 0.2:
+            del data[rng.randrange(1, len(data)):]
+        view = memoryview(bytes(data))
+        want = _outcome(nfa.deserialize_nfa, view)
+        assert _outcome(nfa.program_at, view) == want  # cold or warm
+        assert _outcome(nfa.program_at, view) == want  # warm when it decoded
+        failures += want[0] != "ok"
+    assert 300 < failures < 2700
+    assert nfa.program.cache_info().currsize <= nfa.MEMO_CAPACITY
+
+
+def test_memos_stay_within_their_capacity(large):
+    table, vocab = large
+    count = 3 * nfa.MEMO_CAPACITY
+    filters = " ".join(f'(regex #"^/memo/{i}/[a-z]*$")' for i in range(count))
+    profile = sbpl.parse_sbpl(
+        f"(version 1)\n(deny default)\n(allow file-read* (require-any {filters}))\n")
+    _clear_memos()
+    blob = codec.compile_profile(profile, table, vocab)
+    text = decompile.decompile(blob, table, vocab)
+    assert text.count("(regex ") == count
+    report = evaluate.check_equivalence(profile, blob, table, vocab,
+                                        mode="sampled", samples=50)
+    assert report.equivalent
+    for memo in MEMOS:
+        info = memo.cache_info()
+        assert info.maxsize == nfa.MEMO_CAPACITY
+        assert 0 < info.currsize <= nfa.MEMO_CAPACITY
