@@ -778,13 +778,15 @@ def _memo(kind):
     """A bounded memo of kind(key): an LRU cache over a weak index of every
     kind(key) still alive, so that an entry the cache has dropped is found
     again for as long as an evaluator holds it."""
-    alive = weakref.WeakValueDictionary()
+    alive = {}  # key -> weak reference, removed when its referent dies
 
     @lru_cache(maxsize=MEMO_CAPACITY)
     def memo(key):
-        made = alive.get(key)
+        ref = alive.get(key)
+        made = ref and ref()
         if made is None:
-            made = alive[key] = kind(key)
+            made = kind(key)
+            alive[key] = weakref.ref(made, lambda _ref: alive.pop(key, None))
         return made
     return memo
 
