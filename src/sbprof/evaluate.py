@@ -213,7 +213,7 @@ class BlobEvaluator:
             entry = self.vocab.by_code(rec.filter_key)
             value = self.bp.value_at(rec, entry)
             is_regex = entry.kind is ValueKind.REGEX_INDEX
-            if is_regex:  # held while the evaluator lives, so shared
+            if is_regex:  # one Program per pool item, held while self lives
                 program = self.rx.get(rec.filter_value) or self.rx.setdefault(
                     rec.filter_value, nfa_mod.program_at(value))
                 value = program.nfa.dfa
