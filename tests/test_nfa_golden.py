@@ -1,12 +1,18 @@
-"""Byte-identity guard for the regex program writer.
+"""Byte-identity guards for the regex program writer and for reversal.
 
-The digest was computed with `serialize_nfa` as it stood before it was
+The writer's digest was computed with `serialize_nfa` as it stood before it was
 rewritten as one loop over fall-through chains. It pins
 `serialize_nfa(build_nfa(parse_regex(p)))` and
 `serialize_nfa(deserialize_nfa(...))` of that for 2,000 random patterns, the
 regexes of the golden corpus, of small seeds 0-39 and of container seeds 0-2,
 and a few shapes with anchors, empty branches and negated classes. It does
 not depend on PYTHONHASHSEED.
+
+The reversal digest was computed before state removal kept a per-state edge
+index and before `rex.simplify` kept one memo across its passes. It pins the
+printed `nfa_to_regex` of each of those programs, then of nested stars
+`((…(a)*…)*)*` at depths 1-14. It does not depend on PYTHONHASHSEED
+(checked with 0 and 123).
 """
 
 import hashlib
@@ -15,6 +21,8 @@ import random
 from sbprof import generate, model, nfa, rex, sbpl
 
 DIGEST = "bd6e8c65ba5da7ba0a1569eec37f7eafd3348b27d79bee671346211897d2c0b3"
+
+REVERSAL_DIGEST = "e51f8cf9ba715b9b04550b146aee4fb107aa1da40ea675b9825578472dab6d95"
 
 SHAPES = ("^$", "$", "^", "(|a)", "((a)*)*", "[^a-z]+", "(ab|b)*$", "a|^b$",
           "(^a|b$)*", "[^/.]?[a-c]*", "a?b+c*", ".*x(y|)")
@@ -49,3 +57,13 @@ def test_serialize_nfa_digest(small, large):
         digest.update(wire)
         digest.update(nfa.serialize_nfa(nfa.deserialize_nfa(wire)))
     assert digest.hexdigest() == DIGEST
+
+
+def test_reversal_digest(small, large):
+    nested = ("(" * depth + "a" + ")*" * depth for depth in range(1, 15))
+    digest = hashlib.sha256()
+    for pattern in (*_patterns(small, large), *nested):
+        wire = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(pattern)))
+        digest.update(rex.print_regex(nfa.nfa_to_regex(nfa.deserialize_nfa(wire))).encode())
+        digest.update(b"\x00")
+    assert digest.hexdigest() == REVERSAL_DIGEST
