@@ -688,18 +688,25 @@ def wire_length(data) -> int:
 
 def reverse_with_stats(nfa: Nfa):
     """Remove every original state from the augmented automaton, gluing
-    regex fragments onto the surviving edges. Returns (ast, steps)."""
+    regex fragments onto the surviving edges. Returns (ast, steps).
+
+    outs[u] maps v, and ins[v] maps u, to the fragment on edge u -> v, so
+    removing a state touches only its own edges. Both keep insertion order
+    (an edge removed and added again goes last), the order one map of all
+    edges would keep, so the fragments meet rex.alt and rex.cat in the same
+    order as a scan of all edges would give them."""
     if nfa.n_states > REVERSAL_STATE_CAP:
         raise TooManyStates(
             f"{nfa.n_states} states exceeds the reversal cap {REVERSAL_STATE_CAP}")
     src, snk = nfa.n_states, nfa.n_states + 1
-    edges = {}
+    ins = [{} for _ in range(nfa.n_states + 2)]
+    outs = [{} for _ in range(nfa.n_states + 2)]
 
     def add(u, v, ast):
-        if (u, v) in edges:
-            edges[(u, v)] = rex.alt([edges[(u, v)], ast])
-        else:
-            edges[(u, v)] = ast
+        out = outs[u]
+        if v in out:
+            ast = rex.alt([out[v], ast])
+        out[v] = ins[v][u] = ast
 
     add(src, nfa.start, Empty())
     for acc in sorted(nfa.accepts):
@@ -710,20 +717,20 @@ def reverse_with_stats(nfa: Nfa):
     steps = 0
     for q in range(nfa.n_states):
         steps += 1
-        loop = edges.pop((q, q), None)
-        ins = [(u, a) for (u, v), a in edges.items() if v == q]
-        outs = [(v, a) for (u, v), a in edges.items() if u == q]
-        for u, _ in ins:
-            del edges[(u, q)]
-        for v, _ in outs:
-            del edges[(q, v)]
+        into, out_of = ins[q], outs[q]
+        ins[q] = outs[q] = None
+        loop = out_of.pop(q, None)
+        into.pop(q, None)
+        for u in into:
+            del outs[u][q]
+        for v in out_of:
+            del ins[v][q]
         if loop is not None:
             loop = Star(loop)
-        for u, a_in in ins:
-            for v, a_out in outs:
-                parts = [a_in, loop, a_out] if loop is not None else [a_in, a_out]
-                add(u, v, rex.cat(parts))
-    final = edges.get((src, snk))
+        for u, a_in in into.items():
+            for v, a_out in out_of.items():
+                add(u, v, rex.cat((a_in, a_out) if loop is None else (a_in, loop, a_out)))
+    final = outs[src].get(snk)
     if final is None:
         return rex.NEVER_MATCH, steps
     return rex.simplify(final), steps

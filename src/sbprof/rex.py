@@ -17,6 +17,7 @@ independent oracle for the automaton pipeline.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import RegexSyntaxError
@@ -392,13 +393,19 @@ def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
 # ---------------------------------------------------------------------------
 # Simplifier (used by automaton reversal to recover readable patterns)
 
-def cat(parts) -> RegexAst:
+def _spliced(parts) -> list:
+    """parts with nested concatenations spliced in and empties dropped."""
     flat = []
     for p in parts:
-        if isinstance(p, Concat):
-            flat.extend(p.parts)
-        elif not isinstance(p, Empty):
+        kind = type(p)
+        if kind is Concat:
+            flat += p.parts
+        elif kind is not Empty:
             flat.append(p)
+    return flat
+
+
+def _joined(flat) -> RegexAst:
     if not flat:
         return Empty()
     if len(flat) == 1:
@@ -406,10 +413,14 @@ def cat(parts) -> RegexAst:
     return Concat(tuple(flat))
 
 
+def cat(parts) -> RegexAst:
+    return _joined(_spliced(parts))
+
+
 def alt(options) -> RegexAst:
     flat = []
     for o in options:
-        if isinstance(o, Alternate):
+        if type(o) is Alternate:
             for sub in o.options:
                 if sub not in flat:
                     flat.append(sub)
@@ -421,26 +432,33 @@ def alt(options) -> RegexAst:
 
 
 def _as_list(ast):
-    return list(ast.parts) if isinstance(ast, Concat) else [ast]
+    return list(ast.parts) if type(ast) is Concat else [ast]
 
 
 def _simplify_cat(parts):
-    out = []
-    for p in parts:
-        if not out:
-            out.append(p)
-            continue
+    """parts with each rewrite below applied. Every rewrite needs a starred
+    part."""
+    out = parts[:1]
+    for p in parts[1:]:
         prev = out[-1]
-        if isinstance(p, Star) and p.inner == prev:
-            out[-1] = Plus(p.inner)                       # x x* -> x+
-        elif isinstance(prev, Star) and prev.inner == p:
-            out[-1] = Plus(p)                             # x* x -> x+
-        elif isinstance(p, Star) and prev == p:
-            pass                                          # x* x* -> x*
-        elif isinstance(p, Star) and isinstance(prev, Plus) and prev.inner == p.inner:
-            pass                                          # x+ x* -> x+
-        elif isinstance(prev, Star) and isinstance(p, Plus) and prev.inner == p.inner:
-            out[-1] = p                                   # x* x+ -> x+
+        if type(p) is Star:
+            if p.inner == prev:
+                out[-1] = Plus(p.inner)                   # x x* -> x+
+            elif type(prev) is Star and prev.inner == p:
+                out[-1] = Plus(p)                         # x* x -> x+
+            elif prev == p:
+                pass                                      # x* x* -> x*
+            elif type(prev) is Plus and prev.inner == p.inner:
+                pass                                      # x+ x* -> x+
+            else:
+                out.append(p)
+        elif type(prev) is Star:
+            if prev.inner == p:
+                out[-1] = Plus(p)                         # x* x -> x+
+            elif type(p) is Plus and prev.inner == p.inner:
+                out[-1] = p                               # x* x+ -> x+
+            else:
+                out.append(p)
         else:
             out.append(p)
     return out
@@ -456,74 +474,31 @@ def _replace_pair(options, i, j, new):
     return out
 
 
+def _shared(a, b) -> int:
+    """How many leading items a and b have in common."""
+    k = 0
+    for x, y in zip(a, b):
+        if x is not y and (type(x) is not type(y) or not x == y):
+            break
+        k += 1
+    return k
+
+
 def _factor_once(options):
     """Factor one shared prefix or suffix out of a pair of alternatives."""
-    for i in range(len(options)):
-        for j in range(i + 1, len(options)):
-            a, b = _as_list(options[i]), _as_list(options[j])
-            k = 0
-            while k < len(a) and k < len(b) and a[k] == b[k]:
-                k += 1
+    lists = [_as_list(o) for o in options]
+    for i, a in enumerate(lists):
+        for j in range(i + 1, len(lists)):
+            b = lists[j]
+            k = _shared(a, b)
             if k:
                 rest = alt([cat(a[k:]), cat(b[k:])])
                 return _replace_pair(options, i, j, cat(a[:k] + [rest]))
-            k = 0
-            while k < len(a) and k < len(b) and a[-1 - k] == b[-1 - k]:
-                k += 1
+            k = _shared(reversed(a), reversed(b))
             if k:
                 rest = alt([cat(a[:len(a) - k]), cat(b[:len(b) - k])])
                 return _replace_pair(options, i, j, cat([rest] + a[len(a) - k:]))
     return None
-
-
-def _simp(ast, memo):
-    """One rewrite pass. memo maps id(node) -> (node, result) for every node
-    the pass has rewritten: reversal builds a DAG whose subtrees are shared,
-    so each is rewritten once, and holding node keeps its id from being
-    reused while the pass runs."""
-    hit = memo.get(id(ast))
-    if hit is not None:
-        return hit[1]
-    if isinstance(ast, Concat):
-        out = cat(_simplify_cat([_simp(p, memo) for p in ast.parts]))
-    elif isinstance(ast, Alternate):
-        options = []
-        has_empty = False
-        for o in ast.options:
-            o = _simp(o, memo)
-            if isinstance(o, Empty):
-                has_empty = True
-            elif isinstance(o, Alternate):
-                for sub in o.options:
-                    if sub not in options:
-                        options.append(sub)
-            elif o not in options:
-                options.append(o)
-        # x | x+ -> x+ ; x | x* -> x* ; x? | x -> x?
-        drop = set()
-        for o in options:
-            for other in options:
-                if isinstance(other, (Plus, Star, Optional)) and other.inner == o:
-                    drop.add(o)
-        options = [o for o in options if o not in drop]
-        factored = _factor_once(options) if len(options) > 1 else None
-        if factored is not None:
-            options = [_simp(o, memo) for o in factored]
-        if not options:
-            out = Empty()
-        else:
-            body = options[0] if len(options) == 1 else Alternate(tuple(options))
-            out = _simp_opt(body) if has_empty else body
-    elif isinstance(ast, Star):
-        out = _simp_star(_simp(ast.inner, memo))
-    elif isinstance(ast, Plus):
-        out = _simp_plus(_simp(ast.inner, memo))
-    elif isinstance(ast, Optional):
-        out = _simp_opt(_simp(ast.inner, memo))
-    else:
-        out = ast
-    memo[id(ast)] = (ast, out)
-    return out
 
 
 def _simp_star(inner):
@@ -554,16 +529,87 @@ def _simp_opt(inner):
     return Optional(inner)
 
 
+_QUANTIFIED = {Star: _simp_star, Plus: _simp_plus, Optional: _simp_opt}
+_LEAVES = frozenset((Empty, Char, AnyChar, CharClass, AnchorStart, AnchorEnd))
+
+
+def _same(a, b) -> bool:
+    return len(a) == len(b) and all(map(operator.is_, a, b))
+
+
+def _simp(ast, memo):
+    """One rewrite pass over a node that is not a leaf. memo maps id(node)
+    -> (node, result) for every node rewritten so far: reversal builds a DAG
+    whose subtrees are shared, so each is rewritten once, and holding node
+    keeps its id from being reused. A node none of whose children changed
+    and on which no rewrite fired is its own result, so a later pass finds
+    it in memo at once."""
+    hit = memo.get(id(ast))
+    if hit is not None:
+        return hit[1]
+    kind = type(ast)
+    if kind is Concat:
+        parts = [p if type(p) in _LEAVES else _simp(p, memo) for p in ast.parts]
+        kinds = set(map(type, parts))
+        if Star in kinds:
+            parts = _simplify_cat(parts)  # adds no Concat or Empty
+        if Concat in kinds or Empty in kinds:
+            parts = _spliced(parts)
+        out = ast if len(parts) > 1 and _same(parts, ast.parts) else _joined(parts)
+    elif kind is Alternate:
+        options = []
+        has_empty = False
+        for o in ast.options:
+            if type(o) not in _LEAVES:
+                o = _simp(o, memo)
+            if type(o) is Empty:
+                has_empty = True
+            elif type(o) is Alternate:
+                for sub in o.options:
+                    if sub not in options:
+                        options.append(sub)
+            elif o not in options:
+                options.append(o)
+        # x | x+ -> x+ ; x | x* -> x* ; x? | x -> x?
+        quantified = [o for o in options if type(o) in _QUANTIFIED]
+        if quantified:
+            options = [o for o in options
+                       if not any(q.inner == o for q in quantified)]
+        factored = _factor_once(options) if len(options) > 1 else None
+        if factored is not None:
+            options = [o if type(o) in _LEAVES else _simp(o, memo) for o in factored]
+        if not options:
+            out = Empty()
+        elif len(options) == 1:
+            out = options[0]
+        elif not has_empty and _same(options, ast.options):
+            out = ast
+        else:
+            out = Alternate(tuple(options))
+        if has_empty:
+            out = _simp_opt(out)
+    else:
+        inner = ast.inner
+        out = _QUANTIFIED[kind](inner if type(inner) in _LEAVES else _simp(inner, memo))
+        if type(out) is kind and out.inner is inner:
+            out = ast
+    memo[id(ast)] = (ast, out)
+    return out
+
+
 def simplify(ast: RegexAst) -> RegexAst:
-    """Rewrite passes to a fixed point, at most 30. Every pass matches the
-    same strings, so when a tree is too deep for a pass or for the equality
-    test that ends the loop (about 100 nested groups), the last finished
-    pass is returned as it stands. Where that cut falls depends on how deep
-    the caller's stack already is."""
+    """Rewrite passes to a fixed point, at most 30. All passes share one
+    memo, and a pass returns an unchanged subtree itself, so a pass after
+    the first rewrites only what the one before it changed, and the pass
+    that confirms the fixed point returns its input. Every pass matches the
+    same strings, so when a tree is too deep for a pass (about 100 nested
+    groups) the last finished pass is returned as it stands. Where that cut
+    falls depends on how deep the caller's stack already is."""
+    memo = {}
     cur = ast
     try:
         for _ in range(30):
-            nxt = _simp(cur, {})
+            nxt = cur if type(cur) in _LEAVES else _simp(cur, memo)
             if nxt == cur:
                 return cur
             cur = nxt
