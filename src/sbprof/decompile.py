@@ -362,14 +362,42 @@ def aggregate(g: OpGraph):
 # ---------------------------------------------------------------------------
 # Rule emission
 
+# Aggregation returns a DAG whose subexpressions a crafted graph can share,
+# and SBPL writes each use out in full: a ladder of two nodes per level, both
+# pointing at both nodes of the next, doubles its text with every level.
+EXPANSION_BUDGET = 8192  # expression nodes one operation may print
+
+
+def _expanded_size(expr, memo) -> int:
+    """Nodes in expr written out as a tree; memo maps id(subexpression) to
+    its size, so each shared subexpression is counted through once."""
+    size = memo.get(id(expr))
+    if size is None:
+        if isinstance(expr, Atom):
+            size = 1
+        elif isinstance(expr, RequireNot):
+            size = 1 + _expanded_size(expr.child, memo)
+        else:
+            size = 1
+            for child in expr.children:
+                size += _expanded_size(child, memo)
+        memo[id(expr)] = size
+    return size
+
+
 def _emit_op_rules(expr, default: Decision, vocab) -> tuple:
     """Turn the aggregated expression into SBPL rules. Top-level negated
     conjuncts become leading exception rules with the default's decision,
     reproducing the deny-then-allow source shape; top-level disjunctions
-    split into one rule per alternative."""
+    split into one rule per alternative. An expression that would print
+    more than EXPANSION_BUDGET nodes raises IrreducibleGraph."""
     success = default.negate()
     if expr is None:
         return (Rule(success, None),)
+    size = _expanded_size(expr, {})
+    if size > EXPANSION_BUDGET:
+        raise IrreducibleGraph(f"expression expands to {size} nodes, more than "
+                               f"the budget of {EXPANSION_BUDGET}")
     expr = canonicalize(expr, vocab)
     exceptions = []
     body = expr
