@@ -1,4 +1,4 @@
-"""Golden corpus, seeded random generators and the round-trip harness.
+"""Golden corpus and seeded random generators.
 
 Everything here is deterministic per seed so suite runs are reproducible
 bit for bit.
@@ -9,8 +9,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import codec, decompile, evaluate, sbpl
-from .errors import SandboxError
 from .model import (
     Atom,
     Decision,
@@ -287,81 +285,3 @@ class ProfileGenerator:
                           {op: tuple(rs) for op, rs in sorted(rules.items())})
         assert not validate_profile(profile, self.table, self.vocab)
         return profile
-
-
-# ---------------------------------------------------------------------------
-# Round-trip harness
-
-@dataclass
-class SuiteResult:
-    total: int = 0
-    failures: list = field(default_factory=list)
-    lines: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def _case_profiles(corpus, seeds, tables):
-    for case in corpus:
-        table, vocab = tables[case.vocab]
-        yield case.name, sbpl.parse_sbpl(case.sbpl_text, name=case.name), table, vocab
-    for seed in seeds:
-        table, vocab = tables["small"]
-        gen = ProfileGenerator(table, vocab, seed=seed)
-        yield f"seed-{seed}", gen.generate(), table, vocab
-
-
-def run_roundtrip_suite(corpus, seeds, report_path=None, tables=None) -> SuiteResult:
-    """compile -> decompile -> reparse -> recompile -> equivalence, one line
-    of structured output per case and phase."""
-    if tables is None:
-        from . import vocab as vocab_mod
-
-        tables = {name: vocab_mod.load_builtin(name) for name in ("small", "large")}
-    result = SuiteResult()
-
-    def record(name, phase, ok, witness=""):
-        status = "ok" if ok else "fail"
-        line = f"case={name} phase={phase} status={status}"
-        if witness:
-            line += f" witness={witness}"
-        result.lines.append(line)
-        if not ok:
-            result.failures.append((name, phase, witness))
-
-    for name, profile, table, vocab in _case_profiles(corpus, seeds, tables):
-        result.total += 1
-        try:
-            blob = codec.compile_profile(profile, table, vocab)
-            record(name, "compile", True)
-        except SandboxError as exc:
-            record(name, "compile", False, str(exc))
-            continue
-        try:
-            text = decompile.decompile(blob, table, vocab)
-            record(name, "decompile", True)
-        except SandboxError as exc:
-            record(name, "decompile", False, str(exc))
-            continue
-        try:
-            reparsed = sbpl.parse_sbpl(text, name=name)
-            record(name, "reparse", True)
-        except SandboxError as exc:
-            record(name, "reparse", False, str(exc))
-            continue
-        try:
-            blob2 = codec.compile_profile(reparsed, table, vocab)
-            record(name, "recompile", True)
-        except SandboxError as exc:
-            record(name, "recompile", False, str(exc))
-            continue
-        report = evaluate.check_equivalence(blob, blob2, table, vocab)
-        record(name, "equivalence", report.equivalent,
-               "" if report.equivalent else str(report))
-
-    if report_path is not None:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(result.lines) + "\n")
-    return result

@@ -465,36 +465,6 @@ def nfa_match(nfa, s: str, full: bool = False) -> bool:
     return _lazy(nfa).match(s, full)
 
 
-def bounded_language_equal(a, b, alphabet, max_len: int):
-    """Compare full-match languages up to max_len by a breadth-first walk
-    over pairs of DFA states. Returns (True, None) or (False, witness) where
-    witness is a shortest distinguishing string."""
-    da, db = _lazy(a), _lazy(b)
-    letters = sorted(set(alphabet))
-    start = (da.initial(), db.initial())
-    frontier = {start: ""}
-    visited = {start}
-    for depth in range(max_len + 1):
-        for (ka, kb), witness in sorted(frontier.items(), key=lambda kv: kv[1]):
-            if da.accepts_at_end(ka, depth == 0) != db.accepts_at_end(kb, depth == 0):
-                return False, witness
-        if depth == max_len:
-            break
-        nxt = {}
-        for (ka, kb), witness in frontier.items():
-            for ch, key in zip(letters, zip(da.successors(ka, letters),
-                                            db.successors(kb, letters))):
-                if key == (0, 0):
-                    continue
-                if key not in visited:
-                    visited.add(key)
-                    nxt[key] = witness + ch
-        frontier = nxt
-        if not frontier:
-            break
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 

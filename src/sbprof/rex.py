@@ -1,4 +1,4 @@
-"""Regex abstract syntax: parser, printer, direct matcher and simplifier.
+"""Regex abstract syntax: parser, printer and simplifier.
 
 Supported syntax: literals, ".", "*", "+", "?", "|", "(...)", "[...]" and
 "[^...]" with ranges, "^", "$", and backslash escapes for metacharacters.
@@ -11,8 +11,7 @@ past it raises RegexSyntaxError at its offset. So the recursive-descent
 parser, and the printer and automaton builder that recurse on its output,
 stay clear of Python's recursion limit; the simplifier, whose rewrites and
 tree comparisons recurse further, stops at its last finished pass when it
-would not. The matcher here works straight off the AST and serves as the
-independent oracle for the automaton pipeline.
+would not.
 """
 
 from __future__ import annotations
@@ -309,85 +308,6 @@ def _render(ast, prec) -> str:
 
 def print_regex(ast: RegexAst) -> str:
     return _render(ast, _PREC_ALT)
-
-
-# ---------------------------------------------------------------------------
-# Direct AST matcher (oracle)
-
-def _match_ends(ast, s, start, memo):
-    key = (id(ast), start)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    memo[key] = frozenset()  # cycle guard; real value stored below
-    if isinstance(ast, Empty):
-        out = frozenset([start])
-    elif isinstance(ast, Char):
-        ok = start < len(s) and ord(s[start]) == ast.byte
-        out = frozenset([start + 1]) if ok else frozenset()
-    elif isinstance(ast, AnyChar):
-        out = frozenset([start + 1]) if start < len(s) else frozenset()
-    elif isinstance(ast, CharClass):
-        ok = start < len(s) and ast.matches(s[start])
-        out = frozenset([start + 1]) if ok else frozenset()
-    elif isinstance(ast, AnchorStart):
-        out = frozenset([start]) if start == 0 else frozenset()
-    elif isinstance(ast, AnchorEnd):
-        out = frozenset([start]) if start == len(s) else frozenset()
-    elif isinstance(ast, Concat):
-        cur = {start}
-        for part in ast.parts:
-            nxt = set()
-            for p in cur:
-                nxt |= _match_ends(part, s, p, memo)
-            cur = nxt
-            if not cur:
-                break
-        out = frozenset(cur)
-    elif isinstance(ast, Alternate):
-        acc = set()
-        for opt in ast.options:
-            acc |= _match_ends(opt, s, start, memo)
-        out = frozenset(acc)
-    elif isinstance(ast, Star):
-        seen = {start}
-        frontier = {start}
-        while frontier:
-            nxt = set()
-            for p in frontier:
-                nxt |= _match_ends(ast.inner, s, p, memo)
-            frontier = nxt - seen
-            seen |= nxt
-        out = frozenset(seen)
-    elif isinstance(ast, Plus):
-        out = frozenset()
-        first = set()
-        for p in _match_ends(ast.inner, s, start, memo):
-            first.add(p)
-        if first:
-            star = Star(ast.inner)
-            acc = set()
-            for p in first:
-                acc |= _match_ends(star, s, p, memo)
-            out = frozenset(acc)
-    elif isinstance(ast, Optional):
-        out = frozenset([start]) | _match_ends(ast.inner, s, start, memo)
-    else:
-        raise TypeError(f"not a regex node: {ast!r}")
-    memo[key] = out
-    return out
-
-
-def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
-    """Match straight off the AST. full=True requires the whole string;
-    full=False is substring search (the filter-matching mode)."""
-    memo = {}
-    if full:
-        return len(s) in _match_ends(ast, s, 0, memo)
-    for i in range(len(s) + 1):
-        if _match_ends(ast, s, i, memo):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,31 @@
-"""Test-only helpers: checks and input generators that the library itself
-never calls. They stay independent of the engines they check."""
+"""Test-only helpers: checks, matchers, the round-trip harness and input
+generators that the library itself never calls. They stay independent of
+the engines they check: ast_match works straight off the regex AST and is
+the oracle for the automaton pipeline."""
 
 import random
+from dataclasses import dataclass, field
 
+from sbprof import codec, decompile, evaluate, sbpl
 from sbprof.decompile import GraphNode, OpGraph
+from sbprof.errors import SandboxError
 from sbprof.generate import ProfileGenerator
 from sbprof.model import Decision, FilterVocabulary, OperationTable
+from sbprof.nfa import _lazy
+from sbprof.rex import (
+    Alternate,
+    AnchorEnd,
+    AnchorStart,
+    AnyChar,
+    Char,
+    CharClass,
+    Concat,
+    Empty,
+    Optional,
+    Plus,
+    RegexAst,
+    Star,
+)
 
 
 def check_match_graph(g: OpGraph) -> None:
@@ -36,3 +56,184 @@ def random_op_graph(seed: int, vocab: FilterVocabulary, max_nodes: int = 24) -> 
                 succ.append(Decision.ALLOW if rng.random() < 0.5 else Decision.DENY)
         nodes[i] = GraphNode(gen._random_atom(), succ[0], succ[1])
     return OpGraph(nodes=nodes, entry=0)
+
+
+def _match_ends(ast, s, start, memo):
+    key = (id(ast), start)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    memo[key] = frozenset()  # cycle guard; real value stored below
+    if isinstance(ast, Empty):
+        out = frozenset([start])
+    elif isinstance(ast, Char):
+        ok = start < len(s) and ord(s[start]) == ast.byte
+        out = frozenset([start + 1]) if ok else frozenset()
+    elif isinstance(ast, AnyChar):
+        out = frozenset([start + 1]) if start < len(s) else frozenset()
+    elif isinstance(ast, CharClass):
+        ok = start < len(s) and ast.matches(s[start])
+        out = frozenset([start + 1]) if ok else frozenset()
+    elif isinstance(ast, AnchorStart):
+        out = frozenset([start]) if start == 0 else frozenset()
+    elif isinstance(ast, AnchorEnd):
+        out = frozenset([start]) if start == len(s) else frozenset()
+    elif isinstance(ast, Concat):
+        cur = {start}
+        for part in ast.parts:
+            nxt = set()
+            for p in cur:
+                nxt |= _match_ends(part, s, p, memo)
+            cur = nxt
+            if not cur:
+                break
+        out = frozenset(cur)
+    elif isinstance(ast, Alternate):
+        acc = set()
+        for opt in ast.options:
+            acc |= _match_ends(opt, s, start, memo)
+        out = frozenset(acc)
+    elif isinstance(ast, Star):
+        seen = {start}
+        frontier = {start}
+        while frontier:
+            nxt = set()
+            for p in frontier:
+                nxt |= _match_ends(ast.inner, s, p, memo)
+            frontier = nxt - seen
+            seen |= nxt
+        out = frozenset(seen)
+    elif isinstance(ast, Plus):
+        out = frozenset()
+        first = set()
+        for p in _match_ends(ast.inner, s, start, memo):
+            first.add(p)
+        if first:
+            star = Star(ast.inner)
+            acc = set()
+            for p in first:
+                acc |= _match_ends(star, s, p, memo)
+            out = frozenset(acc)
+    elif isinstance(ast, Optional):
+        out = frozenset([start]) | _match_ends(ast.inner, s, start, memo)
+    else:
+        raise TypeError(f"not a regex node: {ast!r}")
+    memo[key] = out
+    return out
+
+
+def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
+    """Match straight off the AST. full=True requires the whole string;
+    full=False is substring search (the filter-matching mode)."""
+    memo = {}
+    if full:
+        return len(s) in _match_ends(ast, s, 0, memo)
+    for i in range(len(s) + 1):
+        if _match_ends(ast, s, i, memo):
+            return True
+    return False
+
+
+def bounded_language_equal(a, b, alphabet, max_len: int):
+    """Compare full-match languages up to max_len by a breadth-first walk
+    over pairs of DFA states. Returns (True, None) or (False, witness) where
+    witness is a shortest distinguishing string."""
+    da, db = _lazy(a), _lazy(b)
+    letters = sorted(set(alphabet))
+    start = (da.initial(), db.initial())
+    frontier = {start: ""}
+    visited = {start}
+    for depth in range(max_len + 1):
+        for (ka, kb), witness in sorted(frontier.items(), key=lambda kv: kv[1]):
+            if da.accepts_at_end(ka, depth == 0) != db.accepts_at_end(kb, depth == 0):
+                return False, witness
+        if depth == max_len:
+            break
+        nxt = {}
+        for (ka, kb), witness in frontier.items():
+            for ch, key in zip(letters, zip(da.successors(ka, letters),
+                                            db.successors(kb, letters))):
+                if key == (0, 0):
+                    continue
+                if key not in visited:
+                    visited.add(key)
+                    nxt[key] = witness + ch
+        frontier = nxt
+        if not frontier:
+            break
+    return True, None
+
+
+@dataclass
+class SuiteResult:
+    total: int = 0
+    failures: list = field(default_factory=list)
+    lines: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
+def _case_profiles(corpus, seeds, tables):
+    for case in corpus:
+        table, vocab = tables[case.vocab]
+        yield case.name, sbpl.parse_sbpl(case.sbpl_text, name=case.name), table, vocab
+    for seed in seeds:
+        table, vocab = tables["small"]
+        gen = ProfileGenerator(table, vocab, seed=seed)
+        yield f"seed-{seed}", gen.generate(), table, vocab
+
+
+def run_roundtrip_suite(corpus, seeds, report_path=None, tables=None) -> SuiteResult:
+    """compile -> decompile -> reparse -> recompile -> equivalence, one line
+    of structured output per case and phase."""
+    if tables is None:
+        from sbprof import vocab as vocab_mod
+
+        tables = {name: vocab_mod.load_builtin(name) for name in ("small", "large")}
+    result = SuiteResult()
+
+    def record(name, phase, ok, witness=""):
+        status = "ok" if ok else "fail"
+        line = f"case={name} phase={phase} status={status}"
+        if witness:
+            line += f" witness={witness}"
+        result.lines.append(line)
+        if not ok:
+            result.failures.append((name, phase, witness))
+
+    for name, profile, table, vocab in _case_profiles(corpus, seeds, tables):
+        result.total += 1
+        try:
+            blob = codec.compile_profile(profile, table, vocab)
+            record(name, "compile", True)
+        except SandboxError as exc:
+            record(name, "compile", False, str(exc))
+            continue
+        try:
+            text = decompile.decompile(blob, table, vocab)
+            record(name, "decompile", True)
+        except SandboxError as exc:
+            record(name, "decompile", False, str(exc))
+            continue
+        try:
+            reparsed = sbpl.parse_sbpl(text, name=name)
+            record(name, "reparse", True)
+        except SandboxError as exc:
+            record(name, "reparse", False, str(exc))
+            continue
+        try:
+            blob2 = codec.compile_profile(reparsed, table, vocab)
+            record(name, "recompile", True)
+        except SandboxError as exc:
+            record(name, "recompile", False, str(exc))
+            continue
+        report = evaluate.check_equivalence(blob, blob2, table, vocab)
+        record(name, "equivalence", report.equivalent,
+               "" if report.equivalent else str(report))
+
+    if report_path is not None:
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(result.lines) + "\n")
+    return result

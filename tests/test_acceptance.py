@@ -17,7 +17,7 @@ from sbprof.model import (
     canonicalize,
 )
 
-from oracles import random_op_graph
+from oracles import bounded_language_equal, random_op_graph
 
 SIBLINGS = '''(version 1)
 (deny default)
@@ -147,9 +147,9 @@ def test_criterion_5_regex_round_trip():
         rebuilt = nfa.build_nfa(nfa.nfa_to_regex(decoded))
         chars = sorted(set(c for c in pat if c.isalnum() or c == "/"))[:7]
         alphabet = set(chars) | {"~"}
-        equal, witness = nfa.bounded_language_equal(original, decoded, alphabet, 8)
+        equal, witness = bounded_language_equal(original, decoded, alphabet, 8)
         assert equal, (pat, "serialize", witness)
-        equal, witness = nfa.bounded_language_equal(original, rebuilt, alphabet, 8)
+        equal, witness = bounded_language_equal(original, rebuilt, alphabet, 8)
         assert equal, (pat, "reverse", witness)
     _report(5, f"{len(patterns)} regexes keep their bounded language through "
                f"serialize/deserialize/reverse/rebuild", time.time() - started, 120.0)

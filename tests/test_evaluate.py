@@ -17,6 +17,8 @@ from sbprof.model import (
     ValueKind,
 )
 
+from oracles import ast_match
+
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
 (allow file-read* (regex #"/bin/*"))
@@ -382,7 +384,7 @@ def _brute_force_accepted(ast, alphabet, max_len):
     in search mode, in (length, lexicographic) order."""
     return [s for n in range(max_len + 1)
             for s in map("".join, itertools.product(sorted(alphabet), repeat=n))
-            if rex.ast_match(ast, s, full=False)]
+            if ast_match(ast, s, full=False)]
 
 
 # pattern -> the samples its universe gets. Strings that reach one DFA state
@@ -418,4 +420,4 @@ def test_accepted_samples_against_brute_force():
         # rest follow it in the same order
         assert got[:1] == accepted[:1], (pat, got, accepted[:3])
         assert [s for s in accepted if s in got] == [s for s in got if len(s) <= 5], pat
-        assert all(rex.ast_match(ast, s, full=False) for s in got), pat
+        assert all(ast_match(ast, s, full=False) for s in got), pat

@@ -1,7 +1,7 @@
 from sbprof import codec, generate
 from sbprof.model import Atom, validate_profile
 
-from oracles import random_op_graph
+from oracles import random_op_graph, run_roundtrip_suite
 
 
 def test_generator_is_deterministic(small):
@@ -43,7 +43,7 @@ def test_container_preset_hits_target_node_count(large):
 
 def test_roundtrip_suite_on_corpus(tmp_path):
     report = tmp_path / "report.txt"
-    result = generate.run_roundtrip_suite(generate.CORPUS, range(5), report)
+    result = run_roundtrip_suite(generate.CORPUS, range(5), report)
     assert result.ok, result.failures
     assert result.total == len(generate.CORPUS) + 5
     lines = report.read_text().splitlines()
@@ -54,9 +54,9 @@ def test_roundtrip_suite_on_corpus(tmp_path):
 
 
 def test_roundtrip_suite_reproducible(tmp_path):
-    r1 = generate.run_roundtrip_suite(generate.CORPUS[:3], range(3),
+    r1 = run_roundtrip_suite(generate.CORPUS[:3], range(3),
                                       tmp_path / "a.txt")
-    r2 = generate.run_roundtrip_suite(generate.CORPUS[:3], range(3),
+    r2 = run_roundtrip_suite(generate.CORPUS[:3], range(3),
                                       tmp_path / "b.txt")
     assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
     assert r1.lines == r2.lines

@@ -13,6 +13,8 @@ from sbprof.errors import (
 )
 from sbprof.rex import AnchorStart, Char, CharClass, Concat, Star
 
+from oracles import ast_match, bounded_language_equal
+
 REFERENCE_PATTERNS = (
     "/bin/*",
     "^/dev/ttys[0-9]*",
@@ -26,7 +28,7 @@ def _language(ast, alphabet, max_len):
     for n in range(max_len + 1):
         for tup in itertools.product(sorted(alphabet), repeat=n):
             s = "".join(tup)
-            if rex.ast_match(ast, s, full=True):
+            if ast_match(ast, s, full=True):
                 out.add(s)
     return out
 
@@ -64,11 +66,11 @@ def test_print_parse_round_trip():
 
 def test_ast_matcher_search_vs_full():
     ast = rex.parse_regex("^/bin/.*")
-    assert rex.ast_match(ast, "/bin/ls", full=False)
-    assert not rex.ast_match(ast, "/etc/passwd", full=False)
+    assert ast_match(ast, "/bin/ls", full=False)
+    assert not ast_match(ast, "/etc/passwd", full=False)
     unanchored = rex.parse_regex("/bin/*")
-    assert rex.ast_match(unanchored, "/usr/bin/ls", full=False)
-    assert not rex.ast_match(unanchored, "/usr/bin/ls", full=True)
+    assert ast_match(unanchored, "/usr/bin/ls", full=False)
+    assert not ast_match(unanchored, "/usr/bin/ls", full=True)
 
 
 def test_build_nfa_trivial_shapes():
@@ -93,7 +95,7 @@ def test_nfa_language_equals_ast_matcher_on_random_asts(small):
             for tup in itertools.product(alphabet, repeat=n):
                 s = "".join(tup)
                 assert nfa.nfa_match(m, s, full=True) == \
-                    rex.ast_match(ast, s, full=True), (pat, s)
+                    ast_match(ast, s, full=True), (pat, s)
 
 
 def _small_pattern(rng):
@@ -174,7 +176,7 @@ def test_serialize_deserialize_preserves_bounded_language():
         m2 = nfa.deserialize_nfa(nfa.serialize_nfa(m))
         assert m2.n_states == int.from_bytes(nfa.serialize_nfa(m)[:2], "little")
         alphabet = _pattern_alphabet(pat)
-        equal, witness = nfa.bounded_language_equal(m, m2, alphabet, 6)
+        equal, witness = bounded_language_equal(m, m2, alphabet, 6)
         assert equal, (pat, witness)
 
 
@@ -217,7 +219,7 @@ def test_nfa_to_regex_chain_with_self_loop():
     m = nfa.Nfa(3, ((0, a, 1), (1, b, 1), (1, a, 2)), 0, frozenset([2]))
     back = nfa.nfa_to_regex(m)
     rebuilt = nfa.build_nfa(back)
-    equal, witness = nfa.bounded_language_equal(m, rebuilt, "ab", 7)
+    equal, witness = bounded_language_equal(m, rebuilt, "ab", 7)
     assert equal, witness
 
 
@@ -228,7 +230,7 @@ def test_nfa_to_regex_language_preserved_on_random_asts():
         m = nfa.build_nfa(rex.parse_regex(pat))
         back = nfa.nfa_to_regex(m)
         rebuilt = nfa.build_nfa(back)
-        equal, witness = nfa.bounded_language_equal(
+        equal, witness = bounded_language_equal(
             m, rebuilt, _pattern_alphabet(pat), 6)
         assert equal, (pat, rex.print_regex(back), witness)
 
@@ -255,7 +257,7 @@ def test_enumerate_commutes_with_serialization():
         pat = generate.random_regex_pattern(rng, 2)
         m = nfa.build_nfa(rex.parse_regex(pat))
         m2 = nfa.deserialize_nfa(nfa.serialize_nfa(m))
-        equal, witness = nfa.bounded_language_equal(
+        equal, witness = bounded_language_equal(
             m, m2, _pattern_alphabet(pat, cap=5), 4)
         assert equal, (pat, witness)
 
@@ -266,7 +268,7 @@ def test_bounded_language_equal_detects_differences():
     for left, right, expected_witness in pairs:
         ml = nfa.build_nfa(rex.parse_regex(left))
         mr = nfa.build_nfa(rex.parse_regex(right))
-        equal, witness = nfa.bounded_language_equal(ml, mr, "abc", 4)
+        equal, witness = bounded_language_equal(ml, mr, "abc", 4)
         assert not equal, (left, right)
         if expected_witness is not None:
             assert witness == expected_witness, (left, right, witness)
@@ -303,9 +305,9 @@ def test_anchors_inside_pattern_agree_with_oracle():
     ):
         ast = rex.parse_regex(pat)
         m = nfa.build_nfa(ast)
-        assert rex.ast_match(ast, s, full=False) is want_search, pat
+        assert ast_match(ast, s, full=False) is want_search, pat
         assert nfa.nfa_match(m, s, full=False) is want_search, pat
-        assert nfa.nfa_match(m, s, full=True) is rex.ast_match(ast, s, full=True), pat
+        assert nfa.nfa_match(m, s, full=True) is ast_match(ast, s, full=True), pat
 
 
 def test_lazy_dfa_flush_keeps_verdicts():
@@ -317,7 +319,7 @@ def test_lazy_dfa_flush_keeps_verdicts():
     for _ in range(120):
         s = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
         for full in (False, True):
-            assert nfa.nfa_match(dfa, s, full=full) is rex.ast_match(ast, s, full=full), s
+            assert nfa.nfa_match(dfa, s, full=full) is ast_match(ast, s, full=full), s
         assert dfa.cached_states <= nfa.DFA_STATE_CAP
     assert dfa.flushes > 0
 
@@ -363,7 +365,7 @@ def test_simplify_deep_alternation_groups(depth):
     simplified = rex.simplify(ast)
     dfa = nfa.LazyDfa(nfa.build_nfa(ast))
     for text in ("", "a", "aab", "bxc", "bbxcc", "abxca", "bac", "bbxc", "x"):
-        assert rex.ast_match(simplified, text) == dfa.match(text, full=True), text
+        assert ast_match(simplified, text) == dfa.match(text, full=True), text
 
 
 def test_stacked_quantifier_limit(small):
