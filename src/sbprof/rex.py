@@ -313,8 +313,7 @@ def print_regex(ast: RegexAst) -> str:
 # ---------------------------------------------------------------------------
 # Simplifier (used by automaton reversal to recover readable patterns)
 
-def _spliced(parts) -> list:
-    """parts with nested concatenations spliced in and empties dropped."""
+def cat(parts) -> RegexAst:
     flat = []
     for p in parts:
         kind = type(p)
@@ -322,19 +321,11 @@ def _spliced(parts) -> list:
             flat += p.parts
         elif kind is not Empty:
             flat.append(p)
-    return flat
-
-
-def _joined(flat) -> RegexAst:
     if not flat:
         return Empty()
     if len(flat) == 1:
         return flat[0]
     return Concat(tuple(flat))
-
-
-def cat(parts) -> RegexAst:
-    return _joined(_spliced(parts))
 
 
 def alt(options) -> RegexAst:
@@ -357,7 +348,7 @@ def _as_list(ast):
 
 def _simplify_cat(parts):
     """parts with each rewrite below applied. Every rewrite needs a starred
-    part."""
+    part, so a caller may skip a list that has none."""
     out = parts[:1]
     for p in parts[1:]:
         prev = out[-1]
@@ -395,7 +386,8 @@ def _replace_pair(options, i, j, new):
 
 
 def _shared(a, b) -> int:
-    """How many leading items a and b have in common."""
+    """How many leading items a and b have in common. Identical items match,
+    and items of different types differ, without an __eq__ call."""
     k = 0
     for x, y in zip(a, b):
         if x is not y and (type(x) is not type(y) or not x == y):
@@ -473,9 +465,11 @@ def _simp(ast, memo):
         kinds = set(map(type, parts))
         if Star in kinds:
             parts = _simplify_cat(parts)  # adds no Concat or Empty
-        if Concat in kinds or Empty in kinds:
-            parts = _spliced(parts)
-        out = ast if len(parts) > 1 and _same(parts, ast.parts) else _joined(parts)
+        if (len(parts) > 1 and Concat not in kinds and Empty not in kinds
+                and _same(parts, ast.parts)):
+            out = ast
+        else:
+            out = cat(parts)
     elif kind is Alternate:
         options = []
         has_empty = False
@@ -520,11 +514,13 @@ def _simp(ast, memo):
 def simplify(ast: RegexAst) -> RegexAst:
     """Rewrite passes to a fixed point, at most 30. All passes share one
     memo, and a pass returns an unchanged subtree itself, so a pass after
-    the first rewrites only what the one before it changed, and the pass
-    that confirms the fixed point returns its input. Every pass matches the
-    same strings, so when a tree is too deep for a pass (about 100 nested
-    groups) the last finished pass is returned as it stands. Where that cut
-    falls depends on how deep the caller's stack already is."""
+    the first rewrites only what the one before it changed, the pass that
+    confirms the fixed point returns its very input, and the equality test
+    that ends the loop walks only the paths that changed. Every pass
+    matches the same strings, so when a pass or that test would recurse
+    too deep (about 100 nested groups), the last finished pass is returned
+    as it stands. Where that cut falls depends on how deep the caller's
+    stack already is."""
     memo = {}
     cur = ast
     try:
