@@ -688,7 +688,7 @@ def reverse_with_stats(nfa: Nfa):
     for q in range(nfa.n_states):
         steps += 1
         into, out_of = ins[q], outs[q]
-        ins[q] = outs[q] = None
+        ins[q] = outs[q] = None  # frees its fragments once they are glued
         loop = out_of.pop(q, None)
         into.pop(q, None)
         for u in into:
