@@ -475,7 +475,7 @@ def _ladder_blob(table, nodes):
 def test_ladder_graph_stops_at_expansion_budget(small):
     # aggregation shares the two nodes of each level between both nodes of
     # the level above, and written out the expression doubles with every
-    # level: 28 nodes printed 800,670 characters in 1.57 s
+    # level: without a budget 24 nodes print 1,232,229 characters
     table, vocab = small
     blob = _ladder_blob(table, 12)
     text = decompile.decompile(blob, table, vocab)
