@@ -227,14 +227,14 @@ def cmd_diff(args) -> int:
     a = _load_profile_source(Path(args.a), table, vocab)
     b = _load_profile_source(Path(args.b), table, vocab)
 
-    def as_profile(thing, label):
+    def as_profile(thing):
         if not isinstance(thing, (bytes, bytearray)):
             return thing
         profile, _errors = decompile.emit_rules(
             codec.decode_blob(bytes(thing)), table, vocab, permissive=True)
         return profile
 
-    pa, pb = as_profile(a, args.a), as_profile(b, args.b)
+    pa, pb = as_profile(a), as_profile(b)
     differences = []
     if pa.default_decision is not pb.default_decision:
         differences.append(

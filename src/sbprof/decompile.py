@@ -17,7 +17,7 @@ from .errors import (
     MalformedBlob,
     SandboxError,
 )
-from .evaluate import EquivalenceChecker, check_equivalence
+from .evaluate import check_equivalence
 from .model import (
     Atom,
     Decision,
@@ -509,13 +509,29 @@ def _runs_to_rules(runs):
     return tuple(out)
 
 
+def _changed_ops(a: Profile, b: Profile, table: OperationTable) -> list:
+    """The operations whose verdicts two profiles may disagree on, in table
+    order. An operation whose effective rules (after parent fallback) are
+    equal on both sides decides every context the same way when the default
+    decisions are equal, so it is left out."""
+    if a.default_decision is not b.default_decision:
+        return list(table.entries)
+
+    def effective(profile):
+        owner = table.owners(profile.rules)
+        return [profile.rules[owner[op]] if owner[op] else ()
+                for op in table.entries]
+    return [op for op, ra, rb in zip(table.entries, effective(a), effective(b))
+            if ra != rb]
+
+
 def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
             vocab: FilterVocabulary) -> Profile:
     """Strip rules matching the implicit standard policy, plus operations
     whose rules cannot change the default verdict. Every removal is verified
     against the evaluator: the cleaned profile with implicits re-injected
-    must agree with the input everywhere we can observe. One checker serves
-    every trial, and a trial re-checks only the operations it changed."""
+    must agree with the input everywhere we can observe. A trial re-checks
+    only the operations it changed."""
     items = [(it.operation, it.rule) for it in implicit.rules]
     current = {op: _rule_runs(rs, vocab) for op, rs in profile.rules.items()}
 
@@ -524,7 +540,6 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
         return Profile(profile.name, profile.default_decision,
                        {op: rs for op, rs in rules.items() if rs})
 
-    checker = EquivalenceChecker(table, vocab)
     before = inject_implicit(as_profile(current), implicit)
 
     def verdict_safe(candidate_runs):
@@ -533,8 +548,7 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
         nonlocal before
         after = inject_implicit(as_profile(candidate_runs), implicit)
         report = check_equivalence(before, after, table, vocab,
-                                   ops=checker.changed_ops(before, after),
-                                   checker=checker)
+                                   ops=_changed_ops(before, after, table))
         if report.equivalent:
             before = after
         return report.equivalent

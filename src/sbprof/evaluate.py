@@ -5,6 +5,10 @@ two verdict sources for equivalence over derived context universes.
 An atom matches when its context key is bound and the bound value satisfies
 the filter; unbound keys never match, so require-not of an unbound-key atom
 always matches.
+
+Automata come from nfa's memo and each evaluator holds the entries it used;
+a regex's universe samples are kept on its automaton. No other regex state
+outlives a call.
 """
 
 from __future__ import annotations
@@ -49,35 +53,11 @@ class QueryContext:
         return "{" + parts + "}"
 
 
-class _RegexCache:
-    """What an EquivalenceChecker remembers about regexes for as long as it
-    lives: every (matcher, text) match result, and the universe samples of
-    each matcher, a pattern text or an automaton. The automata themselves
-    come from nfa's process-wide memo."""
-
-    def __init__(self):
-        self.samples = {}
-        self.results = {}
-
-    def accepted_samples(self, matcher, automaton) -> tuple:
-        """_accepted_samples of matcher's automaton over its own alphabet."""
-        out = self.samples.get(matcher)
-        if out is None:
-            out = tuple(_accepted_samples(automaton, _pattern_alphabet(automaton)))
-            self.samples[matcher] = out
-        return out
-
-
 class _Held(dict):
     """The regex memo entries one evaluator holds while it lives, so that
     nfa's memo finds them again whatever its cache has dropped: a Pattern
     per pattern text, taken on first use, and in a BlobEvaluator a Program
-    per pool index. results is the match-result memo of the checker that
-    lent one, else None."""
-
-    def __init__(self, rx_cache: _RegexCache | None = None):
-        super().__init__()
-        self.results = rx_cache and rx_cache.results
+    per pool index."""
 
     def __missing__(self, text: str) -> nfa_mod.Pattern:
         made = self[text] = nfa_mod.pattern(text)
@@ -88,14 +68,8 @@ def _regex_matches(matcher, bound, rx: _Held) -> bool:
     """Whether a regex atom's pattern text or automaton matches bound."""
     if not isinstance(bound, str):
         return False
-    results = rx.results
-    hit = None if results is None else results.get((matcher, bound))
-    if hit is None:
-        m = rx[matcher].dfa if isinstance(matcher, str) else matcher
-        hit = nfa_mod.nfa_match(m, bound, full=False)
-        if results is not None:
-            results[(matcher, bound)] = hit
-    return hit
+    m = rx[matcher].dfa if isinstance(matcher, str) else matcher
+    return nfa_mod.nfa_match(m, bound, full=False)
 
 
 def _filter_kind(entry) -> tuple:
@@ -148,13 +122,13 @@ class AstEvaluator:
     table's parent links; nothing matching means the default decision."""
 
     def __init__(self, profile: Profile, table: OperationTable,
-                 vocab: FilterVocabulary, rx_cache: _RegexCache | None = None):
+                 vocab: FilterVocabulary):
         if profile.default_decision is None:
             raise InvalidProfile([("MissingDefault", "default", "no default rule")])
         self.profile = profile
         self.table = table
         self.vocab = vocab
-        self.rx = _Held(rx_cache)
+        self.rx = _Held()
         self._owner = table.owners(profile.rules)
         self._kinds = _filter_kinds(vocab)
 
@@ -186,8 +160,7 @@ class AstEvaluator:
 # Graph-walk semantics
 
 class BlobEvaluator:
-    def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary,
-                 rx_cache: _RegexCache | None = None):
+    def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary):
         if isinstance(bp, (bytes, bytearray)):
             bp = decode_blob(bytes(bp))
         if bp.op_count != len(table):
@@ -196,7 +169,7 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
-        self.rx = _Held(rx_cache)
+        self.rx = _Held()
         self._prepared = {}
 
     def _prepare(self, unit: int):
@@ -245,12 +218,12 @@ class BlobEvaluator:
         raise CycleDetected(idx, unit)
 
 
-def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):
+def as_source(thing, table, vocab):
     """Wrap a Profile, BinaryProfile or raw blob as a verdict source."""
     if isinstance(thing, Profile):
-        return AstEvaluator(thing, table, vocab, rx_cache)
+        return AstEvaluator(thing, table, vocab)
     if isinstance(thing, (bytes, bytearray, BinaryProfile)):
-        return BlobEvaluator(thing, table, vocab, rx_cache)
+        return BlobEvaluator(thing, table, vocab)
     if hasattr(thing, "verdict"):
         return thing
     raise TypeError(f"not a verdict source: {thing!r}")
@@ -259,8 +232,13 @@ def as_source(thing, table, vocab, rx_cache: _RegexCache | None = None):
 # ---------------------------------------------------------------------------
 # Context universes
 
-def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
-    """Shortest strings the automaton accepts in search mode; deterministic.
+SAMPLE_COUNT = 3     # universe samples per regex, at most
+SAMPLE_MAX_LEN = 12  # characters in one sample, at most
+
+
+def _accepted_samples(matcher, alphabet):
+    """The SAMPLE_COUNT shortest strings of at most SAMPLE_MAX_LEN characters
+    the automaton accepts in search mode; deterministic.
     Breadth-first over the search-mode DFA states, one prefix per state. A
     stepped state that cannot accept within the characters left is dropped:
     no state reached from it could either, so the output is the same."""
@@ -269,15 +247,15 @@ def _accepted_samples(matcher, alphabet, limit=3, max_len=12):
     s0 = matcher.initial(search=True)
     frontier = {s0: ""}
     seen = {s0}
-    for depth in range(max_len + 1):
+    for depth in range(SAMPLE_MAX_LEN + 1):
         for key, prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
             if matcher.accepts_at_end(key, depth == 0):
                 out.append(prefix)
-                if len(out) >= limit:
+                if len(out) >= SAMPLE_COUNT:
                     return out
-        if depth == max_len:
+        if depth == SAMPLE_MAX_LEN:
             break
-        left = max_len - depth - 1
+        left = SAMPLE_MAX_LEN - depth - 1
         nxt = {}
         for key, prefix in frontier.items():
             for ch, stepped in zip(letters, matcher.successors(key, letters)):
@@ -325,10 +303,9 @@ def collect_atoms(source, table, vocab):
     return out
 
 
-def build_universe(atom_triples, vocab, rx_cache=None):
+def build_universe(atom_triples, vocab):
     """Candidate binding values per context key, plus one never-matching
     sentinel per key so the 'bound but unmatched' path is always exercised."""
-    rx = rx_cache or _RegexCache()
     seen: dict[str, dict] = {}  # per key, its values in insertion order
 
     def add(key, v):
@@ -339,11 +316,13 @@ def build_universe(atom_triples, vocab, rx_cache=None):
     for ctx_key, kind, value in atom_triples:
         if kind is ValueKind.REGEX_INDEX:
             automata = regexes.setdefault(ctx_key, {})
-            if value not in automata:
-                automata[value] = nfa_mod.pattern(value).dfa \
+            if value not in automata:  # a repeat would add no new sample
+                dfa = automata[value] = nfa_mod.pattern(value).dfa \
                     if isinstance(value, str) else value
-            for s in rx.accepted_samples(value, automata[value]):
-                add(ctx_key, s)
+                if dfa.samples is None:  # kept while the automaton lives
+                    dfa.samples = tuple(_accepted_samples(dfa, _pattern_alphabet(dfa)))
+                for s in dfa.samples:
+                    add(ctx_key, s)
         else:
             add(ctx_key, value)
 
@@ -441,111 +420,54 @@ class EquivalenceReport:
                 f"op={op} ctx={ctx}: {va} vs {vb}")
 
 
-class EquivalenceChecker:
-    """Prepared state for equivalence checks over one operation table and
-    vocabulary, kept for as long as the checker is: one check, or all the
-    trials of one cleanup.
-
-    It caches every regex matcher's universe samples, every (matcher,
-    value) match result, and the sources of the latest check, each prepared
-    once with its atoms; the automata come from nfa's process-wide memo. A
-    source is known by identity, so hand the same object back to reuse it."""
-
-    # the two sources of the latest check: cleanup hands its unchanged side
-    # back on every trial, so that one stays prepared
-    KEEP_SOURCES = 2
-
-    def __init__(self, table: OperationTable, vocab: FilterVocabulary):
-        self.table = table
-        self.vocab = vocab
-        self.rx = _RegexCache()
-        # id(thing) -> (thing, source, atoms), oldest first; holding thing
-        # keeps its id from being reused while the entry lives
-        self._sources = {}
-
-    def _prepared(self, thing):
-        key = id(thing)
-        hit = self._sources.pop(key, None)
-        if hit is None:
-            src = as_source(thing, self.table, self.vocab, self.rx)
-            hit = (thing, src, collect_atoms(src, self.table, self.vocab))
-            if len(self._sources) >= self.KEEP_SOURCES:
-                del self._sources[next(iter(self._sources))]
-        self._sources[key] = hit
-        return hit
-
-    def changed_ops(self, a: Profile, b: Profile) -> list:
-        """The operations whose verdicts two profiles may disagree on, in
-        table order. An operation whose effective rules (after parent
-        fallback) are equal on both sides decides every context the same
-        way when the default decisions are equal, so it is left out."""
-        if a.default_decision is not b.default_decision:
-            return list(self.table.entries)
-        src_a, src_b = self._prepared(a)[1], self._prepared(b)[1]
-        return [op for op in self.table.entries
-                if src_a._rules(op) != src_b._rules(op)]
-
-    def check(self, a, b, ops=None, mode: str = "exhaustive", seed: int = 0,
-              samples: int = 1000) -> EquivalenceReport:
-        """check_equivalence with this checker's caches."""
-        vocab = self.vocab
-        _a, src_a, atoms_a = self._prepared(a)
-        _b, src_b, atoms_b = self._prepared(b)
-        if ops is None:
-            ops = list(self.table.entries)
-        universe = build_universe(atoms_a + atoms_b, vocab, self.rx)
-        checked = 0
-
-        def compare(op, ctx):
-            nonlocal checked
-            checked += 1
-            va = src_a.verdict(op, ctx)
-            vb = src_b.verdict(op, ctx)
-            if va is not vb:
-                return EquivalenceReport(False, checked, mode, (op, ctx, va, vb))
-            return None
-
-        if mode == "exhaustive":
-            # only the keys an operation's own (inherited) atoms test can
-            # change its verdict; everything else stays at the empty context
-            for op in ops:
-                keys = _source_op_keys(src_a, op, vocab) | \
-                    _source_op_keys(src_b, op, vocab)
-                sub = {k: universe[k] for k in sorted(keys) if k in universe}
-                for ctx in exhaustive_contexts(sub):
-                    bad = compare(op, ctx)
-                    if bad:
-                        return bad
-        else:
-            interesting = [op for op in ops if op != "default"]
-            if interesting:  # else only the empty context below is checked
-                rng = random.Random(seed)
-                ctxs = list(sampled_contexts(universe, seed, samples))
-                for ctx in ctxs:
-                    op = rng.choice(interesting)
-                    bad = compare(op, ctx)
-                    if bad:
-                        return bad
-            for op in ops:
-                bad = compare(op, QueryContext({}))
-                if bad:
-                    return bad
-        return EquivalenceReport(True, checked, mode)
-
-
 def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
                       ops=None, mode: str = "exhaustive", seed: int = 0,
-                      samples: int = 1000,
-                      checker: EquivalenceChecker | None = None
-                      ) -> EquivalenceReport:
+                      samples: int = 1000) -> EquivalenceReport:
     """Compare two verdict sources. Exhaustive mode enumerates, per
     operation, every combination of that operation's own atom values;
     sampled mode draws seeded random contexts from the combined universe.
-    ops limits the operations compared, in that order. checker, built for
-    the same table and vocabulary, lends its caches to this check and keeps
-    what it adds; by default the check builds its own."""
-    if checker is None:
-        checker = EquivalenceChecker(table, vocab)
-    elif checker.table is not table or checker.vocab is not vocab:
-        raise ValueError("checker was built for another table or vocabulary")
-    return checker.check(a, b, ops, mode, seed, samples)
+    ops limits the operations compared, in that order. Each call builds its
+    own two evaluators, their atoms and their universe; the automata and
+    their samples come from nfa's memo."""
+    src_a = as_source(a, table, vocab)
+    src_b = as_source(b, table, vocab)
+    if ops is None:
+        ops = list(table.entries)
+    universe = build_universe(collect_atoms(src_a, table, vocab)
+                              + collect_atoms(src_b, table, vocab), vocab)
+    checked = 0
+
+    def compare(op, ctx):
+        nonlocal checked
+        checked += 1
+        va = src_a.verdict(op, ctx)
+        vb = src_b.verdict(op, ctx)
+        if va is not vb:
+            return EquivalenceReport(False, checked, mode, (op, ctx, va, vb))
+        return None
+
+    if mode == "exhaustive":
+        # only the keys an operation's own (inherited) atoms test can
+        # change its verdict; everything else stays at the empty context
+        for op in ops:
+            keys = _source_op_keys(src_a, op, vocab) | \
+                _source_op_keys(src_b, op, vocab)
+            sub = {k: universe[k] for k in sorted(keys) if k in universe}
+            for ctx in exhaustive_contexts(sub):
+                bad = compare(op, ctx)
+                if bad:
+                    return bad
+    else:
+        interesting = [op for op in ops if op != "default"]
+        if interesting:  # else only the empty context below is checked
+            rng = random.Random(seed)
+            for ctx in sampled_contexts(universe, seed, samples):
+                op = rng.choice(interesting)
+                bad = compare(op, ctx)
+                if bad:
+                    return bad
+        for op in ops:
+            bad = compare(op, QueryContext({}))
+            if bad:
+                return bad
+    return EquivalenceReport(True, checked, mode)

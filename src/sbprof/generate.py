@@ -165,6 +165,12 @@ CORPUS = (
 # ---------------------------------------------------------------------------
 # Random profiles
 
+MAX_OPS = 4     # operations with rules in a small profile, at most
+MAX_RULES = 3   # rules per operation in a small profile, at most
+CONTAINER_NODES = 1964  # filter nodes a container profile aims at
+REGEX_SHARE = 0.066     # share of a container profile's atoms that are regexes
+
+
 @dataclass
 class ProfileGenerator:
     """Deterministic random profiles; generated profiles always validate."""
@@ -173,12 +179,7 @@ class ProfileGenerator:
     vocab: FilterVocabulary
     seed: int = 0
     scale: str = "small"            # "small" | "container"
-    max_ops: int = 4
-    max_rules: int = 3
     max_depth: int = 3
-    max_regex_len: int = 10
-    target_nodes: int = 1964       # container preset
-    regex_share: float = 0.066
     _counter: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -195,7 +196,7 @@ class ProfileGenerator:
         return "/" + "/".join(parts) + "/" + self._fresh()
 
     def _random_regex(self) -> str:
-        return random_regex_pattern(self.rng, max(2, self.max_regex_len // 2))
+        return random_regex_pattern(self.rng)
 
     def _random_atom(self, regex_ok=True) -> Atom:
         rng = self.rng
@@ -237,11 +238,11 @@ class ProfileGenerator:
         rng = self.rng
         default = Decision.DENY if rng.random() < 0.85 else Decision.ALLOW
         op_pool = [op for op in self.table.entries if op != "default"]
-        ops = rng.sample(op_pool, rng.randint(1, min(self.max_ops, len(op_pool))))
+        ops = rng.sample(op_pool, rng.randint(1, min(MAX_OPS, len(op_pool))))
         rules = {}
         for op in sorted(ops, key=self.table.index):
             out = []
-            for _ in range(rng.randint(1, self.max_rules)):
+            for _ in range(rng.randint(1, MAX_RULES)):
                 decision = default.negate() if rng.random() < 0.8 else default
                 if rng.random() < 0.05:
                     out.append(Rule(decision, None))
@@ -253,13 +254,13 @@ class ProfileGenerator:
         return profile
 
     def _generate_container(self) -> Profile:
-        """A profile sized like a real app container: ~target_nodes filter
-        nodes after compilation with regex_share of them regex atoms."""
+        """A profile sized like a real app container: ~CONTAINER_NODES filter
+        nodes after compilation with REGEX_SHARE of them regex atoms."""
         rng = self.rng
         default = Decision.DENY
         op_pool = [op for op in self.table.entries if op != "default"]
-        regex_budget = round(self.target_nodes * self.regex_share)
-        atom_budget = self.target_nodes - 2  # terminals round out the count
+        regex_budget = round(CONTAINER_NODES * REGEX_SHARE)
+        atom_budget = CONTAINER_NODES - 2  # terminals round out the count
         rules: dict[str, list] = {}
         atoms = 0
         regexes = 0
@@ -269,7 +270,7 @@ class ProfileGenerator:
             for _ in range(rng.randint(1, 6)):
                 if atoms >= atom_budget:
                     break
-                want_regex = regexes < regex_budget and rng.random() < self.regex_share * 1.5
+                want_regex = regexes < regex_budget and rng.random() < REGEX_SHARE * 1.5
                 if want_regex:
                     atom = Atom("regex", self._random_regex(), ValueForm.REGEX)
                     regexes += 1

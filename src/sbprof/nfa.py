@@ -25,7 +25,9 @@ cache is flushed and refilled, so hostile blobs keep memory bounded.
 The regex memo at the end of the module keeps each pattern text's and each
 wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
 the whole process, at most MEMO_CAPACITY of each, so a regex that many calls
-and profiles share is parsed, decoded, reversed and warmed once.
+and profiles share is parsed, decoded, reversed and warmed once. A pattern
+text or program longer than MEMO_KEY_LIMIT is built on every call and lives
+only as long as its caller holds it.
 
 Wire format (documented bit-exactly in docs/format.md): a u16-le node count
 followed by one record per node. Records are 1-byte tag + 2-byte le operand,
@@ -221,12 +223,15 @@ class LazyDfa:
     class slot. A transition into a state that decides the match (a search
     state holding an accept, a full-match state with no NFA states left) is
     stored as -2 - state.
+
+    samples is None until evaluate.build_universe stores the automaton's
+    universe samples there, so they live exactly as long as the automaton.
     """
 
     __slots__ = ("labels", "_edges", "_first", "_consumers", "_eps", "_accepts",
                  "_end", "_init", "_restart", "_search", "_empty_ok", "_cmap",
                  "_top", "_width", "_ids", "_rows", "_near", "_near_depth",
-                 "flushes")
+                 "flushes", "samples")
 
     def __init__(self, nfa: Nfa):
         n = nfa.n_states
@@ -287,6 +292,7 @@ class LazyDfa:
         self._near = None       # built by can_accept_within
         self._near_depth = -1
         self.flushes = 0
+        self.samples = None
 
     def _class_mask(self, label) -> int:
         """Bitmask of the byte classes a consuming label matches."""
@@ -719,6 +725,7 @@ def nfa_to_regex(nfa: Nfa):
 # so a bad input raises the same error on every call.
 
 MEMO_CAPACITY = 64  # entries per memo; the least recently used one goes
+MEMO_KEY_LIMIT = 1024  # a longer pattern text or program is never kept
 
 
 class Pattern:
@@ -754,17 +761,24 @@ class Program:
 def _memo(kind):
     """A bounded memo of kind(key): an LRU cache over a weak index of every
     kind(key) still alive, so that an entry the cache has dropped is found
-    again for as long as an evaluator holds it."""
+    again for as long as an evaluator holds it. A key longer than
+    MEMO_KEY_LIMIT is built and indexed but never cached, so one entry's
+    size is bounded by its key's."""
     alive = {}  # key -> weak reference, removed when its referent dies
 
-    @lru_cache(maxsize=MEMO_CAPACITY)
-    def memo(key):
+    def find(key):
         ref = alive.get(key)
         made = ref and ref()
         if made is None:
             made = kind(key)
             alive[key] = weakref.ref(made, lambda _ref: alive.pop(key, None))
         return made
+
+    cached = lru_cache(maxsize=MEMO_CAPACITY)(find)
+
+    def memo(key):
+        return cached(key) if len(key) <= MEMO_KEY_LIMIT else find(key)
+    memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
     return memo
 
 

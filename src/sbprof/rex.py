@@ -49,11 +49,6 @@ class CharClass:
     negated: bool
     ranges: tuple  # ((lo, hi), ...) sorted, merged, lo <= hi
 
-    def matches(self, ch: str) -> bool:
-        o = ord(ch)
-        hit = any(lo <= o <= hi for lo, hi in self.ranges)
-        return hit != self.negated
-
 
 @dataclass(frozen=True)
 class AnchorStart:

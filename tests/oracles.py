@@ -58,6 +58,13 @@ def random_op_graph(seed: int, vocab: FilterVocabulary, max_nodes: int = 24) -> 
     return OpGraph(nodes=nodes, entry=0)
 
 
+def class_matches(cls: CharClass, ch: str) -> bool:
+    """Whether a character class matches one character."""
+    o = ord(ch)
+    hit = any(lo <= o <= hi for lo, hi in cls.ranges)
+    return hit != cls.negated
+
+
 def _match_ends(ast, s, start, memo):
     key = (id(ast), start)
     cached = memo.get(key)
@@ -72,7 +79,7 @@ def _match_ends(ast, s, start, memo):
     elif isinstance(ast, AnyChar):
         out = frozenset([start + 1]) if start < len(s) else frozenset()
     elif isinstance(ast, CharClass):
-        ok = start < len(s) and ast.matches(s[start])
+        ok = start < len(s) and class_matches(ast, s[start])
         out = frozenset([start + 1]) if ok else frozenset()
     elif isinstance(ast, AnchorStart):
         out = frozenset([start]) if start == 0 else frozenset()

@@ -354,8 +354,8 @@ def test_pruned_cleanup_checks_agree_with_full_checks(cleanup_cases,
     full_check = evaluate.check_equivalence
     outcomes = []
 
-    def both(a, b, table, vocab, ops=None, checker=None):
-        pruned = full_check(a, b, table, vocab, ops=ops, checker=checker)
+    def both(a, b, table, vocab, ops=None):
+        pruned = full_check(a, b, table, vocab, ops=ops)
         full = full_check(a, b, table, vocab)
         assert pruned.equivalent == full.equivalent, (ops, str(pruned), str(full))
         outcomes.append(pruned.equivalent)

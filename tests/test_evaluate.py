@@ -132,15 +132,15 @@ def test_check_equivalence_reports_witness(small, blacklist):
     assert va is not vb
 
 
-def test_reused_checker_matches_fresh_checks(small, large):
-    # one checker per vocabulary serves every check, so prepared sources come
-    # and go and automata, samples and match results carry over
-    checkers = {id(t[0]): evaluate.EquivalenceChecker(*t) for t in (small, large)}
+def test_checks_do_not_depend_on_order(small, large):
+    # the same checks forward, then in reverse in the same process: the
+    # second pass finds warm automata and warm universe samples, and each
+    # check must still give what it gave cold
     cases = [(sbpl.parse_sbpl(c.sbpl_text), large if c.vocab == "large" else small)
              for c in generate.CORPUS]
     cases += [(generate.ProfileGenerator(*small, seed=seed).generate(), small)
               for seed in range(40)]
-    disagreements = 0
+    checks = []
     for profile, (table, vocab) in cases:
         blob = codec.compile_profile(profile, table, vocab)
         ops = sorted(profile.rules)
@@ -150,20 +150,40 @@ def test_reused_checker_matches_fresh_checks(small, large):
                              (profile, trimmed, {"ops": ops}),
                              (profile, trimmed, {"mode": "sampled", "seed": 3,
                                                  "samples": 50})):
-            fresh = evaluate.check_equivalence(a, b, table, vocab, **kwargs)
-            reused = evaluate.check_equivalence(
-                a, b, table, vocab, checker=checkers[id(table)], **kwargs)
-            assert (reused.equivalent, reused.checked, reused.witness) == \
-                (fresh.equivalent, fresh.checked, fresh.witness)
-            disagreements += not fresh.equivalent
-    assert disagreements > len(cases)
+            checks.append((a, b, table, vocab, kwargs))
+
+    def run(a, b, table, vocab, kwargs):
+        report = evaluate.check_equivalence(a, b, table, vocab, **kwargs)
+        return report.equivalent, report.checked, report.witness
+
+    forward = [run(*check) for check in checks]
+    backward = [run(*check) for check in reversed(checks)]
+    assert backward[::-1] == forward
+    assert sum(not equivalent for equivalent, _c, _w in forward) > len(cases)
 
 
-def test_checker_rejects_other_tables(small, large, blacklist):
-    profile, _blob = blacklist
-    checker = evaluate.EquivalenceChecker(*large)
-    with pytest.raises(ValueError):
-        evaluate.check_equivalence(profile, profile, *small, checker=checker)
+def test_universe_samples_each_automaton_once(small, monkeypatch):
+    # samples are kept on the automaton, so a second universe over the same
+    # regexes computes none
+    table, vocab = small
+    profile = sbpl.parse_sbpl('(deny default)\n'
+                              '(allow file-read* (regex #"^/a/[bc]+$")'
+                              ' (regex #"x?y"))\n')
+    blob = codec.compile_profile(profile, table, vocab)
+    sources = [evaluate.as_source(thing, table, vocab) for thing in (profile, blob)]
+    atoms = [a for src in sources for a in evaluate.collect_atoms(src, table, vocab)]
+    calls = []
+    accepted_samples = evaluate._accepted_samples
+
+    def counted(matcher, alphabet):
+        calls.append(matcher)
+        return accepted_samples(matcher, alphabet)
+
+    monkeypatch.setattr(evaluate, "_accepted_samples", counted)
+    first = evaluate.build_universe(atoms, vocab)
+    second = evaluate.build_universe(atoms, vocab)
+    assert first == second
+    assert len(calls) == len(set(map(id, calls))) == 4  # two texts, two programs
 
 
 def test_sampled_mode_is_deterministic(small, blacklist):

@@ -14,6 +14,8 @@ import time
 from sbprof import evaluate, generate, nfa, rex, vocab
 from sbprof.rex import AnyChar, Char, CharClass, Empty
 
+from oracles import class_matches
+
 _PIECES = ("a", "b", "/", ".", "[ab]", "[^a]", "[^./a]", "[a-c]", "^", "$",
            "(a|$)", "(^|b)", "a$b", "\\$")
 
@@ -120,7 +122,7 @@ class _ReferenceStep:
             return ord(ch) == label.byte
         if isinstance(label, AnyChar):
             return True
-        return label.matches(ch)
+        return class_matches(label, ch)
 
     def __call__(self, key, ch):
         dsts = {dst for src, label, dst in self.consuming

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import weakref
 
 import pytest
 
@@ -527,3 +528,22 @@ def test_memos_stay_within_their_capacity(large):
         info = memo.cache_info()
         assert info.maxsize == nfa.MEMO_CAPACITY
         assert 0 < info.currsize <= nfa.MEMO_CAPACITY
+
+
+def test_memo_keeps_no_key_past_its_limit():
+    # a 21,000-character literal is 63,005 wire bytes and several MB of
+    # automaton: both memos build it and hand it out, but keep neither
+    rng = random.Random(21)
+    text = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(21000))
+    _clear_memos()
+    made = nfa.pattern(text)
+    program = nfa.program(made.wire)
+    assert len(program.wire) > nfa.MEMO_KEY_LIMIT
+    assert nfa.pattern(text) is made and nfa.program(made.wire) is program
+    refs = weakref.ref(made), weakref.ref(program)
+    del made, program
+    assert [ref() for ref in refs] == [None, None]
+    for memo in MEMOS:
+        assert memo.cache_info().currsize == 0
+    assert nfa.nfa_match(nfa.pattern(text).dfa, "/" + text, full=False)
+    assert nfa.pattern.cache_info().currsize == 0
