@@ -2,22 +2,24 @@
 language operation, the serialized wire format, and reversal back to regex
 text via state removal.
 
-Matching and the bounded-language walks (equivalence and the
-evaluator's sample strings) all run on LazyDfa, a lazily determinized
-automaton in the manner of RE2 (Thompson, CACM 1968; Cox, "Regular Expression
-Matching Can Be Simple And Fast", 2007). Each Nfa is compiled once. A DFA
-state is a set of NFA states held as an int bitset, closed over epsilon edges
-with both anchors shut; the anchors are position predicates, so `^` is
-applied only when the initial state is built and `$` only through each
-state's accepts-at-end bit. Matching computes transitions on first use and
-memoizes them per byte class: classes are cut at every Char/CharClass bound,
-and all code points above 0xFF share one class. Each consuming edge carries
-an int mask of the classes its label matches, so a step tests bits instead
-of labels. The walks seldom take a step twice, so they step the same states
-without the cache, and letters whose classes lead to the same set of NFA
-states share one epsilon closure. can_accept_within bounds from below how
-many characters a state needs to reach acceptance, from a backward
-breadth-first walk that stops at the depth asked for; the evaluator's
+Matching and the bounded-language walks (equivalence and the evaluator's
+sample strings) all run on LazyDfa, a lazily determinized automaton in the
+manner of RE2 (Thompson, CACM 1968; Cox, "Regular Expression Matching Can Be
+Simple And Fast", 2007). Each Nfa is compiled once. As in RE2, a DFA state is
+keyed by the sorted tuple of its NFA states, closed over epsilon edges with
+both anchors shut, so a step costs what the state holds. The anchors are
+position predicates: `^` is applied only when the initial state is built and
+`$` only through each state's accepts-at-end bit. Matching computes
+transitions on first use and memoizes them per byte class: classes are cut at
+every Char/CharClass bound, and all code points above 0xFF share one class.
+Each consuming edge carries an int mask of the classes its label matches, so
+a step tests bits instead of labels. The two initial states keep the first
+two cache rows, also after a flush, so a match starts without hashing a key.
+The walks seldom take a step twice, so they step the same states without the
+cache, and letters whose classes lead to the same set of NFA states share one
+epsilon closure. can_accept_within bounds from below how many characters a
+state needs to reach acceptance, from per-state distances that a backward
+breadth-first walk stopped at the depth asked for fills; the evaluator's
 sample walk drops states that cannot accept within the characters it has
 left. At most DFA_STATE_CAP states are cached per automaton; past that the
 cache is flushed and refilled, so hostile blobs keep memory bounded.
@@ -45,6 +47,7 @@ import operator
 import struct
 import sys
 import weakref
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -173,65 +176,50 @@ def build_nfa(ast) -> Nfa:
 DFA_STATE_CAP = 512  # cached DFA states per automaton before a flush
 
 _UNKNOWN = -1  # transition not computed yet; a stop is stored as -2 - state
+_FAR = sys.maxsize  # distance of a state that cannot reach acceptance
 
 
-# A state set can span all 65,535 nodes of a hostile blob, where one big-int
-# operation per state would be quadratic; these two go through the binary
-# digits instead, linear in the width.
-
-def _members(bits: int) -> list:
-    """The states in a bitset."""
-    digits = bin(bits)[:1:-1]  # least significant first
-    out = []
-    q = digits.find("1")
-    while q >= 0:
-        out.append(q)
-        q = digits.find("1", q + 1)
-    return out
-
-
-def _bitset(states) -> int:
-    if not states:
-        return 0
-    digits = bytearray(b"0") * (max(states) + 1)
+def _close(states, edges, closed=()) -> tuple:
+    """Sorted tuple of closed, of states and of all states reachable from
+    states along edges[q], the states one non-consuming edge away from q.
+    closed must be closed already: its states are not followed."""
+    seen = set(closed)
+    stack = []
     for q in states:
-        digits[q] = 0x31  # "1"
-    return int(digits[::-1], 2)
-
-
-def _close(states, edges) -> int:
-    """Bitset of the states and of all states reachable from them along
-    edges[q], the states one non-consuming edge away from q."""
-    seen = set(states)
-    stack = list(seen)
+        if q not in seen:
+            seen.add(q)
+            stack.append(q)
     while stack:
         for dst in edges[stack.pop()]:
             if dst not in seen:
                 seen.add(dst)
                 stack.append(dst)
-    return _bitset(seen)
+    return tuple(sorted(seen))
 
 
 class LazyDfa:
     """Subset automaton of an Nfa, determinized on demand as in RE2.
 
-    A state key is an int bitset of NFA states closed over epsilon edges
-    with both anchors shut. Search-mode keys also carry bit n_states, and
-    each of their steps re-adds the start state's closure, so a match may
-    begin anywhere. The cache is one flat list of rows [key, accepts at
-    end, next state per byte class]; a state is the index of its first
-    class slot. A transition into a state that decides the match (a search
-    state holding an accept, a full-match state with no NFA states left) is
-    stored as -2 - state.
+    A state key is the sorted tuple of its NFA states, closed over epsilon
+    edges with both anchors shut, so a step costs what the state holds.
+    Search-mode keys end with the marker n_states, which no NFA state
+    reaches, and each of their steps re-adds the start state's closure, so
+    a match may begin anywhere. The cache is one flat list of rows [key,
+    accepts at end, next state per byte class]; a state is the index of its
+    first class slot. The two initial states hold the first two rows, again
+    after every flush, so a match starts without hashing a key. A
+    transition into a state that decides the match (a search state holding
+    an accept, a full-match state with no NFA states left) is stored as
+    -2 - state.
 
     samples is None until evaluate.build_universe stores the automaton's
     universe samples there, so they live exactly as long as the automaton.
     """
 
-    __slots__ = ("labels", "_edges", "_first", "_consumers", "_eps", "_accepts",
-                 "_end", "_init", "_restart", "_search", "_empty_ok", "_cmap",
-                 "_top", "_width", "_ids", "_rows", "_near", "_near_depth",
-                 "flushes", "samples")
+    __slots__ = ("labels", "_edges", "_first", "_eps", "_accepts", "_end",
+                 "_init", "_init_hit", "_restart", "_search", "_empty_ok",
+                 "_cmap", "_top", "_width", "_ids", "_rows", "_near",
+                 "_near_depth", "flushes", "samples")
 
     def __init__(self, nfa: Nfa):
         n = nfa.n_states
@@ -271,24 +259,28 @@ class LazyDfa:
         edges.sort(key=operator.itemgetter(0))
         # state q's consuming edges are _edges[_first[q]:_first[q + 1]], each
         # (mask of the byte classes its label matches, destination): ints
-        # only, so the collector stops tracking them, and the labels apart
+        # only, so the collector stops tracking them, and the labels apart.
+        # The per-state tables have a slot for the marker n too.
         self.labels = tuple(label for _src, label, _dst in edges)
         self._edges = tuple((self._class_mask(label), dst)
                             for _src, label, dst in edges)
-        first = [0] * (n + 1)
+        first = [0] * (n + 2)
         for q, _label, _dst in edges:
             first[q + 1] += 1
         self._first = tuple(itertools.accumulate(first))
-        self._consumers = _bitset({q for q, _label, _dst in edges})
         self._eps = tuple(map(tuple, eps))
-        self._accepts = _bitset(nfa.accepts)
-        self._end = _close(nfa.accepts, rev_eol)  # states that accept at end
+        self._accepts = nfa.accepts
+        self._end = bytearray(n + 1)  # 1 for each state that accepts at end
+        for q in _close(nfa.accepts, rev_eol):
+            self._end[q] = 1
         self._init = _close(start, bol)
-        self._restart = _close(start, eps)
-        self._search = 1 << n
-        self._empty_ok = bool(_close(start, both) & self._accepts)
+        self._init_hit = not nfa.accepts.isdisjoint(self._init)
+        self._search = n  # the marker that ends every search-mode key
+        self._restart = _close(start, eps) + (n,)  # what search steps re-add
+        self._empty_ok = not nfa.accepts.isdisjoint(_close(start, both))
         self._ids = {}
         self._rows = []
+        self._pin()
         self._near = None       # built by can_accept_within
         self._near_depth = -1
         self.flushes = 0
@@ -312,20 +304,20 @@ class LazyDfa:
         """Number of DFA states in the cache, at most DFA_STATE_CAP."""
         return len(self._ids)
 
-    def initial(self, search: bool = False) -> int:
+    def initial(self, search: bool = False) -> tuple:
         """Key of the state before any character is read."""
-        return self._init | self._search if search else self._init
+        return self._init + (self._search,) if search else self._init
 
-    def accepts_at_end(self, key: int, at_start: bool = False) -> bool:
+    def accepts_at_end(self, key: tuple, at_start: bool = False) -> bool:
         """Whether input that ends in state key is accepted. at_start: key is
         the initial state and nothing was read, so `^` holds as well."""
-        return self._empty_ok if at_start else bool(key & self._end)
+        return self._empty_ok if at_start else any(map(self._end.__getitem__, key))
 
-    def successors(self, key: int, letters) -> list:
-        """Keys of the states after reading each of letters in state key; 0
-        is the dead full-match state. Walks reach most states once, so this
-        bypasses the cache. Letters whose classes lead to the same NFA
-        states share one epsilon closure."""
+    def successors(self, key: tuple, letters) -> list:
+        """Keys of the states after reading each of letters in state key;
+        the empty tuple is the dead full-match state. Walks reach most
+        states once, so this bypasses the cache. Letters whose classes lead
+        to the same NFA states share one epsilon closure."""
         out_edges = self._out_edges(key)
         by_class = {}
         by_dsts = {}
@@ -345,7 +337,7 @@ class LazyDfa:
             out.append(nxt)
         return out
 
-    def can_accept_within(self, key: int, n: int) -> bool:
+    def can_accept_within(self, key: tuple, n: int) -> bool:
         """False only if no string of at most n characters leads from state
         key to a state that accepts at end (accepts_at_end without at_start).
         The bound is the fewest consuming NFA edges from a state of key to
@@ -355,65 +347,63 @@ class LazyDfa:
         own."""
         if n > self._near_depth:
             self._build_near(n)
-        near = self._near
-        return bool(key & near[min(n, len(near) - 1)])
+        return min(map(self._near.__getitem__, key), default=_FAR) <= n
 
     def _build_near(self, n: int) -> None:
-        """Set _near[k] to the states at most k consuming edges from _end,
-        for k up to n: a backward breadth-first walk, stopped after n
-        layers so it stays linear on the largest automata."""
+        """Set _near[q] to the fewest consuming edges from state q to _end
+        if that is at most n, else to _FAR: a backward breadth-first walk,
+        stopped after n layers so it stays linear on the largest automata."""
         size = len(self._eps)
         rev = [[] for _ in range(size)]      # reversed consuming edges
         rev_eps = [[] for _ in range(size)]  # reversed epsilon edges
-        first = self._first
-        for q in _members(self._consumers):
-            for _mask, dst in self._edges[first[q]:first[q + 1]]:
+        edges, first = self._edges, self._first
+        for q in range(size):
+            for _mask, dst in edges[first[q]:first[q + 1]]:
                 rev[dst].append(q)
         for q, dsts in enumerate(self._eps):
             for dst in dsts:
                 rev_eps[dst].append(q)
-        layer = _members(self._end)
-        seen = bytearray(size)
+        near = array("q", [_FAR]) * (size + 1)  # the marker is never near
+        layer = [q for q in range(size) if self._end[q]]
         for q in layer:
-            seen[q] = 1
-        near = [self._end]
+            near[q] = 0
         depth = n
-        while len(near) <= n:
+        for k in range(1, n + 1):
             found = []
             for q in layer:
                 for p in rev[q]:
-                    if not seen[p]:
-                        seen[p] = 1
+                    if near[p] == _FAR:
+                        near[p] = k
                         found.append(p)
             for p in found:  # grows while it is read: the epsilon closure
                 for r in rev_eps[p]:
-                    if not seen[r]:
-                        seen[r] = 1
+                    if near[r] == _FAR:
+                        near[r] = k
                         found.append(r)
             if not found:  # every later layer would be the same
                 depth = sys.maxsize
                 break
-            near.append(near[-1] | _bitset(found))
             layer = found
         self._near = near
         self._near_depth = depth
 
-    def _out_edges(self, key: int) -> list:
+    def _out_edges(self, key: tuple) -> list:
         """The consuming edges that leave the states of key."""
         edges, first = self._edges, self._first
-        return [edge for q in _members(key & self._consumers)
-                for edge in edges[first[q]:first[q + 1]]]
+        return [edge for q in key for edge in edges[first[q]:first[q + 1]]]
 
-    def _after(self, key: int, dsts) -> int:
+    def _is_search(self, key: tuple) -> bool:
+        return key[-1:] == (self._search,)
+
+    def _after(self, key: tuple, dsts) -> tuple:
         """The state after a step from state key to the NFA states dsts."""
-        nxt = _close(dsts, self._eps)
-        return nxt | self._restart | self._search if key & self._search else nxt
+        return _close(dsts, self._eps, self._restart if self._is_search(key) else ())
 
     def match(self, s: str, full: bool = False) -> bool:
         """Whether s is accepted; nfa_match describes the two modes."""
         if not s:
             return self._empty_ok
-        if not full and self._init & self._accepts:
+        if not full and self._init_hit:
             return True
         try:
             classes = s.encode("latin-1").translate(self._cmap)
@@ -421,7 +411,7 @@ class LazyDfa:
             classes = [self._cmap[o] if o < 0x100 else self._top
                        for o in map(ord, s)]
         rows = self._rows  # flushed in place, so this stays the cache
-        st = self._intern(self._init if full else self._init | self._search)
+        st = 2 if full else 2 + self._width  # the pinned initial rows
         for c in classes:
             nxt = rows[st + c]
             if nxt < 0:
@@ -432,16 +422,22 @@ class LazyDfa:
             st = nxt
         return rows[st - 1]
 
-    def _intern(self, key: int) -> int:
+    def _pin(self) -> None:
+        """Empty the cache but for the initial states, full-match first."""
+        self._ids.clear()
+        self._rows.clear()
+        self._intern(self.initial())
+        self._intern(self.initial(search=True))
+
+    def _intern(self, key: tuple) -> int:
         st = self._ids.get(key)
-        if st is None:
+        if st is None:  # so key is not an initial state, which stay pinned
             if len(self._ids) >= DFA_STATE_CAP:
                 self.flushes += 1
-                self._ids.clear()
-                self._rows.clear()
+                self._pin()
             st = len(self._rows) + 2
             self._ids[key] = st
-            self._rows += [key, bool(key & self._end)]
+            self._rows += [key, self.accepts_at_end(key)]
             self._rows += [_UNKNOWN] * (self._width - 2)
         return st
 
@@ -450,7 +446,10 @@ class LazyDfa:
         key = self._rows[st - 2]
         nxt_key = self._after(key, [dst for mask, dst in self._out_edges(key)
                                     if mask >> c & 1])
-        stop = nxt_key & self._accepts if nxt_key & self._search else not nxt_key
+        if self._is_search(key):
+            stop = not self._accepts.isdisjoint(nxt_key)
+        else:
+            stop = not nxt_key
         flushes = self.flushes
         nxt = self._intern(nxt_key)
         if stop:
@@ -662,9 +661,10 @@ def wire_length(data) -> int:
 # ---------------------------------------------------------------------------
 # Reversal: state removal over a generalized automaton
 
-def reverse_with_stats(nfa: Nfa):
-    """Remove every original state from the augmented automaton, gluing
-    regex fragments onto the surviving edges. Returns (ast, steps).
+def nfa_to_regex(nfa: Nfa):
+    """Language-equivalent regex AST for the automaton: remove every
+    original state from the augmented automaton, gluing regex fragments onto
+    the surviving edges.
 
     outs[u] maps v, and ins[v] maps u, to the fragment on edge u -> v, so
     removing a state touches only its own edges. Both keep insertion order
@@ -690,9 +690,7 @@ def reverse_with_stats(nfa: Nfa):
     for u, label, v in nfa.transitions:
         add(u, v, label)
 
-    steps = 0
     for q in range(nfa.n_states):
-        steps += 1
         into, out_of = ins[q], outs[q]
         ins[q] = outs[q] = None  # frees its fragments once they are glued
         loop = out_of.pop(q, None)
@@ -708,14 +706,8 @@ def reverse_with_stats(nfa: Nfa):
                 add(u, v, rex.cat((a_in, a_out) if loop is None else (a_in, loop, a_out)))
     final = outs[src].get(snk)
     if final is None:
-        return rex.NEVER_MATCH, steps
-    return rex.simplify(final), steps
-
-
-def nfa_to_regex(nfa: Nfa):
-    """Language-equivalent regex AST for the automaton."""
-    ast, _ = reverse_with_stats(nfa)
-    return ast
+        return rex.NEVER_MATCH
+    return rex.simplify(final)
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def bounded_language_equal(a, b, alphabet, max_len: int):
         for (ka, kb), witness in frontier.items():
             for ch, key in zip(letters, zip(da.successors(ka, letters),
                                             db.successors(kb, letters))):
-                if key == (0, 0):
+                if key == ((), ()):
                     continue
                 if key not in visited:
                     visited.add(key)

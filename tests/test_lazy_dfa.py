@@ -11,7 +11,8 @@ format; `can_accept_within` must equal a brute-force search.
 import random
 import time
 
-from sbprof import evaluate, generate, nfa, rex, vocab
+from sbprof import codec, evaluate, generate, nfa, rex, sbpl, vocab
+from sbprof.model import Decision
 from sbprof.rex import AnyChar, Char, CharClass, Empty
 
 from oracles import class_matches
@@ -100,7 +101,7 @@ class _ReferenceStep:
         for src, label, dst in automaton.transitions:
             if isinstance(label, Empty):
                 self.eps.setdefault(src, []).append(dst)
-        self.restart = self._bits(self._closure({automaton.start}))
+        self.restart = self._closure({automaton.start})
 
     def _closure(self, states):
         todo = list(states)
@@ -113,10 +114,6 @@ class _ReferenceStep:
         return states
 
     @staticmethod
-    def _bits(states):
-        return sum(1 << q for q in states)
-
-    @staticmethod
     def _matches(label, ch):
         if isinstance(label, Char):
             return ord(ch) == label.byte
@@ -126,11 +123,11 @@ class _ReferenceStep:
 
     def __call__(self, key, ch):
         dsts = {dst for src, label, dst in self.consuming
-                if key >> src & 1 and self._matches(label, ch)}
-        out = self._bits(self._closure(dsts))
-        if key >> self.n & 1:  # search mode re-adds the start state
-            out |= self.restart | 1 << self.n
-        return out
+                if src in key and self._matches(label, ch)}
+        out = self._closure(dsts)
+        if self.n in key:  # search mode re-adds the start state
+            out |= self.restart | {self.n}
+        return tuple(sorted(out))
 
 
 def test_pruned_walk_equals_reference_walk():
@@ -208,30 +205,54 @@ def test_can_accept_within_equals_brute_force():
                             dist[key] = n
                 for key in near:
                     # so the start state search mode re-adds needs no term
-                    assert not search or key & restart == restart, pattern
+                    assert not search or restart <= set(key), pattern
                     for n in range(6):
                         want = dist.get(key, 99) <= n
                         assert dfa.can_accept_within(key, n) is want, (pattern, search, n)
 
 
+def _literal(size):
+    rng = random.Random(21)
+    return "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(size))
+
+
 def test_hostile_sizes_stay_bounded():
-    # 48,001 and 32,002 wire nodes; the backward walk from the accepting
-    # states must stop at the depth asked for, or it would keep one bitset
-    # per layer of the second's thousands of layers
-    for pattern, states, samples in (("a?" * 8000, 48001, ["", "a"]),
-                                     ("(ab|b)" * 4000 + "$", 32002, [])):
+    # 48,001, 32,002 and 16,001 wire nodes; the backward walk from the
+    # accepting states must stop at the depth asked for, or it would walk
+    # the second's thousands of layers; a step must cost what the state
+    # holds, or matching the literal against its own text is quadratic
+    literal = _literal(16000)
+    for pattern, states, text, matched, samples in (
+            ("a?" * 8000, 48001, "b" * 50 + "ab", True, ["", "a"]),
+            ("(ab|b)" * 4000 + "$", 32002, "b" * 50 + "ab", False, []),
+            (literal, 16001, literal, True, [])):
         blob = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(pattern)))
         started = time.perf_counter()
         dfa = nfa.LazyDfa(nfa.deserialize_nfa(blob))
         assert time.perf_counter() - started < 10
-        assert dfa._search == 1 << states
+        assert dfa._search == states
 
         started = time.perf_counter()
-        assert dfa.match("b" * 50 + "ab") is (states == 48001)
+        assert dfa.match(text) is matched
         assert time.perf_counter() - started < 1
 
         started = time.perf_counter()
         assert evaluate._accepted_samples(dfa, evaluate._pattern_alphabet(dfa)) == samples
         assert time.perf_counter() - started < 1
         # the walk asks about at most 11 more characters: layers 0 to 11
-        assert len(dfa._near) <= 12
+        assert max(d for d in dfa._near if d != nfa._FAR) <= 11
+
+
+def test_cold_blob_verdict_on_a_long_literal_stays_bounded(small):
+    # one regex of 21,000 characters: a 63,069-byte blob, whose one cold
+    # verdict builds the automaton and matches the literal's own text
+    table, voc = small
+    literal = _literal(21000)
+    blob = codec.compile_profile(sbpl.parse_sbpl(
+        '(deny default)\n(allow file-read* (regex #"%s"))\n' % literal), table, voc)
+    assert len(blob) == 63069
+    started = time.perf_counter()
+    verdict = evaluate.BlobEvaluator(blob, table, voc).verdict(
+        "file-read*", evaluate.QueryContext({"path": literal}))
+    assert time.perf_counter() - started < 1
+    assert verdict is Decision.ALLOW
