@@ -80,9 +80,6 @@ TAG_CLASS_NEG = 0x09
 MAX_NODES = 0xFFFF
 REVERSAL_STATE_CAP = 4096  # guards state removal against absurd foreign blobs
 
-# one shared label per byte, and one epsilon: automata keep their labels for
-# life, and the regex memo keeps automata
-_CHARS = rex.CHARS
 _EPSILON = Empty()
 
 
@@ -131,7 +128,7 @@ def build_nfa(ast) -> Nfa:
             return s, s
         if isinstance(a, (Char, AnyChar, CharClass, AnchorStart, AnchorEnd)):
             s, t = new(), new()
-            edge(s, _CHARS[a.byte] if isinstance(a, Char) else a, t)
+            edge(s, a, t)
             return s, t
         if isinstance(a, Concat):
             first_in, out = build(a.parts[0])
@@ -599,7 +596,7 @@ def deserialize_nfa(data: bytes) -> Nfa:
             elif operand > 0xFF:
                 raise MalformedRegexBlob(rec_at, "char operand out of range")
             else:
-                label = _CHARS[operand]
+                label = rex.CHARS[operand]
             flows_next(i, "matchable node")
             transitions.append((i, label, i + 1))
         elif tag in (TAG_JUMP_FWD, TAG_JUMP_BCK):
@@ -670,7 +667,11 @@ def nfa_to_regex(nfa: Nfa):
     removing a state touches only its own edges. Both keep insertion order
     (an edge removed and added again goes last), the order one map of all
     edges would keep, so the fragments meet rex.alt and rex.cat in the same
-    order as a scan of all edges would give them."""
+    order as a scan of all edges would give them.
+
+    The result is a DAG whose text can grow exponentially in nested groups
+    such as (a|b(a|b...c)*c)*. Each leaf of that text needs a wire record,
+    so past MAX_NODES leaves TooManyStates is raised before it is printed."""
     if nfa.n_states > REVERSAL_STATE_CAP:
         raise TooManyStates(
             f"{nfa.n_states} states exceeds the reversal cap {REVERSAL_STATE_CAP}")
@@ -684,9 +685,9 @@ def nfa_to_regex(nfa: Nfa):
             ast = rex.alt([out[v], ast])
         out[v] = ins[v][u] = ast
 
-    add(src, nfa.start, Empty())
+    add(src, nfa.start, _EPSILON)
     for acc in sorted(nfa.accepts):
-        add(acc, snk, Empty())
+        add(acc, snk, _EPSILON)
     for u, label, v in nfa.transitions:
         add(u, v, label)
 
@@ -707,7 +708,24 @@ def nfa_to_regex(nfa: Nfa):
     final = outs[src].get(snk)
     if final is None:
         return rex.NEVER_MATCH
-    return rex.simplify(final)
+    final = rex.simplify(final)
+    leaves = _leaves(final, {})
+    if leaves > MAX_NODES:
+        raise TooManyStates(f"reversed pattern has {leaves} leaves, more than "
+                            f"the {MAX_NODES} nodes a program may hold")
+    return final
+
+
+def _leaves(ast, memo) -> int:
+    """Leaves of ast written out as a tree; memo maps each node counted to
+    its count, so a shared node is counted through once."""
+    count = memo.get(ast)
+    if count is None:
+        kind = type(ast)
+        subs = (ast.parts if kind is Concat else ast.options if kind is Alternate
+                else (ast.inner,) if kind in (Star, Plus, Optional) else ())
+        count = memo[ast] = sum(_leaves(sub, memo) for sub in subs) or 1
+    return count
 
 
 # ---------------------------------------------------------------------------

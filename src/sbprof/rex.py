@@ -9,83 +9,99 @@ open groups plus the quantifiers stacked on an atom, counting those nested
 inside a group atom, may not exceed the same limit, and the first quantifier
 past it raises RegexSyntaxError at its offset. So the recursive-descent
 parser, and the printer and automaton builder that recurse on its output,
-stay clear of Python's recursion limit; the simplifier, whose rewrites and
-tree comparisons recurse further, stops at its last finished pass when it
-would not.
+stay clear of Python's recursion limit; the simplifier, whose rewrites
+recurse further, stops at its last finished pass when it would not. Nodes
+are hash-consed, so equal nodes are one object and compare by identity.
 """
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+import weakref
 
 from .errors import RegexSyntaxError
 
 _META = set(".*+?|()[]^$\\")
 MAX_GROUP_NESTING = 128
+_live = {}  # (type, *fields) -> weak reference to the live node with them
 
 
-@dataclass(frozen=True)
-class Empty:
-    pass
+class _Node:
+    """Base of the regex nodes, immutable and hash-consed (Filliatre and
+    Conchon, "Type-Safe Modular Hash-Consing", 2006): a node with the type
+    and fields of a live one is that node, so == and hash are identity, and
+    no output may depend on the order of a set or dict of nodes. A dead
+    node's entry leaves _live unless a node built since holds its key."""
+
+    __slots__ = ("__weakref__",)
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _live.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            _live[key] = weakref.ref(node, lambda ref, key=key: (
+                _live.get(key) is ref and _live.pop(key)))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(repr(getattr(self, name)) for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Char:
-    byte: int
+class Empty(_Node):
+    __slots__ = ()
 
 
-# one shared node per byte: parsed patterns and automata reuse them
-CHARS = tuple(Char(b) for b in range(0x100))
+class Char(_Node):
+    __slots__ = ("byte",)
 
 
-@dataclass(frozen=True)
-class AnyChar:
-    pass
+CHARS = tuple(Char(b) for b in range(0x100))  # kept alive for the parser to index
 
 
-@dataclass(frozen=True)
-class CharClass:
-    negated: bool
-    ranges: tuple  # ((lo, hi), ...) sorted, merged, lo <= hi
+class AnyChar(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AnchorStart:
-    pass
+class CharClass(_Node):
+    __slots__ = ("negated", "ranges")  # ranges: ((lo, hi), ...) sorted, merged, lo <= hi
 
 
-@dataclass(frozen=True)
-class AnchorEnd:
-    pass
+class AnchorStart(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple
+class AnchorEnd(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Alternate:
-    options: tuple
+class Concat(_Node):
+    __slots__ = ("parts",)
 
 
-@dataclass(frozen=True)
-class Star:
-    inner: "RegexAst"
+class Alternate(_Node):
+    __slots__ = ("options",)
 
 
-@dataclass(frozen=True)
-class Plus:
-    inner: "RegexAst"
+class Star(_Node):
+    __slots__ = ("inner",)
 
 
-@dataclass(frozen=True)
-class Optional:
-    inner: "RegexAst"
+class Plus(_Node):
+    __slots__ = ("inner",)
 
 
-RegexAst = object  # union of the classes above
+class Optional(_Node):
+    __slots__ = ("inner",)
+
+
+RegexAst = _Node  # base of the classes above
 
 # A negated class covering every byte can never match: the canonical
 # empty-language pattern (state removal of a dead automaton produces it).
@@ -348,20 +364,20 @@ def _simplify_cat(parts):
     for p in parts[1:]:
         prev = out[-1]
         if type(p) is Star:
-            if p.inner == prev:
+            if p.inner is prev:
                 out[-1] = Plus(p.inner)                   # x x* -> x+
-            elif type(prev) is Star and prev.inner == p:
+            elif type(prev) is Star and prev.inner is p:
                 out[-1] = Plus(p)                         # x* x -> x+
-            elif prev == p:
+            elif prev is p:
                 pass                                      # x* x* -> x*
-            elif type(prev) is Plus and prev.inner == p.inner:
+            elif type(prev) is Plus and prev.inner is p.inner:
                 pass                                      # x+ x* -> x+
             else:
                 out.append(p)
         elif type(prev) is Star:
-            if prev.inner == p:
+            if prev.inner is p:
                 out[-1] = Plus(p)                         # x* x -> x+
-            elif type(p) is Plus and prev.inner == p.inner:
+            elif type(p) is Plus and prev.inner is p.inner:
                 out[-1] = p                               # x* x+ -> x+
             else:
                 out.append(p)
@@ -381,11 +397,11 @@ def _replace_pair(options, i, j, new):
 
 
 def _shared(a, b) -> int:
-    """How many leading items a and b have in common. Identical items match,
-    and items of different types differ, without an __eq__ call."""
+    """How many leading items a and b have in common: equal nodes are one
+    object, so this compares identities only."""
     k = 0
     for x, y in zip(a, b):
-        if x is not y and (type(x) is not type(y) or not x == y):
+        if x is not y:
             break
         k += 1
     return k
@@ -440,31 +456,21 @@ _QUANTIFIED = {Star: _simp_star, Plus: _simp_plus, Optional: _simp_opt}
 _LEAVES = frozenset((Empty, Char, AnyChar, CharClass, AnchorStart, AnchorEnd))
 
 
-def _same(a, b) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
-
-
 def _simp(ast, memo):
-    """One rewrite pass over a node that is not a leaf. memo maps id(node)
-    -> (node, result) for every node rewritten so far: reversal builds a DAG
-    whose subtrees are shared, so each is rewritten once, and holding node
-    keeps its id from being reused. A node none of whose children changed
-    and on which no rewrite fired is its own result, so a later pass finds
-    it in memo at once."""
-    hit = memo.get(id(ast))
-    if hit is not None:
-        return hit[1]
+    """One rewrite pass over a node that is not a leaf. memo maps each node
+    rewritten so far to its result: reversal builds a DAG whose subtrees are
+    shared, so each is rewritten once. A node that no rewrite changed is
+    rebuilt from the same fields, which interning returns as the node
+    itself, so a later pass finds it in memo at once."""
+    out = memo.get(ast)
+    if out is not None:
+        return out
     kind = type(ast)
     if kind is Concat:
         parts = [p if type(p) in _LEAVES else _simp(p, memo) for p in ast.parts]
-        kinds = set(map(type, parts))
-        if Star in kinds:
-            parts = _simplify_cat(parts)  # adds no Concat or Empty
-        if (len(parts) > 1 and Concat not in kinds and Empty not in kinds
-                and _same(parts, ast.parts)):
-            out = ast
-        else:
-            out = cat(parts)
+        if Star in map(type, parts):
+            parts = _simplify_cat(parts)
+        out = cat(parts)
     elif kind is Alternate:
         options = []
         has_empty = False
@@ -483,7 +489,7 @@ def _simp(ast, memo):
         quantified = [o for o in options if type(o) in _QUANTIFIED]
         if quantified:
             options = [o for o in options
-                       if not any(q.inner == o for q in quantified)]
+                       if not any(q.inner is o for q in quantified)]
         factored = _factor_once(options) if len(options) > 1 else None
         if factored is not None:
             options = [o if type(o) in _LEAVES else _simp(o, memo) for o in factored]
@@ -491,8 +497,6 @@ def _simp(ast, memo):
             out = Empty()
         elif len(options) == 1:
             out = options[0]
-        elif not has_empty and _same(options, ast.options):
-            out = ast
         else:
             out = Alternate(tuple(options))
         if has_empty:
@@ -500,28 +504,25 @@ def _simp(ast, memo):
     else:
         inner = ast.inner
         out = _QUANTIFIED[kind](inner if type(inner) in _LEAVES else _simp(inner, memo))
-        if type(out) is kind and out.inner is inner:
-            out = ast
-    memo[id(ast)] = (ast, out)
+    memo[ast] = out
     return out
 
 
 def simplify(ast: RegexAst) -> RegexAst:
     """Rewrite passes to a fixed point, at most 30. All passes share one
-    memo, and a pass returns an unchanged subtree itself, so a pass after
-    the first rewrites only what the one before it changed, the pass that
-    confirms the fixed point returns its very input, and the equality test
-    that ends the loop walks only the paths that changed. Every pass
-    matches the same strings, so when a pass or that test would recurse
-    too deep (about 100 nested groups), the last finished pass is returned
-    as it stands. Where that cut falls depends on how deep the caller's
-    stack already is."""
+    memo, and an unchanged subtree is interned back to itself, so a pass
+    after the first rewrites only what the one before it changed and the
+    pass that confirms the fixed point returns its very input. Every pass
+    matches the same strings, so when a pass would recurse too deep (about
+    100 nested groups), the last finished pass is returned as it stands.
+    Where that cut falls depends on how deep the caller's stack already
+    is."""
     memo = {}
     cur = ast
     try:
         for _ in range(30):
             nxt = cur if type(cur) in _LEAVES else _simp(cur, memo)
-            if nxt == cur:
+            if nxt is cur:
                 return cur
             cur = nxt
     except RecursionError:

@@ -66,7 +66,7 @@ def class_matches(cls: CharClass, ch: str) -> bool:
 
 
 def _match_ends(ast, s, start, memo):
-    key = (id(ast), start)
+    key = (ast, start)
     cached = memo.get(key)
     if cached is not None:
         return cached

@@ -20,6 +20,7 @@ from sbprof.errors import (
     DecompileError,
     IrreducibleGraph,
     SandboxError,
+    TooManyStates,
 )
 from sbprof.evaluate import build_universe, exhaustive_contexts, expr_matches
 from sbprof.model import (
@@ -441,6 +442,34 @@ def test_nested_star_rule_at_group_limit_decompiles(small):
     text = decompile.decompile(blob, table, vocab)
     assert time.perf_counter() - started < 2.0
     assert evaluate.check_equivalence(profile, sbpl.parse_sbpl(text), table,
+                                      vocab).equivalent
+
+
+def test_nested_alternation_reversal_stops_at_node_limit(small):
+    # (a|b(a|b...x...c)*c)*: the reversed text grows about 6-fold per level,
+    # and at 8 levels it would write 9,241,402 leaves, each of which needs a
+    # wire record, so it could never compile back
+    table, vocab = small
+    profiles = {}
+    for depth in (4, 8):
+        pattern = "x"
+        for _ in range(depth):
+            pattern = "(a|b" + pattern + "c)*"
+        profiles[depth] = sbpl.parse_sbpl(
+            f'(version 1)\n(deny default)\n(allow file-read* (regex #"{pattern}"))\n')
+
+    blob = codec.compile_profile(profiles[8], table, vocab)
+    started = time.perf_counter()
+    with pytest.raises(DecompileError) as info:
+        decompile.decompile(blob, table, vocab)
+    assert isinstance(info.value.cause, TooManyStates)
+    text = decompile.decompile(blob, table, vocab, permissive=True)
+    assert "; unreversed file-read*: reversed pattern has 9241402 leaves" in text
+    assert time.perf_counter() - started < 1.0
+
+    blob = codec.compile_profile(profiles[4], table, vocab)
+    text = decompile.decompile(blob, table, vocab)
+    assert evaluate.check_equivalence(profiles[4], sbpl.parse_sbpl(text), table,
                                       vocab).equivalent
 
 

@@ -47,6 +47,21 @@ def test_parse_single_char():
     assert rex.parse_regex("a") == Char(ord("a"))
 
 
+def test_nodes_are_interned():
+    # a node equal to a live one is that node, so == and hash are identity
+    assert rex.parse_regex("(ab|[c-e])*") is rex.parse_regex("(ab|[c-e])*")
+    assert Char(ord("a")) is rex.CHARS[ord("a")]
+    ast = rex.parse_regex("(ab|[c-e])*")
+    parsed = (*ast.inner.options[0].parts, ast.inner.options[1])
+    program = nfa.deserialize_nfa(nfa.serialize_nfa(nfa.build_nfa(ast)))
+    consumed = [label for _src, label, _dst in program.transitions
+                if label is not rex.Empty()]
+    assert len(consumed) == 3
+    assert all(any(label is node for node in parsed) for label in consumed)
+    with pytest.raises(AttributeError):
+        ast.inner = Char(ord("a"))
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(RegexSyntaxError) as err:
         rex.parse_regex("(")
@@ -320,6 +335,18 @@ def test_reversal_state_cap():
                   0, frozenset([4999]))
     with pytest.raises(TooManyStates):
         nfa.nfa_to_regex(big)
+
+
+def test_nested_star_program_reverses_fast():
+    # state elimination builds equal fragments apart; simplify compares them
+    # by identity, where walking them as trees took 0.42 s
+    depth = rex.MAX_GROUP_NESTING
+    program = nfa.deserialize_nfa(nfa.serialize_nfa(nfa.build_nfa(
+        rex.parse_regex("(" * depth + "a" + ")*" * depth))))
+    started = time.perf_counter()
+    back = nfa.nfa_to_regex(program)
+    assert time.perf_counter() - started < 0.25
+    assert rex.print_regex(back) == "a*"
 
 
 def test_group_nesting_limit(small):
