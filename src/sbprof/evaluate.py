@@ -6,6 +6,13 @@ An atom matches when its context key is bound and the bound value satisfies
 the filter; unbound keys never match, so require-not of an unbound-key atom
 always matches.
 
+Exhaustive mode evaluates one context per operation-local signature class:
+values whose truth values agree on every atom the operation's verdict reads,
+on either side, give the same verdict pair, so each class combination is
+asked once, on its first members, and an operation that reads what an
+agreeing earlier one read is not asked again. That is exact; the reported
+count and the cap still cover the full product of the key pools.
+
 Automata come from nfa's memo and each evaluator holds the entries it used;
 a regex's universe samples are kept on its automaton. No other regex state
 outlives a call.
@@ -14,6 +21,7 @@ outlives a call.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -352,16 +360,24 @@ def build_universe(atom_triples, vocab):
     return values
 
 
-def exhaustive_contexts(universe: dict, cap: int = 8192):
-    """Every combination of unbound/candidate per key, capped for safety."""
+EXHAUSTIVE_CAP = 8192  # contexts in one operation's exhaustive product, at most
+
+
+def _pools(universe: dict, cap: int):
+    """The sorted keys, per key [None] (unbound) + its values, and the size
+    of their product; raises SandboxError when that size exceeds cap."""
     keys = sorted(universe)
     pools = [[None] + universe[k] for k in keys]
-    total = 1
-    for pool in pools:
-        total *= len(pool)
+    total = math.prod(map(len, pools))
     if total > cap:
         raise SandboxError(f"context universe too large for exhaustive mode "
                            f"({total} > {cap})")
+    return keys, pools, total
+
+
+def exhaustive_contexts(universe: dict, cap: int = EXHAUSTIVE_CAP):
+    """Every combination of unbound/candidate per key, capped for safety."""
+    keys, pools, _total = _pools(universe, cap)
     for combo in itertools.product(*pools):
         bindings = {k: v for k, v in zip(keys, combo) if v is not None}
         yield QueryContext(bindings)
@@ -379,16 +395,17 @@ def sampled_contexts(universe: dict, seed: int, count: int):
         yield QueryContext(bindings)
 
 
-def _source_op_keys(src, op: str, vocab) -> set:
-    """Context keys the operation's verdict can depend on."""
+def _op_atoms(src, op: str) -> set:
+    """(context key, is-regex, value) of every atom op's verdict can read:
+    the atoms of its effective rules, or the nodes reachable from its entry
+    in the blob."""
     if isinstance(src, AstEvaluator):
-        keys = set()
-        for rule in src._rules(op):
-            if rule.filter is not None:
-                for atom in expr_atoms(rule.filter):
-                    keys.add(vocab.by_name(atom.key).context_key)
-        return keys
-    keys = set()
+        kinds, vocab = src._kinds, src.vocab
+        return {(*(kinds.get(atom.key) or _filter_kind(vocab.by_name(atom.key))),
+                 atom.value)
+                for rule in src._rules(op) if rule.filter is not None
+                for atom in expr_atoms(rule.filter)}
+    atoms = set()
     seen = set()
     stack = [src.bp.op_pointers[src.table.index(op)]]
     while stack:
@@ -396,13 +413,34 @@ def _source_op_keys(src, op: str, vocab) -> set:
         if unit in seen:
             continue
         seen.add(unit)
-        key, _r, _v, match_off, unmatch_off, _e = src._prepare(unit)
-        if key is None:
-            continue
-        keys.add(key)
-        stack.append(match_off)
-        stack.append(unmatch_off)
-    return keys
+        key, is_regex, value, match_off, unmatch_off, _e = src._prepare(unit)
+        if key is not None:
+            atoms.add((key, is_regex, value))
+            stack.append(match_off)
+            stack.append(unmatch_off)
+    return atoms
+
+
+def _verdict_id(src, op: str):
+    """What op's verdict reads besides the context: its rule owner in an
+    AST (the default operation reads none), its entry node in a blob."""
+    index = src.table.index(op)  # raises UnknownOperation
+    if isinstance(src, AstEvaluator):
+        return op == "default" or src._owner.get(op)
+    return src.bp.op_pointers[index]
+
+
+def _atom_column(src, atom: tuple, pool: list) -> int:
+    """Bit mask of the pool members (None stands for unbound) that satisfy
+    one of _op_atoms(src, ...), by src's own verdict predicate."""
+    _key, is_regex, value = atom
+    if is_regex:
+        hits = (_regex_matches(value, v, src.rx) for v in pool)
+    elif isinstance(src, AstEvaluator):
+        hits = (v is not None and v == value for v in pool)
+    else:
+        hits = (v == value for v in pool)
+    return sum(1 << i for i, hit in enumerate(hits) if hit)
 
 
 @dataclass
@@ -423,12 +461,19 @@ class EquivalenceReport:
 def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
                       ops=None, mode: str = "exhaustive", seed: int = 0,
                       samples: int = 1000) -> EquivalenceReport:
-    """Compare two verdict sources. Exhaustive mode enumerates, per
-    operation, every combination of that operation's own atom values;
-    sampled mode draws seeded random contexts from the combined universe.
-    ops limits the operations compared, in that order. Each call builds its
-    own two evaluators, their atoms and their universe; the automata and
-    their samples come from nfa's memo."""
+    """Compare two verdict sources. Exhaustive mode covers, per operation,
+    every combination of unbound/candidate values of the keys that
+    operation's atoms test, but evaluates one context per combination of
+    signature classes: values that give the same truth value for every atom
+    the operation's verdict reads, on either side, give the same verdict
+    pair. A class stands for its first member, and an operation whose
+    verdicts read what an earlier agreeing one's read is not evaluated
+    again. `checked` and the cap count the full product, and a witness is
+    the first disagreeing context of that product. Sampled mode draws
+    seeded random contexts from the combined universe. ops limits the
+    operations compared, in that order. Each call builds its own two
+    evaluators, their atoms and their universe; the automata and their
+    samples come from nfa's memo."""
     src_a = as_source(a, table, vocab)
     src_b = as_source(b, table, vocab)
     if ops is None:
@@ -437,37 +482,69 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
                               + collect_atoms(src_b, table, vocab), vocab)
     checked = 0
 
-    def compare(op, ctx):
-        nonlocal checked
-        checked += 1
+    def compare(op, ctx, position):
+        """A report naming ctx as the position-th check if the verdicts differ."""
         va = src_a.verdict(op, ctx)
         vb = src_b.verdict(op, ctx)
         if va is not vb:
-            return EquivalenceReport(False, checked, mode, (op, ctx, va, vb))
+            return EquivalenceReport(False, position, mode, (op, ctx, va, vb))
         return None
 
     if mode == "exhaustive":
-        # only the keys an operation's own (inherited) atoms test can
-        # change its verdict; everything else stays at the empty context
+        columns = {}  # (source, atom) -> _atom_column over its key's pool
+        # an operation whose verdicts read what an earlier one's read (the
+        # same rule owner or blob entry on each side) agrees where it agreed
+        agreed = {}  # _verdict_id pair of an agreeing operation -> its product size
         for op in ops:
-            keys = _source_op_keys(src_a, op, vocab) | \
-                _source_op_keys(src_b, op, vocab)
-            sub = {k: universe[k] for k in sorted(keys) if k in universe}
-            for ctx in exhaustive_contexts(sub):
-                bad = compare(op, ctx)
+            ids = _verdict_id(src_a, op), _verdict_id(src_b, op)
+            if ids in agreed:
+                checked += agreed[ids]
+                continue
+            # only the keys an operation's own (inherited) atoms test can
+            # change its verdict; everything else stays unbound
+            by_key = {}  # context key -> (source, atom) pairs that test it
+            for src in (src_a, src_b):
+                for atom in _op_atoms(src, op):
+                    by_key.setdefault(atom[0], []).append((src, atom))
+            keys, pools, total = _pools(
+                {k: universe[k] for k in by_key}, EXHAUSTIVE_CAP)
+            # per key, (pool index, value) of each class's first member, in
+            # pool order; a class is a bit mask of pool members, split by
+            # every atom on that key the verdicts read
+            firsts = []
+            for key, pool in zip(keys, pools):
+                classes = [(1 << len(pool)) - 1]
+                for src, atom in by_key[key]:
+                    col = columns.get((src, atom))
+                    if col is None:
+                        col = columns[src, atom] = _atom_column(src, atom, pool)
+                    classes = [part for members in classes
+                               for part in (members & col, members & ~col) if part]
+                firsts.append([(i, pool[i]) for i in sorted(
+                    (members & -members).bit_length() - 1 for members in classes)])
+            # product-order rank of a context = sum of index x stride
+            strides = [math.prod(map(len, pools[j + 1:])) for j in range(len(pools))]
+            for combo in itertools.product(*firsts):
+                ctx = QueryContext({k: v for k, (_i, v) in zip(keys, combo)
+                                    if v is not None})
+                rank = sum(i * n for (i, _v), n in zip(combo, strides))
+                bad = compare(op, ctx, checked + rank + 1)
                 if bad:
                     return bad
+            agreed[ids] = total
+            checked += total
     else:
         interesting = [op for op in ops if op != "default"]
         if interesting:  # else only the empty context below is checked
             rng = random.Random(seed)
             for ctx in sampled_contexts(universe, seed, samples):
-                op = rng.choice(interesting)
-                bad = compare(op, ctx)
+                checked += 1
+                bad = compare(rng.choice(interesting), ctx, checked)
                 if bad:
                     return bad
         for op in ops:
-            bad = compare(op, QueryContext({}))
+            checked += 1
+            bad = compare(op, QueryContext({}), checked)
             if bad:
                 return bad
     return EquivalenceReport(True, checked, mode)

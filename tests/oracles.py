@@ -171,6 +171,30 @@ def bounded_language_equal(a, b, alphabet, max_len: int):
     return True, None
 
 
+def enumerated_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
+                           ops=None) -> evaluate.EquivalenceReport:
+    """Exhaustive equivalence the plain way: per operation, every context of
+    the keys its atoms test on either side, in product order, through both
+    verdicts. The reference for check_equivalence's one context per
+    signature class."""
+    src_a = evaluate.as_source(a, table, vocab)
+    src_b = evaluate.as_source(b, table, vocab)
+    universe = evaluate.build_universe(
+        evaluate.collect_atoms(src_a, table, vocab)
+        + evaluate.collect_atoms(src_b, table, vocab), vocab)
+    checked = 0
+    for op in table.entries if ops is None else ops:
+        keys = {key for src in (src_a, src_b)
+                for key, _r, _v in evaluate._op_atoms(src, op)}
+        for ctx in evaluate.exhaustive_contexts({k: universe[k] for k in keys}):
+            checked += 1
+            va, vb = src_a.verdict(op, ctx), src_b.verdict(op, ctx)
+            if va is not vb:
+                return evaluate.EquivalenceReport(False, checked, "exhaustive",
+                                                  (op, ctx, va, vb))
+    return evaluate.EquivalenceReport(True, checked, "exhaustive")
+
+
 @dataclass
 class SuiteResult:
     total: int = 0

@@ -17,7 +17,7 @@ from sbprof.model import (
     ValueKind,
 )
 
-from oracles import ast_match
+from oracles import ast_match, enumerated_equivalence
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -186,6 +186,53 @@ def test_universe_samples_each_automaton_once(small, monkeypatch):
     assert len(calls) == len(set(map(id, calls))) == 4  # two texts, two programs
 
 
+# process-exec fills the path pool with twelve literals that no file
+# operation tests: for file-read* and file-write* they act like unbound
+MANY_PATHS = """(deny default)
+(allow process-exec (literal "/x/1") (literal "/x/2") (literal "/x/3")
+  (literal "/x/4") (literal "/x/5") (literal "/x/6") (literal "/x/7")
+  (literal "/x/8") (literal "/x/9") (literal "/x/10") (literal "/x/11")
+  (literal "/x/12"))
+(allow file-read* (literal "/a/1") (regex #"^/b/[45]$"))
+(allow file-write* (require-all (literal "/a/1") (vnode-type REGULAR-FILE)))
+(deny file-write* (regex #"^/b/[45]$"))
+(allow file-write* (vnode-type DIRECTORY))
+"""
+
+
+def test_exhaustive_evaluates_one_context_per_signature_class(small, monkeypatch):
+    table, vocab = small
+    profile = sbpl.parse_sbpl(MANY_PATHS)
+    blob = codec.compile_profile(profile, table, vocab)
+    trimmed, flipped = dict(profile.rules), dict(profile.rules)
+    trimmed["file-write*"] = trimmed["file-write*"][1:]
+    flipped["file-write*"] = tuple(
+        Rule(r.decision.negate() if i == 1 else r.decision, r.filter)
+        for i, r in enumerate(flipped["file-write*"]))
+    pairs = [(profile, blob, None),
+             (blob, profile, ["file-write*", "file-read*"]),
+             (blob, Profile("", profile.default_decision, trimmed), None),
+             (profile, Profile("", profile.default_decision, flipped),
+              ["file-read*", "file-write*"])]
+    calls = []  # the evaluator each verdict call went to
+    for cls in (evaluate.AstEvaluator, evaluate.BlobEvaluator):
+        def counted(self, op, ctx, trace=None, _verdict=cls.verdict):
+            calls.append(id(self))
+            return _verdict(self, op, ctx, trace)
+        monkeypatch.setattr(cls, "verdict", counted)
+    equivalent = []
+    for a, b, ops in pairs:
+        want = enumerated_equivalence(a, b, table, vocab, ops=ops)
+        del calls[:]
+        report = evaluate.check_equivalence(a, b, table, vocab, ops=ops)
+        assert report == want
+        per_evaluator = [calls.count(ev) for ev in set(calls)]
+        assert len(per_evaluator) == 2
+        assert max(per_evaluator) < report.checked
+        equivalent.append(report.equivalent)
+    assert equivalent == [True, True, False, False]
+
+
 def test_sampled_mode_is_deterministic(small, blacklist):
     table, vocab = small
     profile, blob = blacklist
@@ -328,7 +375,7 @@ def test_verdicts_agree_with_reference_matcher(small, large):
         universe = evaluate.build_universe(
             evaluate.collect_atoms(profile, table, vocab), vocab)
         for op in table.entries:
-            keys = evaluate._source_op_keys(diff.ast_ev, op, vocab)
+            keys = {key for key, _r, _v in evaluate._op_atoms(diff.ast_ev, op)}
             sub = {k: universe[k] for k in sorted(keys)}
             for ctx in evaluate.exhaustive_contexts(sub):
                 diff.check(op, ctx)
