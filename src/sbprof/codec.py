@@ -26,6 +26,9 @@ unnamed operation table. `_write_layout` is the only writer and
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import nfa
@@ -50,7 +53,7 @@ from .model import (
     RequireAny,
     RequireNot,
     ValueKind,
-    validate_profile,
+    _validate,
 )
 
 FORMAT_SEPARATED = 0x0000
@@ -139,69 +142,119 @@ class NodeRecord:
 
 @dataclass(frozen=True)
 class BinaryProfile:
-    """Decoded sections over one profile (possibly a view into a bundle)."""
+    """Decoded sections over one profile (possibly a view into a bundle).
+    The node records are five columns indexed by unit - node_base, which
+    every view of one bundle shares; records and record_at build
+    NodeRecords from them on demand."""
 
     format_id: int
     op_count: int
     pool_count: int
-    op_pointers: tuple
-    records: tuple
-    node_base: int          # unit offset of records[0]
-    pool_pointers: tuple
+    op_pointers: array
+    node_types: bytes
+    filter_keys: bytes
+    filter_values: array
+    match_offsets: array
+    unmatch_offsets: array
+    node_base: int          # unit offset of the first record
+    pool_pointers: array
     raw: bytes
     pool_start: int         # byte offset where pool items begin
     name: str = ""
 
-    def record_at(self, unit: int) -> NodeRecord:
-        idx = unit - self.node_base
-        if not 0 <= idx < len(self.records):
-            raise DanglingOffset(unit)
-        return self.records[idx]
+    @property
+    def records(self) -> Sequence:
+        """The node records in unit order, as a read-only sequence."""
+        return _Records(self)
 
-    def _pool_offset(self, rec: NodeRecord) -> int:
-        """Byte offset of the pool item rec's value indexes; a bad index is
-        reported at rec's value field."""
-        index = rec.filter_value
+    def _index(self, unit: int) -> int:
+        idx = unit - self.node_base
+        if not 0 <= idx < len(self.node_types):
+            raise DanglingOffset(unit)
+        return idx
+
+    def record_at(self, unit: int) -> NodeRecord:
+        idx = self._index(unit)
+        return NodeRecord(unit, self.node_types[idx], self.filter_keys[idx],
+                          self.filter_values[idx], self.match_offsets[idx],
+                          self.unmatch_offsets[idx])
+
+    def decision_at(self, unit: int) -> Decision | None:
+        """The decision of the terminal at unit, None for a filter node."""
+        idx = self._index(unit)
+        if self.node_types[idx] != NODE_TERMINAL:
+            return None
+        return Decision.ALLOW if self.filter_keys[idx] == TERMINAL_ALLOW else Decision.DENY
+
+    def _pool_offset(self, unit: int) -> int:
+        """Byte offset of the pool item the value of the node at unit
+        indexes; a bad index is reported at the node's value field."""
+        index = self.filter_values[self._index(unit)]
         if not 0 <= index < self.pool_count:
-            raise MalformedBlob(8 * rec.unit + 2, f"pool index {index} out of range")
+            raise MalformedBlob(8 * unit + 2, f"pool index {index} out of range")
         return self.pool_pointers[index] * 8
 
-    def value_at(self, rec: NodeRecord, entry: FilterKey):
-        """The filter value of non-terminal rec, read by entry's kind: a
-        number, an enum name, a string, an endpoint (proto, addr), or for a
+    def value_at(self, unit: int, entry: FilterKey):
+        """The filter value of the filter node at unit, read by entry's kind:
+        a number, an enum name, a string, an endpoint (proto, addr), or for a
         regex the pool from its program onwards, not copied (the program's
         own header says where it ends)."""
+        value = self.filter_values[self._index(unit)]
         kind = entry.kind
         if kind is ValueKind.NUMERIC:
-            return rec.filter_value
+            return value
         if kind is ValueKind.ENUM_NAMED:
             for name, code in entry.named_values.items():
-                if code == rec.filter_value:
+                if code == value:
                     return name
-            raise UnknownFilterValue(entry.name, rec.filter_value)
+            raise UnknownFilterValue(entry.name, value)
         if kind is ValueKind.REGEX_INDEX:
-            return memoryview(self.raw)[self._pool_offset(rec):]
-        text = _read_pool_string(self.raw, self._pool_offset(rec))
+            return memoryview(self.raw)[self._pool_offset(unit):]
+        text = _read_pool_string(self.raw, self._pool_offset(unit))
         if kind is ValueKind.NETWORK_ENDPOINT:
             proto, _, addr = text.partition(" ")
             return (proto, addr)
         return text
 
     def default_decision(self) -> Decision:
-        entry = self.record_at(self.op_pointers[0])
-        if not entry.is_terminal:
+        decision = self.decision_at(self.op_pointers[0])
+        if decision is None:
             raise MalformedBlob(self.op_pointers[0] * 8,
                                 "default operation does not point at a terminal")
-        return entry.decision
+        return decision
 
 
-def _parse_records(raw, node_start, pool_start):
+class _Records(Sequence):
+    """BinaryProfile.records: each NodeRecord is built when it is read."""
+
+    __slots__ = ("_bp",)
+
+    def __init__(self, bp: BinaryProfile):
+        self._bp = bp
+
+    def __len__(self) -> int:
+        return len(self._bp.node_types)
+
+    def __getitem__(self, idx: int) -> NodeRecord:
+        base = self._bp.node_base
+        return self._bp.record_at(range(base, base + len(self))[idx])
+
+
+def _u16s(data) -> array:
+    """The little-endian u16s in the bytes of data, as an array."""
+    out = array("H", bytes(data))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
+
+
+def _check_records(block, node_start):
+    """Walk the node records in block, which starts at byte node_start, and
+    raise MalformedBlob for the first bad one, or for a bad terminal census."""
     base = node_start // 8
-    count = (pool_start - node_start) // 8
-    records = []
+    count = len(block) // 8
     allow = deny = 0
-    for i, (node_type, key, value, match, unmatch) in enumerate(
-            _RECORD.iter_unpack(raw[node_start:pool_start])):
+    for i, (node_type, key, value, match, unmatch) in enumerate(_RECORD.iter_unpack(block)):
         off = node_start + 8 * i
         if node_type == NODE_TERMINAL:
             if key not in (TERMINAL_DENY, TERMINAL_ALLOW):
@@ -218,11 +271,39 @@ def _parse_records(raw, node_start, pool_start):
                     raise MalformedBlob(off, f"edge offset 0x{target:04x} out of range")
         else:
             raise MalformedBlob(off, f"unknown node type 0x{node_type:02x}")
-        records.append(NodeRecord(base + i, node_type, key, value, match, unmatch))
     if allow != 1 or deny != 1:
         raise MalformedBlob(node_start,
                             f"expected one allow and one deny terminal, got {allow}/{deny}")
-    return tuple(records)
+
+
+def _columns_valid(types, keys, values, matches, unmatches, base) -> bool:
+    """Whether _check_records would accept these columns, decided a column
+    at a time: only filter nodes and one allow and one deny terminal, the
+    terminals' payload zero, and every filter node's edges in range."""
+    count = len(types)
+    if types.count(NODE_TERMINAL) != 2 or types.count(NODE_NON_TERMINAL) != count - 2:
+        return False
+    first = types.find(NODE_TERMINAL)
+    second = types.find(NODE_TERMINAL, first + 1)
+    if {keys[first], keys[second]} != {TERMINAL_ALLOW, TERMINAL_DENY}:
+        return False
+    if any(column[i] for column in (values, matches, unmatches) for i in (first, second)):
+        return False
+    edges = matches + unmatches
+    for i in (first, second, count + first, count + second):
+        edges[i] = base  # terminals have no edges
+    return base <= min(edges) and max(edges) < base + count
+
+
+def _record_columns(data, node_start, pool_start):
+    """The node records from byte node_start to pool_start of data, as
+    validated columns (types, keys, values, matches, unmatches)."""
+    block = bytes(data[node_start:pool_start])
+    halves = _u16s(block)  # a record's value, match and unmatch are its last three
+    columns = (block[0::8], block[1::8], halves[1::4], halves[2::4], halves[3::4])
+    if not _columns_valid(*columns, node_start // 8):
+        _check_records(block, node_start)
+    return columns
 
 
 def _read_layout(blob, start: int, format_id: int) -> list:
@@ -251,39 +332,42 @@ def _read_layout(blob, start: int, format_id: int) -> list:
     # byte offset of each operation table, bundle names leading their table
     tables = [fixed + i * (2 * named + 2 * op_count) for i in range(sets)]
     pool_at = head - 2 * pool_count
-    pool_pointers = struct.unpack_from(f"<{pool_count}H", data, pool_at)
+    pool_pointers = _u16s(data[pool_at:head])
     name_units = [struct.unpack_from("<H", data, at)[0] for at in tables] if named else []
     # every pool pointer, bundle names included, must land inside the layout
-    fields = [pool_at + 2 * i for i in range(pool_count)] + (tables if named else [])
-    units = pool_pointers + tuple(name_units)
-    for at, unit in zip(fields, units):
-        if unit * 8 >= len(data):
-            raise MalformedBlob(at, f"pool pointer 0x{unit:04x} past end of blob")
+    units = pool_pointers.tolist() + name_units
+    if units and max(units) * 8 >= len(data):
+        fields = [pool_at + 2 * i for i in range(pool_count)] + (tables if named else [])
+        for at, unit in zip(fields, units):
+            if unit * 8 >= len(data):
+                raise MalformedBlob(at, f"pool pointer 0x{unit:04x} past end of blob")
     node_start = _align8(head)
     pool_start = 8 * min(units) if units else len(data)
     if pool_start < node_start:
         raise MalformedBlob(pool_start, "pool overlaps the pointer tables")
     if (pool_start - node_start) % 8 or pool_start == node_start:
         raise MalformedBlob(node_start, "node section is empty or misaligned")
-    records = _parse_records(data, node_start, pool_start)
+    types, keys, values, matches, unmatches = _record_columns(data, node_start, pool_start)
     base = node_start // 8
     raw = bytes(blob[start:]) if start else bytes(blob)
     views = []
     names = set()
     for i, at in enumerate(tables):
         at += 2 * named  # skip the name offset
-        op_pointers = struct.unpack_from(f"<{op_count}H", data, at)
-        for j, ptr in enumerate(op_pointers):
-            if not base <= ptr < base + len(records):
-                raise MalformedBlob(at + 2 * j, f"operation pointer 0x{ptr:04x} out of range")
+        op_pointers = _u16s(data[at:at + 2 * op_count])
+        if op_pointers and not base <= min(op_pointers) <= max(op_pointers) < base + len(types):
+            for j, ptr in enumerate(op_pointers):
+                if not base <= ptr < base + len(types):
+                    raise MalformedBlob(at + 2 * j, f"operation pointer 0x{ptr:04x} out of range")
         name = _read_pool_string(data, name_units[i] * 8) if named else ""
         if name in names:
             raise MalformedBlob(tables[i], f"duplicate profile name {name!r}")
         names.add(name)
         views.append(BinaryProfile(
             format_id=format_id, op_count=op_count, pool_count=pool_count,
-            op_pointers=op_pointers, records=records, node_base=base,
-            pool_pointers=pool_pointers, raw=raw, pool_start=pool_start, name=name))
+            op_pointers=op_pointers, node_types=types, filter_keys=keys,
+            filter_values=values, match_offsets=matches, unmatch_offsets=unmatches,
+            node_base=base, pool_pointers=pool_pointers, raw=raw, pool_start=pool_start, name=name))
     return views
 
 
@@ -294,39 +378,38 @@ def decode_blob(blob: bytes) -> BinaryProfile:
 
 # ---------------------------------------------------------------------------
 # Lowering: Profile -> node rows
-
-def _term(decision: Decision):
-    return ("t", decision)
-
+#
+# A lowered node is one row (key code, payload, match ref, unmatch ref). Its
+# payload is an int stored inline in the record or the bytes of a pool item;
+# a ref is a node id (an int) or a terminal Decision.
 
 class _NodeStore:
-    """Interning store for lowered nodes; identical records share one id."""
+    """Interning store for lowered nodes; identical rows share one id.
+    patterns maps each regex text of the lowered profiles to its parsed
+    nfa.Pattern, as validation left it."""
 
-    def __init__(self, vocab: FilterVocabulary):
+    def __init__(self, vocab: FilterVocabulary, patterns: dict):
         self.vocab = vocab
-        # (key_code, payload, match_ref, unmatch_ref) -> node id, in id order
-        self.ids = {}
+        self.patterns = patterns
+        self.ids = {}  # row -> node id, in id order
 
-    def intern(self, *row):
-        return ("n", self.ids.setdefault(row, len(self.ids)))
-
-    def lower_atom(self, atom: Atom, match_ref, unmatch_ref):
+    def lower_atom(self, atom: Atom, match_ref, unmatch_ref) -> int:
         entry = self.vocab.by_name(atom.key)
         if entry.kind is ValueKind.NUMERIC:
-            payload = ("inline", int(atom.value))
+            payload = int(atom.value)
         elif entry.kind is ValueKind.ENUM_NAMED:
-            code = entry.named_values.get(atom.value)
-            if code is None:
+            payload = entry.named_values.get(atom.value)
+            if payload is None:
                 raise UnknownFilterValue(atom.key, atom.value)
-            payload = ("inline", code)
         elif entry.kind is ValueKind.REGEX_INDEX:
-            payload = ("pool", nfa.pattern(atom.value).wire)
+            payload = self.patterns[atom.value].wire
         elif entry.kind is ValueKind.NETWORK_ENDPOINT:
             proto, addr = atom.value
-            payload = ("pool", _pack_string(f"{proto} {addr}"))
+            payload = _pack_string(f"{proto} {addr}")
         else:
-            payload = ("pool", _pack_string(atom.value))
-        return self.intern(entry.code, payload, match_ref, unmatch_ref)
+            payload = _pack_string(atom.value)
+        row = (entry.code, payload, match_ref, unmatch_ref)
+        return self.ids.setdefault(row, len(self.ids))
 
     def lower_expr(self, expr, match_ref, unmatch_ref):
         if isinstance(expr, Atom):
@@ -348,12 +431,12 @@ class _NodeStore:
         raise TypeError(f"not a filter expression: {expr!r}")
 
     def lower_rules(self, rules, default: Decision):
-        target = _term(default)
+        target = default
         for rule in reversed(rules):
             if rule.filter is None:
-                target = _term(rule.decision)
+                target = rule.decision
             else:
-                target = self.lower_expr(rule.filter, _term(rule.decision), target)
+                target = self.lower_expr(rule.filter, rule.decision, target)
         return target
 
 
@@ -362,12 +445,12 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     links, everything else lands on the default terminal."""
     default = profile.default_decision
     owners = table.owners(profile.rules)
-    owner_refs: dict[str, tuple] = {}
+    owner_refs = {}
     entries = []
     for op in table.entries:
         owner = None if op == "default" else owners[op]
         if owner is None:
-            entries.append(_term(default))
+            entries.append(default)
             continue
         if owner not in owner_refs:
             owner_refs[owner] = store.lower_rules(profile.rules[owner], default)
@@ -381,9 +464,9 @@ def _dfs_order(entries, successors):
     order = []
     position = {}
     for ref in entries:
-        if ref[0] != "n" or ref[1] in position:
+        if type(ref) is not int or ref in position:
             continue
-        stack = [ref[1]]
+        stack = [ref]
         while stack:
             node = stack.pop()
             if node in position:
@@ -392,8 +475,8 @@ def _dfs_order(entries, successors):
             order.append(node)
             match_ref, unmatch_ref = successors(node)
             for nxt in (unmatch_ref, match_ref):  # LIFO: match visited first
-                if nxt[0] == "n" and nxt[1] not in position:
-                    stack.append(nxt[1])
+                if type(nxt) is int and nxt not in position:
+                    stack.append(nxt)
     return order, position
 
 
@@ -409,8 +492,9 @@ def _write_layout(rows, op_refs, names=None) -> bytes:
     pool = {}  # item bytes -> pool index, in index order
     values = []
     for node in order:
-        kind, value = rows[node][1]
-        values.append(value if kind == "inline" else pool.setdefault(value, len(pool)))
+        payload = rows[node][1]
+        values.append(payload if type(payload) is int
+                      else pool.setdefault(payload, len(pool)))
     name_indexes = [pool.setdefault(_pack_string(name), len(pool)) for name in names or ()]
     head = _table_size(len(op_refs[0]), len(pool), None if names is None else len(names))
     base = _align8(head) // 8
@@ -429,32 +513,42 @@ def _write_layout(rows, op_refs, names=None) -> bytes:
                                "pool items do not fit 16-bit offsets")
 
     def unit(ref):
-        if ref[0] == "n":
-            return base + position[ref[1]]
-        return allow_unit if ref[1] is Decision.ALLOW else deny_unit
+        if type(ref) is int:
+            return base + position[ref]
+        return allow_unit if ref is Decision.ALLOW else deny_unit
 
     name_units = None if names is None else [pool_units[i] for i in name_indexes]
-    out = [_pack_tables([[unit(r) for r in refs] for refs in op_refs],
-                        name_units, pool_units)]
+    out = bytearray(_pack_tables([[unit(r) for r in refs] for refs in op_refs],
+                                 name_units, pool_units))
     for node, value in zip(order, values):
         key, _payload, match_ref, unmatch_ref = rows[node]
-        out.append(_RECORD.pack(NODE_NON_TERMINAL, key, value,
-                                unit(match_ref), unit(unmatch_ref)))
-    out.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0))
-    out.append(_RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0))
-    out.append(pool_bytes)
-    return b"".join(out)
+        out += _RECORD.pack(NODE_NON_TERMINAL, key, value,
+                            unit(match_ref), unit(unmatch_ref))
+    out += _RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0)
+    out += _RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0)
+    out += pool_bytes
+    return bytes(out)
+
+
+def _lower(profiles, table: OperationTable, vocab: FilterVocabulary):
+    """Validate every profile (InvalidProfile for the first that fails) and
+    lower them into one store, so identical nodes are shared; return its rows
+    and each profile's entry refs. Lowering reuses the nfa.Patterns that
+    validation parsed, which are dropped before the layout is written."""
+    patterns = {}
+    for profile in profiles:
+        diagnostics = _validate(profile, table, vocab, patterns)
+        if diagnostics:
+            raise InvalidProfile(diagnostics)
+    store = _NodeStore(vocab, patterns)
+    op_refs = [_resolve_entries(p, table, store) for p in profiles]
+    return list(store.ids), op_refs
 
 
 def compile_profile(profile: Profile, table: OperationTable,
                     vocab: FilterVocabulary) -> bytes:
     """Deterministic lowering of a validated profile to a separated blob."""
-    diagnostics = validate_profile(profile, table, vocab)
-    if diagnostics:
-        raise InvalidProfile(diagnostics)
-    store = _NodeStore(vocab)
-    entries = _resolve_entries(profile, table, store)  # fills store.ids
-    return _write_layout(list(store.ids), [entries])
+    return _write_layout(*_lower([profile], table, vocab))
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +560,7 @@ def pack_bundle(profiles, table: OperationTable, vocab: FilterVocabulary) -> byt
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise SandboxError("bundle profile names must be unique")
-    for p in profiles:
-        diagnostics = validate_profile(p, table, vocab)
-        if diagnostics:
-            raise InvalidProfile(diagnostics)
-
-    store = _NodeStore(vocab)  # shared across profiles: cross-profile dedup
-    op_refs = [_resolve_entries(p, table, store) for p in profiles]
-    return _write_layout(list(store.ids), op_refs, names)
+    return _write_layout(*_lower(profiles, table, vocab), names)
 
 
 def unpack_bundle(blob: bytes, scan: bool = True):
@@ -503,23 +590,23 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
     profile reproduces its standalone compilation byte for byte. Inline
     values are copied as stored."""
     def ref(unit):
-        rec = view.record_at(unit)
-        return _term(rec.decision) if rec.is_terminal else ("n", unit)
+        decision = view.decision_at(unit)
+        return unit if decision is None else decision
 
     rows = {}  # unit -> lowered row, for every node the entries reach
 
     def lower(unit):
         """Lower one reached node into rows; return its successor refs."""
-        rec = view.record_at(unit)
-        entry = vocab.by_code(rec.filter_key)
+        idx = unit - view.node_base
+        entry = vocab.by_code(view.filter_keys[idx])
         if entry.kind in (ValueKind.NUMERIC, ValueKind.ENUM_NAMED):
-            payload = ("inline", rec.filter_value)
+            payload = view.filter_values[idx]
         elif entry.kind is ValueKind.REGEX_INDEX:
-            payload = ("pool", nfa.program_at(view.value_at(rec, entry)).wire)
+            payload = nfa.program_at(view.value_at(unit, entry)).wire
         else:
-            text = _read_pool_string(view.raw, view._pool_offset(rec))
-            payload = ("pool", _pack_string(text))
-        rows[unit] = (entry.code, payload, ref(rec.match_offset), ref(rec.unmatch_offset))
+            payload = _pack_string(_read_pool_string(view.raw, view._pool_offset(unit)))
+        rows[unit] = (entry.code, payload, ref(view.match_offsets[idx]),
+                      ref(view.unmatch_offsets[idx]))
         return rows[unit][2:]
 
     entries = [ref(ptr) for ptr in view.op_pointers]

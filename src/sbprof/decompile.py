@@ -62,9 +62,9 @@ _FORMS = {
 }
 
 
-def _resolve_atom(bp: BinaryProfile, rec, vocab: FilterVocabulary) -> Atom:
-    entry = vocab.by_code(rec.filter_key)
-    value = bp.value_at(rec, entry)
+def _resolve_atom(bp: BinaryProfile, unit: int, vocab: FilterVocabulary) -> Atom:
+    entry = vocab.by_code(bp.filter_keys[unit - bp.node_base])
+    value = bp.value_at(unit, entry)
     if entry.kind is ValueKind.REGEX_INDEX:
         value = nfa_mod.program_at(value).text
     return Atom(entry.name, value, _FORMS[entry.kind])
@@ -76,6 +76,7 @@ def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary) -> Op
     if not 0 <= op_index < bp.op_count:
         raise MalformedBlob(0, f"operation index {op_index} out of range")
     entry_unit = bp.op_pointers[op_index]
+    base, matches, unmatches = bp.node_base, bp.match_offsets, bp.unmatch_offsets
 
     # one DFS numbers the nodes in preorder, match edge first, and finds
     # cycles: an edge back to a unit still on the DFS path closes one
@@ -88,8 +89,7 @@ def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary) -> Op
         if leaving:
             on_path.discard(unit)
             continue
-        rec = bp.record_at(unit)
-        if rec.is_terminal:
+        if bp.decision_at(unit) is not None:
             continue
         if unit in ids:
             if unit in on_path:
@@ -99,20 +99,19 @@ def build_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary) -> Op
         order.append(unit)
         on_path.add(unit)
         stack.append((unit, True))
-        stack.append((rec.unmatch_offset, False))
-        stack.append((rec.match_offset, False))
+        stack.append((unmatches[unit - base], False))
+        stack.append((matches[unit - base], False))
 
     def succ(unit):
-        rec = bp.record_at(unit)
-        return rec.decision if rec.is_terminal else ids[unit]
+        decision = bp.decision_at(unit)
+        return ids[unit] if decision is None else decision
 
     nodes = {}
     for unit in order:
-        rec = bp.record_at(unit)
         nodes[ids[unit]] = GraphNode(
-            expr=_resolve_atom(bp, rec, vocab),
-            match=succ(rec.match_offset),
-            unmatch=succ(rec.unmatch_offset))
+            expr=_resolve_atom(bp, unit, vocab),
+            match=succ(matches[unit - base]),
+            unmatch=succ(unmatches[unit - base]))
     return OpGraph(nodes=nodes, entry=succ(entry_unit))
 
 

@@ -187,19 +187,22 @@ class BlobEvaluator:
         node = self._prepared.get(unit)
         if node is not None:
             return node
-        rec = self.bp.record_at(unit)
-        if rec.is_terminal:
-            node = (None, False, rec.decision, None, None, None)
+        bp = self.bp
+        decision = bp.decision_at(unit)
+        if decision is not None:
+            node = (None, False, decision, None, None, None)
         else:
-            entry = self.vocab.by_code(rec.filter_key)
-            value = self.bp.value_at(rec, entry)
+            idx = unit - bp.node_base
+            entry = self.vocab.by_code(bp.filter_keys[idx])
+            value = bp.value_at(unit, entry)
             is_regex = entry.kind is ValueKind.REGEX_INDEX
             if is_regex:  # one Program per pool item, held while self lives
-                program = self.rx.get(rec.filter_value) or self.rx.setdefault(
-                    rec.filter_value, nfa_mod.program_at(value))
-                value = program.nfa.dfa
-            node = (entry.context_key, is_regex, value, rec.match_offset,
-                    rec.unmatch_offset, entry)
+                index = bp.filter_values[idx]
+                program = self.rx.get(index) or self.rx.setdefault(
+                    index, nfa_mod.program_at(value))
+                value = program.dfa
+            node = (entry.context_key, is_regex, value, bp.match_offsets[idx],
+                    bp.unmatch_offsets[idx], entry)
         self._prepared[unit] = node
         return node
 
@@ -208,7 +211,7 @@ class BlobEvaluator:
         idx = self.table.index(op_name)
         unit = self.bp.op_pointers[idx]
         bindings, prepared, rx = ctx.bindings, self._prepared, self.rx
-        for _ in range(len(self.bp.records) + 1):
+        for _ in range(len(self.bp.node_types) + 1):
             key, is_regex, value, match_off, unmatch_off, entry = \
                 prepared.get(unit) or self._prepare(unit)
             if key is None:
@@ -304,8 +307,9 @@ def collect_atoms(source, table, vocab):
                     entry = vocab.by_name(atom.key)
                     out.append((entry.context_key, entry.kind, atom.value))
     else:
-        for rec in src.bp.records:
-            key, _r, value, _m, _u, entry = src._prepare(rec.unit)
+        base = src.bp.node_base
+        for unit in range(base, base + len(src.bp.node_types)):
+            key, _r, value, _m, _u, entry = src._prepare(unit)
             if key is not None:
                 out.append((key, entry.kind, value))
     return out

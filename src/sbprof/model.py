@@ -289,7 +289,7 @@ class Diagnostic:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-def _check_expr(expr, op, vocab, out):
+def _check_expr(expr, op, vocab, out, patterns):
     from . import nfa  # local import: model stays importable standalone
 
     if isinstance(expr, Atom):
@@ -313,7 +313,8 @@ def _check_expr(expr, op, vocab, out):
                                       f"{expr.key}: expected a regex pattern"))
             else:
                 try:
-                    nfa.pattern(expr.value)
+                    if expr.value not in patterns:
+                        patterns[expr.value] = nfa.pattern(expr.value)
                 except RegexSyntaxError as exc:
                     out.append(Diagnostic("BadRegex", op, f"{expr.key}: {exc}"))
         elif kind is ValueKind.NETWORK_ENDPOINT:
@@ -325,18 +326,25 @@ def _check_expr(expr, op, vocab, out):
                 out.append(Diagnostic("BadValue", op,
                                       f"{expr.key}: expected a string, got {expr.value!r}"))
     elif isinstance(expr, RequireNot):
-        _check_expr(expr.child, op, vocab, out)
+        _check_expr(expr.child, op, vocab, out, patterns)
     else:
         if not expr.children:
             out.append(Diagnostic("EmptyMetafilter", op,
                                   f"{type(expr).__name__} with no children"))
         for c in expr.children:
-            _check_expr(c, op, vocab, out)
+            _check_expr(c, op, vocab, out, patterns)
 
 
 def validate_profile(profile: Profile, table: OperationTable,
                      vocab: FilterVocabulary) -> list[Diagnostic]:
     """Collect every invariant violation; empty list means compilable."""
+    return _validate(profile, table, vocab, {})
+
+
+def _validate(profile: Profile, table: OperationTable, vocab: FilterVocabulary,
+              patterns: dict) -> list[Diagnostic]:
+    """validate_profile, also adding to patterns the nfa.Pattern of each
+    regex text it parsed, keyed by the text."""
     out: list[Diagnostic] = []
     if profile.default_decision is None:
         out.append(Diagnostic("MissingDefault", "default",
@@ -355,7 +363,7 @@ def validate_profile(profile: Profile, table: OperationTable,
                                       "rule after an unconditional rule"))
                 break
             if rule.filter is not None:
-                _check_expr(rule.filter, op, vocab, out)
+                _check_expr(rule.filter, op, vocab, out, patterns)
             else:
                 reachable = False
     return out

@@ -757,15 +757,26 @@ class Pattern:
 
 class Program:
     """A serialized regex program, decoded; its pattern text, reversed by
-    state removal, and its LazyDfa (nfa.dfa) are built on first use."""
+    state removal, and its LazyDfa are built on first use. Its Nfa is
+    dropped once the LazyDfa is built; nfa then decodes the wire again."""
 
     def __init__(self, wire: bytes):
-        self.nfa = deserialize_nfa(wire)
+        self._nfa = deserialize_nfa(wire)
         self.wire = wire
+
+    @property
+    def nfa(self) -> Nfa:
+        return self._nfa if self._nfa is not None else deserialize_nfa(self.wire)
 
     @cached_property
     def text(self) -> str:
         return rex.print_regex(nfa_to_regex(self.nfa))
+
+    @cached_property
+    def dfa(self) -> LazyDfa:
+        dfa = self._nfa.dfa
+        self._nfa = None
+        return dfa
 
 
 def _memo(kind):

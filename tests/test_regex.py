@@ -506,7 +506,7 @@ def test_memo_decodes_mutated_programs_like_deserialize(small, large):
                 continue
             entry = vocab.by_code(rec.filter_key)
             if entry.kind.name == "REGEX_INDEX":
-                view = bp.value_at(rec, entry)
+                view = bp.value_at(rec.unit, entry)
                 programs.append(bytes(view[:nfa.wire_length(view) + 8]))
     assert len(programs) > 100
     rng = random.Random(1212)
