@@ -124,52 +124,43 @@ def _negated(expr):
     return RequireNot(expr)
 
 
-def _splice_constant_nodes(g: OpGraph):
-    """A node whose match and unmatch agree never influences the verdict;
-    route around it (foreign blobs only, the encoder never emits one).
-    One post-order pass: a node's successors are resolved before the node,
-    so a node left constant by splicing its successors goes in the same pass."""
-    target = {}  # node id -> what references to it now lead to
-    entered = set()
-    for root in list(g.nodes):
-        stack = [root]
-        while stack:
-            nid = stack[-1]
-            if nid in target:
-                stack.pop()
-                continue
-            node = g.nodes[nid]
-            if nid not in entered:  # first visit: resolve the successors first
-                entered.add(nid)
-                stack.extend(s for s in (node.unmatch, node.match)
-                             if s in g.nodes and s not in target)
-                continue
-            stack.pop()
-            node.match = target.get(node.match, node.match)
-            node.unmatch = target.get(node.unmatch, node.unmatch)
-            if node.match == node.unmatch:
-                target[nid] = node.match
-                del g.nodes[nid]
-            else:
-                target[nid] = nid
-    g.entry = target.get(g.entry, g.entry)
-
-
 def normalize_graph(g: OpGraph, default: Decision) -> OpGraph:
-    """Negate-and-swap until match edges can only reach the success terminal
+    """One post-order walk from the entry, each node's successors resolved
+    before the node. A node whose match and unmatch agree never influences
+    the verdict and is routed around (foreign blobs only, the encoder never
+    emits one); any other node is copied, negated and swapped where an edge
+    points the wrong way, so match edges can only reach the success terminal
     and unmatch edges only the failure terminal (orientation given by the
-    default decision). Verdicts are preserved; idempotent."""
+    default decision). The result holds exactly the reachable, constant-free,
+    oriented nodes. Verdicts are preserved; idempotent."""
     success = default.negate()
-    fail = default
-    out = OpGraph(nodes={nid: GraphNode(n.expr, n.match, n.unmatch)
-                         for nid, n in g.nodes.items()},
-                  entry=g.entry, default=default)
-    _splice_constant_nodes(out)
-    for node in out.nodes.values():
-        if node.match == fail or node.unmatch == success:
-            node.expr = _negated(node.expr)
-            node.match, node.unmatch = node.unmatch, node.match
-    return out
+    nodes = {}
+    target = {}  # node id -> what references to it now lead to
+    entered = set()  # a cyclic hand-built graph still terminates
+    stack = [g.entry] if g.entry in g.nodes else []
+    while stack:
+        nid = stack[-1]
+        if nid in target:
+            stack.pop()
+            continue
+        node = g.nodes[nid]
+        if nid not in entered:  # first visit: resolve the successors first
+            entered.add(nid)
+            stack.extend(s for s in (node.unmatch, node.match)
+                         if s in g.nodes and s not in target)
+            continue
+        stack.pop()
+        match = target.get(node.match, node.match)
+        unmatch = target.get(node.unmatch, node.unmatch)
+        if match == unmatch:
+            target[nid] = match
+            continue
+        target[nid] = nid
+        if match == default or unmatch == success:
+            nodes[nid] = GraphNode(_negated(node.expr), unmatch, match)
+        else:
+            nodes[nid] = GraphNode(node.expr, match, unmatch)
+    return OpGraph(nodes=nodes, entry=target.get(g.entry, g.entry), default=default)
 
 
 # ---------------------------------------------------------------------------
@@ -202,28 +193,21 @@ def aggregate(g: OpGraph):
     """Collapse a normalized graph to one filter expression by node removal:
     unmatch chains with a shared match target fold into require-any, then a
     node whose match successor has the same failure path folds into
-    require-all. Returns None for an unconditionally-successful entry."""
+    require-all. g must be what normalize_graph returns: every node reachable
+    from the entry, none constant, every edge oriented; no merge makes a node
+    constant, so the entry never changes. Returns None for an
+    unconditionally-successful entry."""
     if g.default is None:
         raise IrreducibleGraph("aggregate needs a normalized graph")
     success = g.default.negate()
     fail = g.default
-    if isinstance(g.entry, Decision):
-        if g.entry == success:
+    entry = g.entry
+    if isinstance(entry, Decision):
+        if entry == success:
             return None
         raise IrreducibleGraph("entry is the failure terminal; nothing to emit")
 
-    reachable = set()
-    stack = [g.entry]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Decision) or cur in reachable:
-            continue
-        reachable.add(cur)
-        stack.append(g.nodes[cur].match)
-        stack.append(g.nodes[cur].unmatch)
-    nodes = {nid: GraphNode(n.expr, n.match, n.unmatch)
-             for nid, n in g.nodes.items() if nid in reachable}
-    entry = g.entry
+    nodes = {nid: GraphNode(n.expr, n.match, n.unmatch) for nid, n in g.nodes.items()}
     preds: dict[int, set] = {nid: set() for nid in nodes}
     for nid, node in nodes.items():
         for succ in (node.match, node.unmatch):
@@ -325,30 +309,11 @@ def aggregate(g: OpGraph):
                 absorb(nid, m)
                 absorb(nid, u)
                 merged = True
-        if merged and node.match == node.unmatch:
-            # merges can collapse a node into a constant; route around it
-            target = node.match
-            for pid in sorted(preds.get(nid, ())):
-                retarget(pid, nid, target)
-                if not isinstance(target, Decision):
-                    preds[target].add(pid)
-                enqueue(pid)
-            if entry == nid:
-                entry = target
-            if not isinstance(target, Decision):
-                preds[target].discard(nid)
-            del nodes[nid]
-            del preds[nid]
-            continue
         if merged:
             enqueue(nid)
             for p in sorted(preds.get(nid, ())):
                 enqueue(p)
 
-    if isinstance(entry, Decision):
-        if entry == success:
-            return None
-        raise IrreducibleGraph("entry collapsed to the failure terminal")
     if len(nodes) == 1 and entry in nodes:
         node = nodes[entry]
         if node.match == success and node.unmatch == fail:
@@ -438,7 +403,7 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
             continue
         try:
             normalized = normalize_graph(build_graph(bp, idx, vocab), default)
-            # constant-node splicing can collapse the whole graph to a terminal
+            # routing around constant nodes can leave the entry a terminal
             if isinstance(normalized.entry, Decision):
                 if normalized.entry == default:
                     if ancestor_unit is not None:

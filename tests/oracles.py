@@ -29,7 +29,8 @@ from sbprof.rex import (
 
 
 def check_match_graph(g: OpGraph) -> None:
-    """Machine check of the normalized-graph invariant."""
+    """Machine check of the normalized-graph invariant: every node oriented,
+    none constant, and every node reachable from the entry."""
     assert g.default is not None, "graph not normalized"
     success = g.default.negate()
     fail = g.default
@@ -38,6 +39,18 @@ def check_match_graph(g: OpGraph) -> None:
             raise AssertionError(f"node {nid}: match edge reaches {fail}")
         if node.unmatch == success:
             raise AssertionError(f"node {nid}: unmatch edge reaches {success}")
+        if node.match == node.unmatch:
+            raise AssertionError(f"node {nid}: match and unmatch agree")
+    reached = set()
+    stack = [g.entry]
+    while stack:
+        nid = stack.pop()
+        if nid in g.nodes and nid not in reached:
+            reached.add(nid)
+            stack += (g.nodes[nid].match, g.nodes[nid].unmatch)
+    unreached = sorted(set(g.nodes) - reached)
+    if unreached:
+        raise AssertionError(f"nodes {unreached} are not reachable from the entry")
 
 
 def random_op_graph(seed: int, vocab: FilterVocabulary, max_nodes: int = 24) -> OpGraph:
