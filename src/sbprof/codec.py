@@ -325,6 +325,8 @@ def _read_layout(blob, start: int, format_id: int) -> list:
     sets = struct.unpack_from("<H", blob, start + 6)[0] if named else 1
     if not sets:
         raise MalformedBlob(0, "bundle with no profiles")
+    if not op_count:
+        raise MalformedBlob(4, "profile with no operations")
     head = _table_size(op_count, pool_count, sets if named else None)
     if size < head:
         raise MalformedBlob(0, "pointer tables past end of blob")

@@ -295,7 +295,10 @@ def _pattern_alphabet(matcher):
 
 
 def collect_atoms(source, table, vocab):
-    """(context_key, kind, value) triples appearing in a verdict source."""
+    """(context_key, kind, value) triples appearing in a verdict source: the
+    atoms of a profile's rules, or the filter nodes a blob's operation
+    entries reach, in unit order (a bundle view's own nodes, not the whole
+    shared record block)."""
     out = []
     src = as_source(source, table, vocab)
     if isinstance(src, AstEvaluator):
@@ -307,11 +310,9 @@ def collect_atoms(source, table, vocab):
                     entry = vocab.by_name(atom.key)
                     out.append((entry.context_key, entry.kind, atom.value))
     else:
-        base = src.bp.node_base
-        for unit in range(base, base + len(src.bp.node_types)):
+        for unit in sorted(_reached(src, src.bp.op_pointers)):
             key, _r, value, _m, _u, entry = src._prepare(unit)
-            if key is not None:
-                out.append((key, entry.kind, value))
+            out.append((key, entry.kind, value))
     return out
 
 
@@ -399,6 +400,24 @@ def sampled_contexts(universe: dict, seed: int, count: int):
         yield QueryContext(bindings)
 
 
+def _reached(src: BlobEvaluator, entries) -> set:
+    """The units of the filter nodes reachable from the given entry units."""
+    reached = set()
+    seen = set()
+    stack = list(entries)
+    while stack:
+        unit = stack.pop()
+        if unit in seen:
+            continue
+        seen.add(unit)
+        key, _r, _v, match_off, unmatch_off, _e = src._prepare(unit)
+        if key is not None:
+            reached.add(unit)
+            stack.append(match_off)
+            stack.append(unmatch_off)
+    return reached
+
+
 def _op_atoms(src, op: str) -> set:
     """(context key, is-regex, value) of every atom op's verdict can read:
     the atoms of its effective rules, or the nodes reachable from its entry
@@ -409,20 +428,8 @@ def _op_atoms(src, op: str) -> set:
                  atom.value)
                 for rule in src._rules(op) if rule.filter is not None
                 for atom in expr_atoms(rule.filter)}
-    atoms = set()
-    seen = set()
-    stack = [src.bp.op_pointers[src.table.index(op)]]
-    while stack:
-        unit = stack.pop()
-        if unit in seen:
-            continue
-        seen.add(unit)
-        key, is_regex, value, match_off, unmatch_off, _e = src._prepare(unit)
-        if key is not None:
-            atoms.add((key, is_regex, value))
-            stack.append(match_off)
-            stack.append(unmatch_off)
-    return atoms
+    entry = src.bp.op_pointers[src.table.index(op)]
+    return {src._prepare(unit)[:3] for unit in _reached(src, (entry,))}
 
 
 def _verdict_id(src, op: str):

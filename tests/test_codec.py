@@ -116,6 +116,25 @@ def test_decode_rejects_garbage():
         codec.decode_blob(b"\x34\x12" + b"\x00" * 30)
 
 
+def test_decode_rejects_a_profile_with_no_operations():
+    # header with op_count 0, then the deny and the allow terminal: nothing
+    # points at the default operation's decision
+    terminals = struct.pack("<BBHHH", codec.NODE_TERMINAL, codec.TERMINAL_DENY, 0, 0, 0) \
+        + struct.pack("<BBHHH", codec.NODE_TERMINAL, codec.TERMINAL_ALLOW, 0, 0, 0)
+    separated = struct.pack("<HHH", codec.FORMAT_SEPARATED, 0, 0) + b"\x00\x00" + terminals
+    assert len(separated) == 24
+    with pytest.raises(MalformedBlob) as err:
+        codec.decode_blob(separated)
+    assert err.value.offset == 4  # the operation-count field
+    # one profile named "p": its name pointer and the pool pointer both
+    # point at the name string, after the terminals
+    bundle = struct.pack("<HHHHHH", codec.FORMAT_BUNDLED, 1, 0, 1, 4, 4) \
+        + b"\x00" * 4 + terminals + codec._pack_string("p")
+    with pytest.raises(MalformedBlob) as err:
+        codec.unpack_bundle(bundle, scan=False)
+    assert err.value.offset == 4
+
+
 def test_decode_rejects_out_of_range_pointer(small):
     table, vocab = small
     blob = bytearray(codec.compile_profile(sbpl.parse_sbpl("(deny default)"),

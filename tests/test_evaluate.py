@@ -186,6 +186,27 @@ def test_universe_samples_each_automaton_once(small, monkeypatch):
     assert len(calls) == len(set(map(id, calls))) == 4  # two texts, two programs
 
 
+def test_bundle_view_universe_is_its_own(small):
+    # every view of a bundle shares the bundle's record block; a view's
+    # atoms are the nodes its own operation entries reach, as in the blob
+    # extracted from it
+    table, vocab = small
+    profiles = []
+    for seed in range(8):
+        p = generate.ProfileGenerator(table, vocab, seed=seed).generate()
+        profiles.append(Profile(f"p{seed}", p.default_decision, p.rules))
+    _offset, views = codec.unpack_bundle(codec.pack_bundle(profiles, table, vocab))
+    for profile, (_name, view) in zip(profiles, views):
+        extracted = codec.extract_profile(view, vocab)
+        view_universe, blob_universe = (
+            {key: set(values) for key, values in evaluate.build_universe(
+                evaluate.collect_atoms(src, table, vocab), vocab).items()}
+            for src in (view, extracted))
+        assert view_universe == blob_universe
+        assert evaluate.check_equivalence(profile, view, table, vocab).checked == \
+            evaluate.check_equivalence(profile, extracted, table, vocab).checked
+
+
 # process-exec fills the path pool with twelve literals that no file
 # operation tests: for file-read* and file-write* they act like unbound
 MANY_PATHS = """(deny default)
