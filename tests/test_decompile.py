@@ -155,6 +155,16 @@ def test_normalize_splices_constant_nodes(small):
     assert out.entry == 3 and sorted(out.nodes) == [3]
 
 
+def test_normalize_terminates_on_a_hand_built_cycle():
+    # build_graph rejects a cycle, but a graph built by hand can hold one
+    g = OpGraph(nodes={0: GraphNode(A, 1, DENY), 1: GraphNode(B, 0, ALLOW)},
+                entry=0)
+    out = normalize_graph(g, DENY)
+    assert out.entry == 0
+    assert {k: (v.expr, v.match, v.unmatch) for k, v in out.nodes.items()} == \
+        {0: (A, 1, DENY), 1: (RequireNot(B), ALLOW, 0)}
+
+
 def test_normalize_preserves_verdicts_on_random_graphs(small):
     _table, vocab = small
     for seed in range(300):
