@@ -14,7 +14,9 @@ agreeing earlier one read is not asked again. That is exact; the reported
 count and the cap still cover the full product of the key pools.
 
 Automata come from nfa's memo and each evaluator holds the entries it used;
-a regex's universe samples are kept on its automaton. No other regex state
+a regex's universe samples are kept on its automaton. A pattern text matches
+and samples through its compiled program's automaton, so a profile and its
+blob share every automaton and get the same universe. No other regex state
 outlives a call.
 """
 
@@ -64,8 +66,8 @@ class QueryContext:
 class _Held(dict):
     """The regex memo entries one evaluator holds while it lives, so that
     nfa's memo finds them again whatever its cache has dropped: a Pattern
-    per pattern text, taken on first use, and in a BlobEvaluator a Program
-    per pool index."""
+    per pattern text, taken by collect_atoms or on first use, and in a
+    BlobEvaluator a Program per pool index. A Pattern holds its Program."""
 
     def __missing__(self, text: str) -> nfa_mod.Pattern:
         made = self[text] = nfa_mod.pattern(text)
@@ -298,7 +300,9 @@ def collect_atoms(source, table, vocab):
     """(context_key, kind, value) triples appearing in a verdict source: the
     atoms of a profile's rules, or the filter nodes a blob's operation
     entries reach, in unit order (a bundle view's own nodes, not the whole
-    shared record block)."""
+    shared record block). A regex value is its pattern text on a profile
+    and its automaton on a blob; either way the evaluator holds its memo
+    entry, so build_universe and later verdicts find that entry."""
     out = []
     src = as_source(source, table, vocab)
     if isinstance(src, AstEvaluator):
@@ -308,6 +312,8 @@ def collect_atoms(source, table, vocab):
                     continue
                 for atom in expr_atoms(rule.filter):
                     entry = vocab.by_name(atom.key)
+                    if entry.kind is ValueKind.REGEX_INDEX:
+                        src.rx[atom.value]  # held while src lives
                     out.append((entry.context_key, entry.kind, atom.value))
     else:
         for unit in sorted(_reached(src, src.bp.op_pointers)):
@@ -324,14 +330,15 @@ def build_universe(atom_triples, vocab):
     def add(key, v):
         seen.setdefault(key, {})[v] = None
 
-    # per key, pattern text or automaton -> automaton, in insertion order
+    # per key, its automata in insertion order; a pattern text and its
+    # compiled program are one automaton
     regexes: dict[str, dict] = {}
     for ctx_key, kind, value in atom_triples:
         if kind is ValueKind.REGEX_INDEX:
             automata = regexes.setdefault(ctx_key, {})
-            if value not in automata:  # a repeat would add no new sample
-                dfa = automata[value] = nfa_mod.pattern(value).dfa \
-                    if isinstance(value, str) else value
+            dfa = nfa_mod.pattern(value).dfa if isinstance(value, str) else value
+            if dfa not in automata:  # a repeat would add no new sample
+                automata[dfa] = None
                 if dfa.samples is None:  # kept while the automaton lives
                     dfa.samples = tuple(_accepted_samples(dfa, _pattern_alphabet(dfa)))
                 for s in dfa.samples:
@@ -356,7 +363,7 @@ def build_universe(atom_triples, vocab):
                 if cand in vals:
                     continue
                 if any(nfa_mod.nfa_match(m, cand, full=False)
-                       for m in regexes.get(ctx_key, {}).values()):
+                       for m in regexes.get(ctx_key, ())):
                     continue
                 sentinel = cand
                 break

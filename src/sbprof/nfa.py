@@ -27,9 +27,12 @@ cache is flushed and refilled, so hostile blobs keep memory bounded.
 The regex memo at the end of the module keeps each pattern text's and each
 wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
 the whole process, at most MEMO_CAPACITY of each, so a regex that many calls
-and profiles share is parsed, decoded, reversed and warmed once. A pattern
-text or program longer than MEMO_KEY_LIMIT is built on every call and lives
-only as long as its caller holds it.
+and profiles share is parsed, decoded, reversed and warmed once. There is one
+automaton per regex: a pattern text holds the Program of its own wire and
+matches through that Program's LazyDfa, so a text, its compiled pool item
+and the evaluators of either share one DFA cache and one list of samples. A
+pattern text or program longer than MEMO_KEY_LIMIT is built on every call and
+lives only as long as its caller holds it.
 
 Wire format (documented bit-exactly in docs/format.md): a u16-le node count
 followed by one record per node. Records are 1-byte tag + 2-byte le operand,
@@ -739,9 +742,13 @@ MEMO_KEY_LIMIT = 1024  # a longer pattern text or program is never kept
 
 
 class Pattern:
-    """A pattern text, parsed; its wire bytes and its LazyDfa are built on
-    first use, each from an Nfa that is then dropped. An Nfa holds a tuple
-    per edge that the garbage collector would walk while the memo kept it."""
+    """A pattern text, parsed; its wire bytes, built from an Nfa that is
+    then dropped, and the memo's Program of that wire are built on first
+    use. The Pattern holds that Program, so the program memo finds it for
+    as long as the Pattern lives, and matches through its LazyDfa: a text
+    and its compiled form share one automaton and one list of samples.
+    A pattern too large for a program raises TooManyStates from wire, and
+    so from program and dfa."""
 
     def __init__(self, text: str):
         self.ast = rex.parse_regex(text)
@@ -751,14 +758,19 @@ class Pattern:
         return serialize_nfa(build_nfa(self.ast))
 
     @cached_property
+    def program(self) -> Program:
+        return program(self.wire)  # the module's memo, not this property
+
+    @cached_property
     def dfa(self) -> LazyDfa:
-        return LazyDfa(build_nfa(self.ast))
+        return self.program.dfa
 
 
 class Program:
     """A serialized regex program, decoded; its pattern text, reversed by
     state removal, and its LazyDfa are built on first use. Its Nfa is
-    dropped once the LazyDfa is built; nfa then decodes the wire again."""
+    dropped once the LazyDfa is built; nfa then decodes the wire again.
+    Its LazyDfa is also that of every Pattern whose wire this is."""
 
     def __init__(self, wire: bytes):
         self._nfa = deserialize_nfa(wire)

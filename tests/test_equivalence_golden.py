@@ -10,6 +10,11 @@ reverse order, and profile vs the same rules under the opposite default. A
 check that raises contributes its error message. A second digest pins the
 message of a container-scale exhaustive check that overflows the cap. The
 digests do not depend on PYTHONHASHSEED (checked with 0 and 123).
+
+REPORTS_DIGEST was recomputed when a pattern text began to sample through
+the automaton of its own compiled program, so that a profile and its blob
+get the same universe: only check 0 of seed 15 (profile vs its blob)
+changed, from 111 to 99 contexts counted, still equivalent.
 """
 
 import hashlib
@@ -18,7 +23,7 @@ from sbprof import codec, evaluate, generate, sbpl
 from sbprof.errors import SandboxError
 from sbprof.model import Profile
 
-REPORTS_DIGEST = "417f270484c0bea9ecbd42fb8124f0ca953d7ec612371abe2524830ef2fb9a0c"
+REPORTS_DIGEST = "77c9af266601bc33530de33d0b73f8db454efaaac8ca3df04f2224b8522f6c5f"
 OVERFLOW_DIGEST = "22d2e6648408c8b28671cab15d67bf84148b66b75398065904b95738f2127386"
 
 

@@ -1,10 +1,11 @@
+import gc
 import itertools
 import random
 
 import pytest
 
-from sbprof import codec, evaluate, generate, nfa, rex, sbpl
-from sbprof.errors import UnknownFilterKey, UnknownOperation
+from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
+from sbprof.errors import TooManyStates, UnknownFilterKey, UnknownOperation
 from sbprof.evaluate import QueryContext as Q
 from sbprof.model import (
     Atom,
@@ -14,6 +15,7 @@ from sbprof.model import (
     RequireAny,
     RequireNot,
     Rule,
+    ValueForm,
     ValueKind,
 )
 
@@ -164,7 +166,8 @@ def test_checks_do_not_depend_on_order(small, large):
 
 def test_universe_samples_each_automaton_once(small, monkeypatch):
     # samples are kept on the automaton, so a second universe over the same
-    # regexes computes none
+    # regexes computes none; a pattern text matches through its compiled
+    # program's automaton, so a profile and its blob sample each regex once
     table, vocab = small
     profile = sbpl.parse_sbpl('(deny default)\n'
                               '(allow file-read* (regex #"^/a/[bc]+$")'
@@ -183,7 +186,79 @@ def test_universe_samples_each_automaton_once(small, monkeypatch):
     first = evaluate.build_universe(atoms, vocab)
     second = evaluate.build_universe(atoms, vocab)
     assert first == second
-    assert len(calls) == len(set(map(id, calls))) == 4  # two texts, two programs
+    assert len(calls) == len(set(map(id, calls))) == 2  # one automaton per regex
+
+
+def _universe_sets(thing, table, vocab):
+    return {key: set(values) for key, values in evaluate.build_universe(
+        evaluate.collect_atoms(thing, table, vocab), vocab).items()}
+
+
+def test_profile_and_blob_sample_alike(small, large):
+    # samples depend on an automaton's shape, not only on its language; a
+    # pattern text samples through its own program's automaton, so a
+    # profile's universe holds the same values as its compiled blob's
+    tables = {"small": small, "large": large}
+    cases = [(sbpl.parse_sbpl(c.sbpl_text, name=c.name), *tables[c.vocab])
+             for c in generate.CORPUS]
+    cases += [(generate.ProfileGenerator(*small, seed=seed).generate(), *small)
+              for seed in range(40)]
+    cases += [(generate.ProfileGenerator(*large, seed=seed,
+                                         scale="container").generate(), *large)
+              for seed in range(3)]
+    for profile, table, vocab in cases:
+        blob = codec.compile_profile(profile, table, vocab)
+        assert _universe_sets(profile, table, vocab) == \
+            _universe_sets(blob, table, vocab), profile.name
+    rng = random.Random(1)
+    texts = sorted({generate.random_regex_pattern(rng) for _ in range(3000)})
+    assert len(texts) == 2817
+    for text in texts:
+        held = nfa.pattern(text)
+        assert held.dfa is nfa.program(held.wire).dfa, text
+
+
+def test_cold_check_parses_each_text_once(large, monkeypatch):
+    # a check holds the Pattern of every regex text it collects, so its
+    # universe and its AST verdicts find them again past the memo's bound
+    table, vocab = large
+    profile = generate.ProfileGenerator(table, vocab, seed=3,
+                                        scale="container").generate()
+    blob = codec.compile_profile(profile, table, vocab)
+    decompiled = sbpl.parse_sbpl(decompile.decompile(blob, table, vocab))
+    texts = {value for _key, kind, value in
+             evaluate.collect_atoms(decompiled, table, vocab)
+             if kind is ValueKind.REGEX_INDEX}
+    assert len(texts) > nfa.MEMO_CAPACITY
+    parsed = []
+    parse_regex = rex.parse_regex
+
+    def counted(text):
+        parsed.append(text)
+        return parse_regex(text)
+
+    nfa.pattern.cache_clear()
+    nfa.program.cache_clear()
+    gc.collect()
+    monkeypatch.setattr(rex, "parse_regex", counted)
+    report = evaluate.check_equivalence(decompiled, blob, table, vocab,
+                                        mode="sampled", samples=400)
+    assert report.equivalent
+    assert sorted(parsed) == sorted(texts)
+
+
+def test_pattern_too_large_for_a_program_raises_in_a_verdict(small):
+    # an AST verdict matches through the pattern's compiled program, so a
+    # pattern no program can hold raises there, as compiling it does
+    table, vocab = small
+    text = "a" * 70_000
+    profile = Profile("", Decision.DENY, {"file-read*": (
+        Rule(Decision.ALLOW, Atom("regex", text, ValueForm.REGEX)),)})
+    ev = evaluate.AstEvaluator(profile, table, vocab)
+    with pytest.raises(TooManyStates, match="more than 65535 serialized nodes"):
+        ev.verdict("file-read*", Q({"path": "/x"}))
+    with pytest.raises(TooManyStates):
+        codec.compile_profile(profile, table, vocab)
 
 
 def test_bundle_view_universe_is_its_own(small):
