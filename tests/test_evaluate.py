@@ -273,11 +273,8 @@ def test_bundle_view_universe_is_its_own(small):
     _offset, views = codec.unpack_bundle(codec.pack_bundle(profiles, table, vocab))
     for profile, (_name, view) in zip(profiles, views):
         extracted = codec.extract_profile(view, vocab)
-        view_universe, blob_universe = (
-            {key: set(values) for key, values in evaluate.build_universe(
-                evaluate.collect_atoms(src, table, vocab), vocab).items()}
-            for src in (view, extracted))
-        assert view_universe == blob_universe
+        assert _universe_sets(view, table, vocab) == \
+            _universe_sets(extracted, table, vocab)
         assert evaluate.check_equivalence(profile, view, table, vocab).checked == \
             evaluate.check_equivalence(profile, extracted, table, vocab).checked
 
