@@ -10,6 +10,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+from . import nfa  # imports only errors and rex, so there is no cycle
 from .errors import RegexSyntaxError, UnknownFilterKey, UnknownOperation, VocabularyError
 
 REGEX_KEY_FLAG = 0x80  # high bit of a filter key code marks the regex variant
@@ -290,8 +291,6 @@ class Diagnostic:
 
 
 def _check_expr(expr, op, vocab, out, patterns):
-    from . import nfa  # local import: model stays importable standalone
-
     if isinstance(expr, Atom):
         try:
             entry = vocab.by_name(expr.key)

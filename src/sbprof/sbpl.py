@@ -13,8 +13,13 @@ accepts it (so "1_0", "+1" and "\\x0b3" are ints) and a symbol otherwise;
 a "#" not followed by '"' is part of a bare token. In strings \\" stands
 for '"' and \\\\ for one backslash; any other backslash is kept with the
 character after it. Inside #"..." only \\" is special, so regex escapes
-pass through untouched. Lines count LF characters from 1, and columns count
-characters from 1, CR included.
+pass through untouched.
+
+One loop reads the tokens into light nodes that carry each token's offset,
+and the parsers build each top-level form as soon as it is read; a reader
+error later in the text still wins over that form's error. A position is
+worked out only for an error or for read_forms' SAtom/SList view: lines
+count LF characters from 1, and columns count characters from 1, CR included.
 
 Lists nest at most MAX_NESTING (256) deep; the "(" that would open a deeper
 list raises SbplSyntaxError. The reader builds lists on an explicit stack,
@@ -26,9 +31,11 @@ validate_profile applies.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
+from .errors import SandboxError, SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
 from .model import (
     Atom,
     Decision,
@@ -66,19 +73,6 @@ _TOKEN = re.compile(r"""
     )""", re.VERBOSE | re.DOTALL)
 
 _STRING_ESCAPE = re.compile(r'\\([\\"])')
-_DIGIT = re.compile(r"\d")
-
-
-def _is_int(token: str) -> bool:
-    """Exactly whether int(token) succeeds. int() needs a Unicode decimal
-    digit, which is what \\d matches, so most symbols skip the exception."""
-    if not _DIGIT.search(token):
-        return False
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 @dataclass(slots=True)
@@ -96,108 +90,130 @@ class SList:
     column: int
 
 
-def read_forms(text: str) -> list:
-    """The top-level forms of text, as SAtom and SList nodes."""
-    forms = []
+def _locate(text: str):
+    """The function from an offset in text to its (line, column), both from
+    1: only LF starts a line, and CR takes a column."""
+    starts = list(accumulate((len(line) + 1 for line in text.split("\n")), initial=0))
+
+    def position(offset):
+        line = bisect_right(starts, offset)
+        return line, offset - starts[line - 1] + 1
+    return position
+
+
+def _err(text, offset, message, error=SbplSyntaxError):
+    raise error(message, *_locate(text)(offset))
+
+
+def _read(text: str):
+    """Yield the top-level forms of text as light nodes, each once it is
+    read: (form, value, offset) for an atom, form being its ValueForm
+    (NUMBER for an int), and (None, items, offset) for a list."""
+    forms = []                   # top-level forms read but not yet yielded
     items = forms                # items of the innermost open list
-    stack = []                   # (enclosing items, line, column) per open list
-    line, line_start, counted = 1, 0, 0
+    stack = []                   # the enclosing items per open list; each ends with its list
+    kinds = {}                   # bare token -> ValueForm.NUMBER or SYMBOL
     # every match starts where the previous one ended: one of the
     # alternatives matches at any position
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         start = m.start(kind)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", counted, start) + 1
-        counted = start
-        column = start - line_start + 1
-        if kind == "open":
+        if kind == "bare":
+            token = m.group(kind)
+            form = kinds.get(token)
+            if form is None:
+                try:
+                    int(token)
+                except ValueError:
+                    form = kinds[token] = ValueForm.SYMBOL
+                else:
+                    form = kinds[token] = ValueForm.NUMBER
+            items.append((form, token, start))
+        elif kind == "open":
             if len(stack) == MAX_NESTING:
-                raise SbplSyntaxError(f"nesting deeper than {MAX_NESTING}", line, column)
-            stack.append((items, line, column))
-            items = []
+                _err(text, start, f"nesting deeper than {MAX_NESTING}")
+            inner = []
+            items.append((None, inner, start))
+            stack.append(items)
+            items = inner
         elif kind == "close":
             if not stack:
-                raise SbplSyntaxError("unexpected )", line, column)
-            outer, list_line, list_column = stack.pop()
-            outer.append(SList(tuple(items), list_line, list_column))
-            items = outer
-        elif kind == "bare":
-            token = m.group(kind)
-            items.append(SAtom(token, "int" if _is_int(token) else "symbol", line, column))
+                _err(text, start, "unexpected )")
+            items = stack.pop()
+            if not stack:        # a top-level list is complete
+                yield from forms
+                forms.clear()
         elif kind == "string":
             body = m.group("body")
             if m.group("hash"):
-                items.append(SAtom(body.replace('\\"', '"'), "regex", line, column))
+                items.append((ValueForm.REGEX, body.replace('\\"', '"'), start))
             else:
                 if "\\" in body:
                     body = _STRING_ESCAPE.sub(r"\1", body)
-                items.append(SAtom(body, "string", line, column))
+                items.append((ValueForm.STRING, body, start))
         elif kind == "bad":
             # a regex literal's error points at its quote, one past the "#"
-            raise SbplSyntaxError("unterminated string", line,
-                                  column + (text[start] == "#"))
+            _err(text, start + (text[start] == "#"), "unterminated string")
         else:
             if stack:
-                _, list_line, list_column = stack[-1]
-                raise SbplSyntaxError("unclosed list", list_line, list_column)
-            return forms
+                _err(text, stack[-1][-1][2], "unclosed list")
+            yield from forms
+            return
+
+
+def read_forms(text: str) -> list:
+    """The top-level forms of text, as SAtom and SList nodes."""
+    position = _locate(text)
+
+    def view(node):
+        form, value, offset = node
+        if form is None:
+            return SList(tuple([view(item) for item in value]), *position(offset))
+        return SAtom(value, "int" if form is ValueForm.NUMBER else form.value,
+                     *position(offset))
+    return [view(node) for node in _read(text)]
 
 
 # ---------------------------------------------------------------------------
 # Forms -> Profile
 
-def _err(form, message):
-    raise SbplSyntaxError(message, form.line, form.column)
+_DECISIONS = {"allow": Decision.ALLOW, "deny": Decision.DENY}
 
 
-def _parse_filter(form) -> FilterExpr:
-    if not isinstance(form, SList):
-        _err(form, "filter must be a list")
-    if not form.items:
-        _err(form, "empty filter")
-    head = form.items[0]
-    if not isinstance(head, SAtom) or head.kind != "symbol":
-        _err(form, "filter key must be a symbol")
-    name = head.text
+def _parse_filter(node, text) -> FilterExpr:
+    kind, items, offset = node
+    if kind is not None:
+        _err(text, offset, "filter must be a list")
+    if not items:
+        _err(text, offset, "empty filter")
+    head_kind, name, _ = items[0]
+    if head_kind is not ValueForm.SYMBOL:
+        _err(text, offset, "filter key must be a symbol")
     if name == "require-not":
-        if len(form.items) != 2:
-            _err(form, "require-not takes exactly one filter")
-        return RequireNot(_parse_filter(form.items[1]))
-    if name in ("require-all", "require-any"):
-        if len(form.items) < 2:
-            _err(form, f"{name} needs at least one filter")
-        children = tuple(_parse_filter(f) for f in form.items[1:])
-        cls = RequireAll if name == "require-all" else RequireAny
-        return cls(children)
-    args = form.items[1:]
-    if len(args) == 1 and isinstance(args[0], SAtom):
-        arg = args[0]
-        if arg.kind == "string":
-            return Atom(name, arg.text, ValueForm.STRING)
-        if arg.kind == "regex":
-            return Atom(name, arg.text, ValueForm.REGEX)
-        if arg.kind == "int":
-            return Atom(name, int(arg.text), ValueForm.NUMBER)
-        return Atom(name, arg.text, ValueForm.SYMBOL)
-    if (len(args) == 2 and isinstance(args[0], SAtom) and args[0].kind == "symbol"
-            and isinstance(args[1], SAtom) and args[1].kind == "string"):
-        return Atom(name, (args[0].text, args[1].text), ValueForm.ENDPOINT)
-    _err(form, f"cannot read value of filter {name!r}")
+        if len(items) != 2:
+            _err(text, offset, "require-not takes exactly one filter")
+        return RequireNot(_parse_filter(items[1], text))
+    if name == "require-all" or name == "require-any":
+        if len(items) < 2:
+            _err(text, offset, f"{name} needs at least one filter")
+        children = tuple([_parse_filter(f, text) for f in items[1:]])
+        return RequireAll(children) if name == "require-all" else RequireAny(children)
+    if len(items) == 2 and items[1][0] is not None:
+        form, value, _ = items[1]
+        return Atom(name, int(value) if form is ValueForm.NUMBER else value, form)
+    if len(items) == 3 and items[1][0] is ValueForm.SYMBOL and items[2][0] is ValueForm.STRING:
+        return Atom(name, (items[1][1], items[2][1]), ValueForm.ENDPOINT)
+    _err(text, offset, f"cannot read value of filter {name!r}")
 
 
-def _read_rule(form) -> tuple[str, Rule]:
-    """The operation and rule of an (allow|deny op filter...) form."""
-    if len(form.items) < 2 or not isinstance(form.items[1], SAtom) \
-            or form.items[1].kind != "symbol":
-        _err(form, "rule needs an operation name")
-    filters = [_parse_filter(f) for f in form.items[2:]]
+def _read_rule(items, offset, text) -> tuple[str, Rule]:
+    """The operation and rule of an (allow|deny op filter...) list's items."""
+    if len(items) < 2 or items[1][0] is not ValueForm.SYMBOL:
+        _err(text, offset, "rule needs an operation name")
+    filters = [_parse_filter(f, text) for f in items[2:]]
     if len(filters) > 1:  # sibling filters are require-any sugar; lower at parse time
         filters = [RequireAny(tuple(filters))]
-    decision = Decision(form.items[0].text)
-    return form.items[1].text, Rule(decision, filters[0] if filters else None)
+    return items[1][1], Rule(_DECISIONS[items[0][1]], filters[0] if filters else None)
 
 
 def parse_sbpl(text: str, name: str = "") -> Profile:
@@ -205,31 +221,33 @@ def parse_sbpl(text: str, name: str = "") -> Profile:
     for validate_profile so the caller can report them all at once."""
     rules: dict[str, list[Rule]] = {}
     default = None
-    for form in read_forms(text):
-        if not isinstance(form, SList) or not form.items:
-            _err(form, "top-level form must be a rule list")
-        head = form.items[0]
-        if not isinstance(head, SAtom) or head.kind != "symbol":
-            _err(form, "expected a rule")
-        if head.text == "version":
-            if len(form.items) != 2 or not isinstance(form.items[1], SAtom) \
-                    or form.items[1].kind != "int":
-                _err(form, "version takes one integer")
-            if int(form.items[1].text) != 1:
-                raise UnsupportedVersion(int(form.items[1].text))
-            continue
-        if head.text in ("allow", "deny"):
-            op, rule = _read_rule(form)
-            if op == "default" and rule.filter is None and default is None:
-                default = rule.decision
+    forms = _read(text)
+    try:
+        for kind, items, offset in forms:
+            if kind is not None or not items:
+                _err(text, offset, "top-level form must be a rule list")
+            head_kind, head, _ = items[0]
+            if head_kind is not ValueForm.SYMBOL:
+                _err(text, offset, "expected a rule")
+            if head == "version":
+                if len(items) != 2 or items[1][0] is not ValueForm.NUMBER:
+                    _err(text, offset, "version takes one integer")
+                if int(items[1][1]) != 1:
+                    raise UnsupportedVersion(int(items[1][1]))
+            elif head in _DECISIONS:
+                op, rule = _read_rule(items, offset, text)
+                if op == "default" and rule.filter is None and default is None:
+                    default = rule.decision
+                else:
+                    rules.setdefault(op, []).append(rule)
+            elif head in ("define", "if", "import", "let", "lambda"):
+                _err(text, offset, f"({head} ...) is only valid in the implicit-rules file",
+                     UnsupportedConstruct)
             else:
-                rules.setdefault(op, []).append(rule)
-            continue
-        if head.text in ("define", "if", "import", "let", "lambda"):
-            raise UnsupportedConstruct(
-                f"({head.text} ...) is only valid in the implicit-rules file",
-                form.line, form.column)
-        _err(form, f"unknown rule head {head.text!r}")
+                _err(text, offset, f"unknown rule head {head!r}")
+    except SandboxError:
+        list(forms)  # a reader error later in the text wins
+        raise
     return Profile(
         name=name,
         default_decision=default,
@@ -328,16 +346,15 @@ class ImplicitRuleSet:
     default_decision: Decision | None = None
 
 
-def _parse_condition(form):
-    if isinstance(form, SList) and form.items:
-        head = form.items[0]
-        if isinstance(head, SAtom) and head.kind == "symbol":
-            if head.text == "not" and len(form.items) == 2:
-                return ("not", _parse_condition(form.items[1]))
-            if head.text in ("allowed?", "denied?") and len(form.items) == 2 \
-                    and isinstance(form.items[1], SAtom):
-                return (head.text, form.items[1].text)
-    _err(form, "unsupported condition in implicit-rules file")
+def _parse_condition(node, text):
+    kind, items, offset = node
+    if kind is None and items and items[0][0] is ValueForm.SYMBOL:
+        head = items[0][1]
+        if head == "not" and len(items) == 2:
+            return ("not", _parse_condition(items[1], text))
+        if head in ("allowed?", "denied?") and len(items) == 2 and items[1][0] is not None:
+            return (head, items[1][1])
+    _err(text, offset, "unsupported condition in implicit-rules file")
 
 
 def parse_implicit_rules(text: str) -> ImplicitRuleSet:
@@ -347,40 +364,38 @@ def parse_implicit_rules(text: str) -> ImplicitRuleSet:
     collected: list[ImplicitRule] = []
     default = None
 
-    def add_rules(form, condition):
+    def add_rules(items, offset, condition):
         nonlocal default
-        op, rule = _read_rule(form)
+        op, rule = _read_rule(items, offset, text)
         if op == "default" and rule.filter is None:
             default = rule.decision
         else:
             collected.append(ImplicitRule(op, rule, condition))
 
-    for form in read_forms(text):
-        if not isinstance(form, SList) or not form.items:
-            _err(form, "top-level form must be a list")
-        head = form.items[0]
-        if not isinstance(head, SAtom):
-            _err(form, "expected a rule")
-        if head.text == "version":
-            continue
-        if head.text == "define":
-            continue  # helper predicates; the conditions below name them directly
-        if head.text == "if":
-            if len(form.items) < 3:
-                _err(form, "if needs a condition and a body")
-            condition = _parse_condition(form.items[1])
-            for body in form.items[2:]:
-                if isinstance(body, SList) and body.items and \
-                        isinstance(body.items[0], SAtom) and \
-                        body.items[0].text in ("allow", "deny"):
-                    add_rules(body, condition)
-                else:
-                    _err(body, "if body must be rules")
-            continue
-        if head.text in ("allow", "deny"):
-            add_rules(form, None)
-            continue
-        _err(form, f"unknown form {head.text!r} in implicit-rules file")
+    forms = _read(text)
+    try:
+        for kind, items, offset in forms:
+            if kind is not None or not items:
+                _err(text, offset, "top-level form must be a list")
+            head_kind, head, _ = items[0]
+            if head_kind is not ValueForm.SYMBOL:
+                _err(text, offset, "expected a rule")
+            if head == "if":
+                if len(items) < 3:
+                    _err(text, offset, "if needs a condition and a body")
+                condition = _parse_condition(items[1], text)
+                for body_kind, body, body_offset in items[2:]:
+                    if body_kind is not None or not body \
+                            or body[0][0] is not ValueForm.SYMBOL or body[0][1] not in _DECISIONS:
+                        _err(text, body_offset, "if body must be rules")
+                    add_rules(body, body_offset, condition)
+            elif head in _DECISIONS:
+                add_rules(items, offset, None)
+            elif head not in ("version", "define"):  # conditions name define's predicates
+                _err(text, offset, f"unknown form {head!r} in implicit-rules file")
+    except SandboxError:
+        list(forms)  # a reader error later in the text wins
+        raise
     return ImplicitRuleSet(tuple(collected), default)
 
 

@@ -205,3 +205,42 @@ def test_nesting_limit(small):
 
     at_limit = sbpl.parse_sbpl(_require_not_chain(sbpl.MAX_NESTING))
     assert codec.decode_blob(codec.compile_profile(at_limit, table, vocab)).records
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ('("allow" file-read*)', "expected a rule", 1, 1),
+    ('(#"deny" network*)', "expected a rule", 1, 1),
+    ('(if (not (denied? file-read*)) (#"deny" network*))', "if body must be rules", 1, 32),
+    ('(if (allowed? signal)\n  ("allow" signal))', "if body must be rules", 2, 3),
+])
+def test_implicit_rule_head_must_be_a_symbol(text, message, line, column):
+    with pytest.raises(SbplSyntaxError) as info:
+        sbpl.parse_implicit_rules(text)
+    assert str(info.value) == f"{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(allow file-read* 5)\n(allow", "2:1: unclosed list"),
+    ("(frob)\n)", "2:1: unexpected )"),
+    ('(deny default)\n(frob)\n"abc', "3:1: unterminated string"),
+    ("(frob)\n" + "(" * 257, "2:257: nesting deeper than 256"),
+], ids=["unclosed-list", "stray-close", "unterminated-string", "too-deep"])
+def test_reader_error_wins_over_an_earlier_form(text, message):
+    with pytest.raises(SbplSyntaxError) as info:
+        sbpl.parse_sbpl(text)
+    assert type(info.value) is SbplSyntaxError and str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(deny default)\r\n (frob)", "2:2: unknown rule head 'frob'"),
+    ("(deny default)\r\n\r (allow)", "2:3: rule needs an operation name"),
+    ("; a comment (\n(deny default) (allow)", "2:16: rule needs an operation name"),
+    ('(deny default)\n(allow file-read* (literal "a\nb") (frob "x" "y"))',
+     "3:5: cannot read value of filter 'frob'"),
+    ('(deny default) ; "(\n  (if (allowed? x) (allow signal))',
+     "2:3: (if ...) is only valid in the implicit-rules file"),
+])
+def test_structural_error_positions(text, message):
+    with pytest.raises(SbplSyntaxError) as info:
+        sbpl.parse_sbpl(text)
+    assert str(info.value) == message
