@@ -27,7 +27,10 @@ cache is flushed and refilled, so hostile blobs keep memory bounded.
 The regex memo at the end of the module keeps each pattern text's and each
 wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
 the whole process, at most MEMO_CAPACITY of each, so a regex that many calls
-and profiles share is parsed, decoded, reversed and warmed once. There is one
+and profiles share is parsed, decoded, reversed and warmed once. The bound
+holds one container profile's round trip (compile, decompile, recompile and
+a sampled check touch about 180 texts and as many wires, in a cycle that a
+smaller LRU bound would miss on every access). There is one
 automaton per regex: a pattern text holds the Program of its own wire and
 matches through that Program's LazyDfa, so a text, its compiled pool item
 and the evaluators of either share one DFA cache and one list of samples. A
@@ -672,6 +675,12 @@ def nfa_to_regex(nfa: Nfa):
     edges would keep, so the fragments meet rex.alt and rex.cat in the same
     order as a scan of all edges would give them.
 
+    A fragment is the tuple of its concatenation's parts, none of them a
+    Concat or Empty, so gluing is tuple concatenation and builds no node.
+    rex.cat builds a node only where one is needed: each operand of
+    rex.alt, the body of a Star, and the result. As rex.cat flattens, each
+    of those is the node that gluing Concat nodes would have built.
+
     The result is a DAG whose text can grow exponentially in nested groups
     such as (a|b(a|b...c)*c)*. Each leaf of that text needs a wire record,
     so past MAX_NODES leaves TooManyStates is raised before it is printed."""
@@ -682,17 +691,17 @@ def nfa_to_regex(nfa: Nfa):
     ins = [{} for _ in range(nfa.n_states + 2)]
     outs = [{} for _ in range(nfa.n_states + 2)]
 
-    def add(u, v, ast):
+    def add(u, v, parts):
         out = outs[u]
         if v in out:
-            ast = rex.alt([out[v], ast])
-        out[v] = ins[v][u] = ast
+            parts = _parts(rex.alt([rex.cat(out[v]), rex.cat(parts)]))
+        out[v] = ins[v][u] = parts
 
-    add(src, nfa.start, _EPSILON)
+    add(src, nfa.start, ())
     for acc in sorted(nfa.accepts):
-        add(acc, snk, _EPSILON)
+        add(acc, snk, ())
     for u, label, v in nfa.transitions:
-        add(u, v, label)
+        add(u, v, _parts(label))
 
     for q in range(nfa.n_states):
         into, out_of = ins[q], outs[q]
@@ -703,20 +712,26 @@ def nfa_to_regex(nfa: Nfa):
             del outs[u][q]
         for v in out_of:
             del ins[v][q]
-        if loop is not None:
-            loop = Star(loop)
+        loop = () if loop is None else (Star(rex.cat(loop)),)
         for u, a_in in into.items():
+            a_in += loop
             for v, a_out in out_of.items():
-                add(u, v, rex.cat((a_in, a_out) if loop is None else (a_in, loop, a_out)))
+                add(u, v, a_in + a_out)
     final = outs[src].get(snk)
     if final is None:
         return rex.NEVER_MATCH
-    final = rex.simplify(final)
+    final = rex.simplify(rex.cat(final))
     leaves = _leaves(final, {})
     if leaves > MAX_NODES:
         raise TooManyStates(f"reversed pattern has {leaves} leaves, more than "
                             f"the {MAX_NODES} nodes a program may hold")
     return final
+
+
+def _parts(ast) -> tuple:
+    """The concatenation parts of ast, as rex.cat would flatten it."""
+    kind = type(ast)
+    return ast.parts if kind is Concat else () if kind is Empty else (ast,)
 
 
 def _leaves(ast, memo) -> int:
@@ -737,7 +752,7 @@ def _leaves(ast, memo) -> int:
 # miss calls the module functions above by name; a failure is never stored,
 # so a bad input raises the same error on every call.
 
-MEMO_CAPACITY = 64  # entries per memo; the least recently used one goes
+MEMO_CAPACITY = 256  # entries per memo; the least recently used one goes
 MEMO_KEY_LIMIT = 1024  # a longer pattern text or program is never kept
 
 

@@ -218,17 +218,42 @@ def test_profile_and_blob_sample_alike(small, large):
         assert held.dfa is nfa.program(held.wire).dfa, text
 
 
+def _regex_texts(profile, table, vocab):
+    return {value for _key, kind, value in
+            evaluate.collect_atoms(profile, table, vocab)
+            if kind is ValueKind.REGEX_INDEX}
+
+
+def _regex_wires(blob, vocab):
+    bp = codec.decode_blob(blob)
+    wires = set()
+    for rec in bp.records:
+        if rec.is_terminal:
+            continue
+        entry = vocab.by_code(rec.filter_key)
+        if entry.kind is ValueKind.REGEX_INDEX:
+            view = bp.value_at(rec.unit, entry)
+            wires.add(bytes(view[:nfa.wire_length(view)]))
+    return wires
+
+
 def test_cold_check_parses_each_text_once(large, monkeypatch):
     # a check holds the Pattern of every regex text it collects, so its
-    # universe and its AST verdicts find them again past the memo's bound
+    # universe and its AST verdicts find them again past the memo's
+    # bound; one container profile holds fewer texts, so take the rules of
+    # three
     table, vocab = large
-    profile = generate.ProfileGenerator(table, vocab, seed=3,
-                                        scale="container").generate()
+    seeds = [generate.ProfileGenerator(table, vocab, seed=seed,
+                                       scale="container").generate()
+             for seed in (3, 4, 5)]
+    rules = {}
+    for seeded in seeds:
+        for op, op_rules in seeded.rules.items():
+            rules[op] = rules.get(op, ()) + op_rules
+    profile = Profile("union", seeds[0].default_decision, rules)
     blob = codec.compile_profile(profile, table, vocab)
     decompiled = sbpl.parse_sbpl(decompile.decompile(blob, table, vocab))
-    texts = {value for _key, kind, value in
-             evaluate.collect_atoms(decompiled, table, vocab)
-             if kind is ValueKind.REGEX_INDEX}
+    texts = _regex_texts(decompiled, table, vocab)
     assert len(texts) > nfa.MEMO_CAPACITY
     parsed = []
     parse_regex = rex.parse_regex
@@ -245,6 +270,36 @@ def test_cold_check_parses_each_text_once(large, monkeypatch):
                                         mode="sampled", samples=400)
     assert report.equivalent
     assert sorted(parsed) == sorted(texts)
+
+
+def test_container_round_trip_decodes_each_regex_once(large, monkeypatch):
+    # the decompile self-check's loop: the memo holds one container round
+    # trip's texts and programs, so the recompile finds each text that came
+    # back unchanged and the check each program that decompile decoded
+    table, vocab = large
+    profile = generate.ProfileGenerator(table, vocab, seed=3,
+                                        scale="container").generate()
+    calls = {"build_nfa": 0, "deserialize_nfa": 0}
+    for name in calls:
+        def counted(arg, name=name, real=getattr(nfa, name)):
+            calls[name] += 1
+            return real(arg)
+        monkeypatch.setattr(nfa, name, counted)
+    nfa.pattern.cache_clear()
+    nfa.program.cache_clear()
+    gc.collect()
+    blob = codec.compile_profile(profile, table, vocab)
+    reparsed = sbpl.parse_sbpl(decompile.decompile(blob, table, vocab))
+    recompiled = codec.compile_profile(reparsed, table, vocab)
+    report = evaluate.check_equivalence(blob, recompiled, table, vocab,
+                                        mode="sampled", samples=400)
+    assert report.equivalent
+    seen = dict(calls)
+    source = _regex_texts(profile, table, vocab)
+    texts = source | _regex_texts(reparsed, table, vocab)
+    wires = _regex_wires(blob, vocab) | _regex_wires(recompiled, vocab)
+    assert len(texts) > len(source)  # some texts came back changed
+    assert seen == {"build_nfa": len(texts), "deserialize_nfa": len(wires)}
 
 
 def test_pattern_too_large_for_a_program_raises_in_a_verdict(small):

@@ -349,6 +349,27 @@ def test_nested_star_program_reverses_fast():
     assert rex.print_regex(back) == "a*"
 
 
+def test_long_literal_reverses_without_throwaway_nodes(monkeypatch):
+    # reversal glues fragments as tuples of parts, so a literal's chain of
+    # states builds its Concat once, not once for each prefix
+    rng = random.Random(4000)
+    text = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(4000))
+    program = nfa.deserialize_nfa(nfa.serialize_nfa(nfa.build_nfa(
+        rex.parse_regex(text))))
+    fresh = []
+    new = rex._Node.__new__
+
+    def counted(cls, *fields):
+        ref = rex._live.get((cls, *fields))
+        if cls is Concat and (ref is None or ref() is None):
+            fresh.append(len(fields[0]))
+        return new(cls, *fields)
+
+    monkeypatch.setattr(rex._Node, "__new__", staticmethod(counted))
+    assert rex.print_regex(nfa.nfa_to_regex(program)) == text
+    assert len(fresh) <= 3, fresh
+
+
 def test_group_nesting_limit(small):
     table, vocab = small
     deepest = "(" * rex.MAX_GROUP_NESTING + "a" + ")*" * rex.MAX_GROUP_NESTING
