@@ -79,7 +79,7 @@ def _regex_matches(matcher, bound, rx: _Held) -> bool:
     if not isinstance(bound, str):
         return False
     m = rx[matcher].dfa if isinstance(matcher, str) else matcher
-    return nfa_mod.nfa_match(m, bound, full=False)
+    return nfa_mod.nfa_match(m, bound)
 
 
 def _filter_kind(entry) -> tuple:
@@ -232,12 +232,13 @@ class BlobEvaluator:
 
 
 def as_source(thing, table, vocab):
-    """Wrap a Profile, BinaryProfile or raw blob as a verdict source."""
+    """Wrap a Profile, BinaryProfile or raw blob as a verdict source; an
+    AstEvaluator or BlobEvaluator is one already."""
     if isinstance(thing, Profile):
         return AstEvaluator(thing, table, vocab)
     if isinstance(thing, (bytes, bytearray, BinaryProfile)):
         return BlobEvaluator(thing, table, vocab)
-    if hasattr(thing, "verdict"):
+    if isinstance(thing, (AstEvaluator, BlobEvaluator)):
         return thing
     raise TypeError(f"not a verdict source: {thing!r}")
 
@@ -251,13 +252,13 @@ SAMPLE_MAX_LEN = 12  # characters in one sample, at most
 
 def _accepted_samples(matcher, alphabet):
     """The SAMPLE_COUNT shortest strings of at most SAMPLE_MAX_LEN characters
-    the automaton accepts in search mode; deterministic.
-    Breadth-first over the search-mode DFA states, one prefix per state. A
+    the automaton accepts; deterministic.
+    Breadth-first over the DFA states, one prefix per state. A
     stepped state that cannot accept within the characters left is dropped:
     no state reached from it could either, so the output is the same."""
     letters = sorted(set(alphabet))
     out = []
-    s0 = matcher.initial(search=True)
+    s0 = matcher.initial()
     frontier = {s0: ""}
     seen = {s0}
     for depth in range(SAMPLE_MAX_LEN + 1):
@@ -362,7 +363,7 @@ def build_universe(atom_triples, vocab):
                 cand = f"~miss{i}~"
                 if cand in vals:
                     continue
-                if any(nfa_mod.nfa_match(m, cand, full=False)
+                if any(nfa_mod.nfa_match(m, cand)
                        for m in regexes.get(ctx_key, ())):
                     continue
                 sentinel = cand
@@ -454,10 +455,8 @@ def _atom_column(src, atom: tuple, pool: list) -> int:
     _key, is_regex, value = atom
     if is_regex:
         hits = (_regex_matches(value, v, src.rx) for v in pool)
-    elif isinstance(src, AstEvaluator):
-        hits = (v is not None and v == value for v in pool)
     else:
-        hits = (v == value for v in pool)
+        hits = (v is not None and v == value for v in pool)
     return sum(1 << i for i, hit in enumerate(hits) if hit)
 
 

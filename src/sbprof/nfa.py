@@ -2,27 +2,30 @@
 language operation, the serialized wire format, and reversal back to regex
 text via state removal.
 
-Matching and the bounded-language walks (equivalence and the evaluator's
-sample strings) all run on LazyDfa, a lazily determinized automaton in the
-manner of RE2 (Thompson, CACM 1968; Cox, "Regular Expression Matching Can Be
-Simple And Fast", 2007). Each Nfa is compiled once. As in RE2, a DFA state is
-keyed by the sorted tuple of its NFA states, closed over epsilon edges with
-both anchors shut, so a step costs what the state holds. The anchors are
-position predicates: `^` is applied only when the initial state is built and
-`$` only through each state's accepts-at-end bit. Matching computes
-transitions on first use and memoizes them per byte class: classes are cut at
-every Char/CharClass bound, and all code points above 0xFF share one class.
-Each consuming edge carries an int mask of the classes its label matches, so
-a step tests bits instead of labels. The two initial states keep the first
-two cache rows, also after a flush, so a match starts without hashing a key.
-The walks seldom take a step twice, so they step the same states without the
-cache, and letters whose classes lead to the same set of NFA states share one
-epsilon closure. can_accept_within bounds from below how many characters a
-state needs to reach acceptance, from per-state distances that a backward
-breadth-first walk stopped at the depth asked for fills; the evaluator's
-sample walk drops states that cannot accept within the characters it has
-left. At most DFA_STATE_CAP states are cached per automaton; past that the
-cache is flushed and refilled, so hostile blobs keep memory bounded.
+Matching and the evaluator's sample walk both run on LazyDfa, a lazily
+determinized automaton in the manner of RE2 (Thompson, CACM 1968; Cox,
+"Regular Expression Matching Can Be Simple And Fast", 2007). It has one
+semantics, the filter's: a string matches when some substring does, with `^`
+and `$` pinned to the string's ends. Each Nfa is compiled once. As in RE2, a
+DFA state is keyed by the sorted tuple of its NFA states, closed over epsilon
+edges with both anchors shut, so a step costs what the state holds; every
+step re-adds the start state's closure, so a match may begin anywhere. The
+anchors are position predicates: `^` is applied only when the initial state
+is built and `$` only through each state's accepts-at-end bit. Matching
+computes transitions on first use and memoizes them per byte class: classes
+are cut at every Char/CharClass bound, and all code points above 0xFF share
+one class. Each consuming edge carries an int mask of the classes its label
+matches, so a step tests bits instead of labels. The initial state keeps the
+first cache row, also after a flush, so a match starts without hashing a
+key. The walks seldom take a step twice, so they step the same states
+without the cache, and letters whose classes lead to the same set of NFA
+states share one epsilon closure. can_accept_within bounds from below how
+many characters a state needs to reach acceptance, from per-state distances
+that a backward breadth-first walk stopped at the depth asked for fills; the
+evaluator's sample walk drops states that cannot accept within the
+characters it has left. At most DFA_STATE_CAP states are cached per
+automaton; past that the cache is flushed and refilled, so hostile blobs
+keep memory bounded.
 
 The regex memo at the end of the module keeps each pattern text's and each
 wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
@@ -103,11 +106,6 @@ class Nfa:
         assert 0 <= self.start < self.n_states
         for src, _label, dst in self.transitions:
             assert 0 <= src < self.n_states and 0 <= dst < self.n_states
-
-    @cached_property
-    def dfa(self) -> LazyDfa:
-        """The compiled matcher, built on first use and kept with the Nfa."""
-        return LazyDfa(self)
 
 
 def _is_consuming(label) -> bool:
@@ -201,26 +199,24 @@ def _close(states, edges, closed=()) -> tuple:
 
 
 class LazyDfa:
-    """Subset automaton of an Nfa, determinized on demand as in RE2.
+    """Subset automaton of an Nfa, determinized on demand as in RE2, that
+    matches under the filter semantics nfa_match describes.
 
     A state key is the sorted tuple of its NFA states, closed over epsilon
     edges with both anchors shut, so a step costs what the state holds.
-    Search-mode keys end with the marker n_states, which no NFA state
-    reaches, and each of their steps re-adds the start state's closure, so
-    a match may begin anywhere. The cache is one flat list of rows [key,
-    accepts at end, next state per byte class]; a state is the index of its
-    first class slot. The two initial states hold the first two rows, again
-    after every flush, so a match starts without hashing a key. A
-    transition into a state that decides the match (a search state holding
-    an accept, a full-match state with no NFA states left) is stored as
-    -2 - state.
+    Each step re-adds the start state's closure, so a match may begin
+    anywhere. The cache is one flat list of rows [key, accepts at end, next
+    state per byte class]; a state is the index of its first class slot.
+    The initial state holds the first row, again after every flush, so a
+    match starts without hashing a key. A transition into a state that
+    holds an accept decides the match and is stored as -2 - state.
 
     samples is None until evaluate.build_universe stores the automaton's
     universe samples there, so they live exactly as long as the automaton.
     """
 
     __slots__ = ("labels", "_edges", "_first", "_eps", "_accepts", "_end",
-                 "_init", "_init_hit", "_restart", "_search", "_empty_ok",
+                 "_init", "_init_hit", "_restart", "_empty_ok",
                  "_cmap", "_top", "_width", "_ids", "_rows", "_near",
                  "_near_depth", "flushes", "samples")
 
@@ -263,23 +259,21 @@ class LazyDfa:
         # state q's consuming edges are _edges[_first[q]:_first[q + 1]], each
         # (mask of the byte classes its label matches, destination): ints
         # only, so the collector stops tracking them, and the labels apart.
-        # The per-state tables have a slot for the marker n too.
         self.labels = tuple(label for _src, label, _dst in edges)
         self._edges = tuple((self._class_mask(label), dst)
                             for _src, label, dst in edges)
-        first = [0] * (n + 2)
+        first = [0] * (n + 1)
         for q, _label, _dst in edges:
             first[q + 1] += 1
         self._first = tuple(itertools.accumulate(first))
         self._eps = tuple(map(tuple, eps))
         self._accepts = nfa.accepts
-        self._end = bytearray(n + 1)  # 1 for each state that accepts at end
+        self._end = bytearray(n)  # 1 for each state that accepts at end
         for q in _close(nfa.accepts, rev_eol):
             self._end[q] = 1
         self._init = _close(start, bol)
         self._init_hit = not nfa.accepts.isdisjoint(self._init)
-        self._search = n  # the marker that ends every search-mode key
-        self._restart = _close(start, eps) + (n,)  # what search steps re-add
+        self._restart = _close(start, eps)  # what every step re-adds
         self._empty_ok = not nfa.accepts.isdisjoint(_close(start, both))
         self._ids = {}
         self._rows = []
@@ -307,9 +301,9 @@ class LazyDfa:
         """Number of DFA states in the cache, at most DFA_STATE_CAP."""
         return len(self._ids)
 
-    def initial(self, search: bool = False) -> tuple:
+    def initial(self) -> tuple:
         """Key of the state before any character is read."""
-        return self._init + (self._search,) if search else self._init
+        return self._init
 
     def accepts_at_end(self, key: tuple, at_start: bool = False) -> bool:
         """Whether input that ends in state key is accepted. at_start: key is
@@ -317,10 +311,10 @@ class LazyDfa:
         return self._empty_ok if at_start else any(map(self._end.__getitem__, key))
 
     def successors(self, key: tuple, letters) -> list:
-        """Keys of the states after reading each of letters in state key;
-        the empty tuple is the dead full-match state. Walks reach most
-        states once, so this bypasses the cache. Letters whose classes lead
-        to the same NFA states share one epsilon closure."""
+        """Keys of the states after reading each of letters in state key.
+        Walks reach most states once, so this bypasses the cache. Letters
+        whose classes lead to the same NFA states share one epsilon
+        closure."""
         out_edges = self._out_edges(key)
         by_class = {}
         by_dsts = {}
@@ -335,7 +329,7 @@ class LazyDfa:
                                   if mask >> c & 1])
                 nxt = by_dsts.get(dsts)
                 if nxt is None:
-                    nxt = by_dsts[dsts] = self._after(key, dsts)
+                    nxt = by_dsts[dsts] = self._after(dsts)
                 by_class[c] = nxt
             out.append(nxt)
         return out
@@ -345,9 +339,8 @@ class LazyDfa:
         key to a state that accepts at end (accepts_at_end without at_start).
         The bound is the fewest consuming NFA edges from a state of key to
         one of _end, epsilon edges with both anchors shut costing none. A
-        search key always holds the restart closure, so the start state
-        that search mode re-adds after each character needs no term of its
-        own."""
+        key always holds the restart closure, so the start state that each
+        step re-adds needs no term of its own."""
         if n > self._near_depth:
             self._build_near(n)
         return min(map(self._near.__getitem__, key), default=_FAR) <= n
@@ -366,7 +359,7 @@ class LazyDfa:
         for q, dsts in enumerate(self._eps):
             for dst in dsts:
                 rev_eps[dst].append(q)
-        near = array("q", [_FAR]) * (size + 1)  # the marker is never near
+        near = array("q", [_FAR]) * size
         layer = [q for q in range(size) if self._end[q]]
         for q in layer:
             near[q] = 0
@@ -395,18 +388,15 @@ class LazyDfa:
         edges, first = self._edges, self._first
         return [edge for q in key for edge in edges[first[q]:first[q + 1]]]
 
-    def _is_search(self, key: tuple) -> bool:
-        return key[-1:] == (self._search,)
+    def _after(self, dsts) -> tuple:
+        """The state after a step that reaches the NFA states dsts."""
+        return _close(dsts, self._eps, self._restart)
 
-    def _after(self, key: tuple, dsts) -> tuple:
-        """The state after a step from state key to the NFA states dsts."""
-        return _close(dsts, self._eps, self._restart if self._is_search(key) else ())
-
-    def match(self, s: str, full: bool = False) -> bool:
-        """Whether s is accepted; nfa_match describes the two modes."""
+    def match(self, s: str) -> bool:
+        """Whether s is accepted; nfa_match describes the semantics."""
         if not s:
             return self._empty_ok
-        if not full and self._init_hit:
+        if self._init_hit:
             return True
         try:
             classes = s.encode("latin-1").translate(self._cmap)
@@ -414,27 +404,26 @@ class LazyDfa:
             classes = [self._cmap[o] if o < 0x100 else self._top
                        for o in map(ord, s)]
         rows = self._rows  # flushed in place, so this stays the cache
-        st = 2 if full else 2 + self._width  # the pinned initial rows
+        st = 2  # the pinned initial row
         for c in classes:
             nxt = rows[st + c]
             if nxt < 0:
                 if nxt == _UNKNOWN:
                     nxt = self._fill(st, c)
                 if nxt < 0:
-                    return not full  # search found a match; full hit a dead end
+                    return True  # the state holds an accept
             st = nxt
         return rows[st - 1]
 
     def _pin(self) -> None:
-        """Empty the cache but for the initial states, full-match first."""
+        """Empty the cache but for the initial state."""
         self._ids.clear()
         self._rows.clear()
-        self._intern(self.initial())
-        self._intern(self.initial(search=True))
+        self._intern(self._init)
 
     def _intern(self, key: tuple) -> int:
         st = self._ids.get(key)
-        if st is None:  # so key is not an initial state, which stay pinned
+        if st is None:  # so key is not the initial state, which stays pinned
             if len(self._ids) >= DFA_STATE_CAP:
                 self.flushes += 1
                 self._pin()
@@ -447,12 +436,9 @@ class LazyDfa:
     def _fill(self, st: int, c: int) -> int:
         """Compute and memoize the transition of state st on class c."""
         key = self._rows[st - 2]
-        nxt_key = self._after(key, [dst for mask, dst in self._out_edges(key)
-                                    if mask >> c & 1])
-        if self._is_search(key):
-            stop = not self._accepts.isdisjoint(nxt_key)
-        else:
-            stop = not nxt_key
+        nxt_key = self._after([dst for mask, dst in self._out_edges(key)
+                               if mask >> c & 1])
+        stop = not self._accepts.isdisjoint(nxt_key)
         flushes = self.flushes
         nxt = self._intern(nxt_key)
         if stop:
@@ -462,15 +448,10 @@ class LazyDfa:
         return nxt
 
 
-def _lazy(automaton) -> LazyDfa:
-    return automaton.dfa if isinstance(automaton, Nfa) else automaton
-
-
-def nfa_match(nfa, s: str, full: bool = False) -> bool:
-    """Whether an Nfa or its LazyDfa accepts s. full=True: s itself must be
-    in the language. full=False is the filter semantics: some substring
-    matches, with ^/$ pinned to the string ends."""
-    return _lazy(nfa).match(s, full)
+def nfa_match(dfa: LazyDfa, s: str) -> bool:
+    """Whether dfa accepts s under the filter semantics: some substring of s
+    matches, with ^ and $ pinned to the ends of s."""
+    return dfa.match(s)
 
 
 # ---------------------------------------------------------------------------
@@ -801,7 +782,7 @@ class Program:
 
     @cached_property
     def dfa(self) -> LazyDfa:
-        dfa = self._nfa.dfa
+        dfa = LazyDfa(self._nfa)
         self._nfa = None
         return dfa
 

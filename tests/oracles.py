@@ -11,7 +11,7 @@ from sbprof.decompile import GraphNode, OpGraph
 from sbprof.errors import SandboxError
 from sbprof.generate import ProfileGenerator
 from sbprof.model import Decision, FilterVocabulary, OperationTable
-from sbprof.nfa import _lazy
+from sbprof.nfa import LazyDfa, Nfa
 from sbprof.rex import (
     Alternate,
     AnchorEnd,
@@ -154,11 +154,34 @@ def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
     return False
 
 
-def bounded_language_equal(a, b, alphabet, max_len: int):
+def anchored_nfa(m: Nfa) -> Nfa:
+    """m with a new start that reaches m.start over a `^` edge and a new
+    accept that each accept of m reaches over a `$` edge. A match must then
+    read all of the string through m, so under the filter semantics its
+    language is m's full-match language."""
+    start, accept = m.n_states, m.n_states + 1
+    return Nfa(m.n_states + 2,
+               m.transitions + ((start, AnchorStart(), m.start),)
+               + tuple((q, AnchorEnd(), accept) for q in sorted(m.accepts)),
+               start, frozenset([accept]))
+
+
+def anchored(m: Nfa) -> LazyDfa:
+    """A LazyDfa whose language is m's full-match language."""
+    return LazyDfa(anchored_nfa(m))
+
+
+def full_match(m: Nfa, s: str) -> bool:
+    """Whether s itself is in m's language."""
+    return anchored(m).match(s)
+
+
+def bounded_language_equal(a: Nfa, b: Nfa, alphabet, max_len: int):
     """Compare full-match languages up to max_len by a breadth-first walk
-    over pairs of DFA states. Returns (True, None) or (False, witness) where
-    witness is a shortest distinguishing string."""
-    da, db = _lazy(a), _lazy(b)
+    over pairs of states of anchored(a) and anchored(b). Returns (True,
+    None) or (False, witness) where witness is a shortest distinguishing
+    string."""
+    da, db = anchored(a), anchored(b)
     letters = sorted(set(alphabet))
     start = (da.initial(), db.initial())
     frontier = {start: ""}
@@ -173,8 +196,6 @@ def bounded_language_equal(a, b, alphabet, max_len: int):
         for (ka, kb), witness in frontier.items():
             for ch, key in zip(letters, zip(da.successors(ka, letters),
                                             db.successors(kb, letters))):
-                if key == ((), ()):
-                    continue
                 if key not in visited:
                     visited.add(key)
                     nxt[key] = witness + ch

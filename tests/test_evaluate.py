@@ -109,6 +109,30 @@ def test_unknown_operation_raises(small, blacklist):
         evaluate.BlobEvaluator(blob, table, vocab).verdict("nope", Q({}))
 
 
+def test_as_source_accepts_only_verdict_sources(small, blacklist):
+    table, vocab = small
+    profile, blob = blacklist
+    ast = evaluate.AstEvaluator(profile, table, vocab)
+    blob_eval = evaluate.BlobEvaluator(blob, table, vocab)
+    assert evaluate.as_source(ast, table, vocab) is ast
+    assert evaluate.as_source(blob_eval, table, vocab) is blob_eval
+    for thing in (bytearray(blob), codec.decode_blob(blob)):
+        assert isinstance(evaluate.as_source(thing, table, vocab),
+                          evaluate.BlobEvaluator)
+
+    class Fake:  # has a verdict, but no profile or blob to check against
+        def verdict(self, op_name, ctx):
+            return Decision.ALLOW
+
+    for thing in (Fake(), "(deny default)", None):
+        with pytest.raises(TypeError, match="not a verdict source"):
+            evaluate.as_source(thing, table, vocab)
+        for a, b in ((thing, profile), (blob, thing)):
+            for mode in ("exhaustive", "sampled"):
+                with pytest.raises(TypeError, match="not a verdict source"):
+                    evaluate.check_equivalence(a, b, table, vocab, mode=mode)
+
+
 def test_blob_and_ast_agree_exhaustively_on_random_profiles(small):
     table, vocab = small
     for seed in range(80):
@@ -470,7 +494,7 @@ def _reference_matches(expr, ctx, vocab, automata):
             if expr.value not in automata:
                 automata[expr.value] = nfa.LazyDfa(
                     nfa.build_nfa(rex.parse_regex(expr.value)))
-            return nfa.nfa_match(automata[expr.value], bound, full=False)
+            return nfa.nfa_match(automata[expr.value], bound)
         return bound == expr.value
     if isinstance(expr, RequireNot):
         return not _reference_matches(expr.child, ctx, vocab, automata)
@@ -625,7 +649,7 @@ def test_accepted_samples_against_brute_force():
         cases.append(("".join(pieces), None))
     for pat, want in cases:
         ast = rex.parse_regex(pat)
-        matcher = nfa.build_nfa(ast).dfa
+        matcher = nfa.LazyDfa(nfa.build_nfa(ast))
         alphabet = evaluate._pattern_alphabet(matcher)
         got = evaluate._accepted_samples(matcher, alphabet)
         accepted = _brute_force_accepted(ast, alphabet, 5)

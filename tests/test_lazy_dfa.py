@@ -5,7 +5,9 @@ every stepped state stays in the frontier. `_ReferenceStep` steps a state
 one letter at a time straight off the Nfa's labels, as the engine did before
 byte-class masks. The pruned walk and the masked steps must give the same
 output on generated and random patterns, built and read back from the wire
-format; `can_accept_within` must equal a brute-force search.
+format; `can_accept_within` must equal a brute-force search. The steps and
+the distances are also checked on each automaton anchored at both ends,
+whose states are those a full-match walk would step.
 """
 
 import random
@@ -15,7 +17,7 @@ from sbprof import codec, evaluate, generate, nfa, rex, sbpl, vocab
 from sbprof.model import Decision
 from sbprof.rex import AnyChar, Char, CharClass, Empty
 
-from oracles import class_matches
+from oracles import anchored_nfa, class_matches
 
 _PIECES = ("a", "b", "/", ".", "[ab]", "[^a]", "[^./a]", "[a-c]", "^", "$",
            "(a|$)", "(^|b)", "a$b", "\\$")
@@ -62,10 +64,10 @@ def _automata(pattern):
 
 
 def _reference_samples(matcher, alphabet, limit=3, max_len=12):
-    """The sample walk without pruning: one prefix per search-mode state."""
+    """The sample walk without pruning: one prefix per state."""
     letters = sorted(set(alphabet))
     out = []
-    s0 = matcher.initial(search=True)
+    s0 = matcher.initial()
     frontier = {s0: ""}
     seen = {s0}
     for depth in range(max_len + 1):
@@ -94,7 +96,6 @@ class _ReferenceStep:
     the letter itself."""
 
     def __init__(self, automaton):
-        self.n = automaton.n_states
         self.consuming = [(src, label, dst) for src, label, dst in automaton.transitions
                           if isinstance(label, (Char, AnyChar, CharClass))]
         self.eps = {}
@@ -124,9 +125,7 @@ class _ReferenceStep:
     def __call__(self, key, ch):
         dsts = {dst for src, label, dst in self.consuming
                 if src in key and self._matches(label, ch)}
-        out = self._closure(dsts)
-        if self.n in key:  # search mode re-adds the start state
-            out |= self.restart | {self.n}
+        out = self._closure(dsts) | self.restart  # a match may begin anywhere
         return tuple(sorted(out))
 
 
@@ -146,11 +145,11 @@ def test_class_mask_steps_equal_label_steps():
     patterns = _patterns(2000)
     letters = sorted(set("ab/.cz$^\x00\xff") | {"Ā", "一"})
     for pattern in rng.sample(patterns, 400):
-        for automaton in _automata(pattern):
-            dfa = nfa.LazyDfa(automaton)
-            step = _ReferenceStep(automaton)
-            for search in (False, True):
-                frontier = [dfa.initial(search)]
+        for built in _automata(pattern):
+            for automaton in (built, anchored_nfa(built)):
+                dfa = nfa.LazyDfa(automaton)
+                step = _ReferenceStep(automaton)
+                frontier = [dfa.initial()]
                 seen = set(frontier)
                 for _depth in range(3):
                     nxt = []
@@ -179,14 +178,14 @@ def test_can_accept_within_equals_brute_force():
     patterns = [_random_pattern(rng) for _ in range(300)]
     patterns += rng.sample(_generated_patterns(), 60)
     for pattern in patterns:
-        for automaton in _automata(pattern):
-            dfa = nfa.LazyDfa(automaton)
-            letters = _class_letters(dfa)
-            restart = _ReferenceStep(automaton).restart
-            for search in (False, True):
+        for built in _automata(pattern):
+            for automaton in (built, anchored_nfa(built)):
+                dfa = nfa.LazyDfa(automaton)
+                letters = _class_letters(dfa)
+                restart = _ReferenceStep(automaton).restart
                 # every state within 2 steps, and all it reaches in 5 more
                 succ = {}
-                frontier = [dfa.initial(search)]
+                frontier = [dfa.initial()]
                 near = list(frontier)
                 for depth in range(7):
                     nxt = []
@@ -204,11 +203,11 @@ def test_can_accept_within_equals_brute_force():
                         if key not in dist and any(dist.get(k) == n - 1 for k in nexts):
                             dist[key] = n
                 for key in near:
-                    # so the start state search mode re-adds needs no term
-                    assert not search or restart <= set(key), pattern
+                    # so the start state each step re-adds needs no term
+                    assert restart <= set(key), pattern
                     for n in range(6):
                         want = dist.get(key, 99) <= n
-                        assert dfa.can_accept_within(key, n) is want, (pattern, search, n)
+                        assert dfa.can_accept_within(key, n) is want, (pattern, n)
 
 
 def _literal(size):
@@ -228,9 +227,10 @@ def test_hostile_sizes_stay_bounded():
             (literal, 16001, literal, True, [])):
         blob = nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(pattern)))
         started = time.perf_counter()
-        dfa = nfa.LazyDfa(nfa.deserialize_nfa(blob))
+        automaton = nfa.deserialize_nfa(blob)
+        dfa = nfa.LazyDfa(automaton)
         assert time.perf_counter() - started < 10
-        assert dfa._search == states
+        assert automaton.n_states == states
 
         started = time.perf_counter()
         assert dfa.match(text) is matched

@@ -14,7 +14,7 @@ from sbprof.errors import (
 )
 from sbprof.rex import AnchorStart, Char, CharClass, Concat, Star
 
-from oracles import ast_match, bounded_language_equal
+from oracles import anchored, ast_match, bounded_language_equal, full_match
 
 REFERENCE_PATTERNS = (
     "/bin/*",
@@ -95,7 +95,7 @@ def test_build_nfa_trivial_shapes():
     assert len([t for t in m.transitions]) == 1
     star = nfa.build_nfa(Star(Char(ord("a"))))
     for s, want in (("", True), ("a", True), ("aaaa", True), ("b", False)):
-        assert nfa.nfa_match(star, s, full=True) is want
+        assert full_match(star, s) is want
 
 
 def test_nfa_language_equals_ast_matcher_on_random_asts(small):
@@ -106,11 +106,11 @@ def test_nfa_language_equals_ast_matcher_on_random_asts(small):
         pat = generate.random_regex_pattern(rng, 3) if case % 2 else \
             _small_pattern(rng)
         ast = rex.parse_regex(pat)
-        m = nfa.build_nfa(ast)
+        dfa = anchored(nfa.build_nfa(ast))
         for n in range(0, 7):
             for tup in itertools.product(alphabet, repeat=n):
                 s = "".join(tup)
-                assert nfa.nfa_match(m, s, full=True) == \
+                assert nfa.nfa_match(dfa, s) == \
                     ast_match(ast, s, full=True), (pat, s)
 
 
@@ -141,7 +141,7 @@ def test_serialize_star_contains_backward_jump():
     tags = _record_tags(blob)
     back = [(i, t) for i, t in enumerate(tags) if t == nfa.TAG_JUMP_BCK]
     assert back, "closure must loop backwards"
-    assert nfa.nfa_match(m, "aaa", full=True)
+    assert full_match(m, "aaa")
 
 
 def _record_tags(blob):
@@ -312,22 +312,46 @@ def test_anchors_inside_pattern_agree_with_oracle():
         ast = rex.parse_regex(pat)
         m = nfa.build_nfa(ast)
         assert ast_match(ast, s, full=False) is want_search, pat
-        assert nfa.nfa_match(m, s, full=False) is want_search, pat
-        assert nfa.nfa_match(m, s, full=True) is ast_match(ast, s, full=True), pat
+        assert nfa.nfa_match(nfa.LazyDfa(m), s) is want_search, pat
+        assert full_match(m, s) is ast_match(ast, s, full=True), pat
 
 
 def test_lazy_dfa_flush_keeps_verdicts():
-    # the search DFA remembers the last ten characters: about 2**10 states
-    pat = "(a|b)*a" + "(a|b)" * 9
+    # the DFA remembers the last ten characters: about 2**10 states; the
+    # pattern ends in $, so a match is not decided before the string ends
+    pat = "(a|b)*a" + "(a|b)" * 9 + "$"
     ast = rex.parse_regex(pat)
-    dfa = nfa.build_nfa(ast).dfa
+    m = nfa.build_nfa(ast)
+    dfa, full = nfa.LazyDfa(m), anchored(m)
     rng = random.Random(7)
     for _ in range(120):
         s = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
-        for full in (False, True):
-            assert nfa.nfa_match(dfa, s, full=full) is ast_match(ast, s, full=full), s
+        assert nfa.nfa_match(dfa, s) is ast_match(ast, s, full=False), s
+        assert nfa.nfa_match(full, s) is ast_match(ast, s, full=True), s
         assert dfa.cached_states <= nfa.DFA_STATE_CAP
+        assert full.cached_states <= nfa.DFA_STATE_CAP
+    assert dfa.flushes > 0 and full.flushes > 0
+
+
+def test_lazy_dfa_pins_one_state(monkeypatch):
+    # a new automaton, and each one just flushed, caches its initial state
+    # and nothing else
+    pinned = []
+    pin = nfa.LazyDfa._pin
+
+    def counted(dfa):
+        pin(dfa)
+        pinned.append(dfa.cached_states)
+
+    monkeypatch.setattr(nfa.LazyDfa, "_pin", counted)
+    monkeypatch.setattr(nfa, "DFA_STATE_CAP", 8)
+    dfa = nfa.LazyDfa(nfa.build_nfa(rex.parse_regex("(a|b)*a(a|b)(a|b)(a|b)$")))
+    assert dfa.cached_states == 1
+    rng = random.Random(7)
+    for _ in range(20):
+        dfa.match("".join(rng.choice("ab") for _ in range(20)))
     assert dfa.flushes > 0
+    assert pinned == [1] * (1 + dfa.flushes)
 
 
 def test_reversal_state_cap():
@@ -402,9 +426,9 @@ def test_simplify_deep_alternation_groups(depth):
         pattern = "(a|b" + pattern + "c)*"
     ast = rex.parse_regex(pattern)
     simplified = rex.simplify(ast)
-    dfa = nfa.LazyDfa(nfa.build_nfa(ast))
+    dfa = anchored(nfa.build_nfa(ast))
     for text in ("", "a", "aab", "bxc", "bbxcc", "abxca", "bac", "bbxc", "x"):
-        assert ast_match(simplified, text) == dfa.match(text, full=True), text
+        assert ast_match(simplified, text) == dfa.match(text), text
 
 
 def test_stacked_quantifier_limit(small):
@@ -583,5 +607,5 @@ def test_memo_keeps_no_key_past_its_limit():
     assert [ref() for ref in refs] == [None, None]
     for memo in MEMOS:
         assert memo.cache_info().currsize == 0
-    assert nfa.nfa_match(nfa.pattern(text).dfa, "/" + text, full=False)
+    assert nfa.nfa_match(nfa.pattern(text).dfa, "/" + text)
     assert nfa.pattern.cache_info().currsize == 0
