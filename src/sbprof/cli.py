@@ -64,6 +64,19 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name) or "profile"
 
 
+def _targets(out: Path, names, suffix: str) -> list:
+    """One file in out per profile name; two names that map to one file
+    raise before anything is written."""
+    owners = {}
+    for name in names:
+        target = out / f"{_safe_name(name)}{suffix}"
+        if target in owners:
+            raise SandboxError(f"profiles {owners[target]!r} and {name!r} "
+                               f"would both be written to {target}")
+        owners[target] = name
+    return list(owners)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -105,9 +118,11 @@ def cmd_decompile(args) -> int:
     # one (source, target, name) per profile: each view of a bundle goes to
     # the output directory, a single blob to the output file
     if _sniff_format(data) == FORMAT_BUNDLED:
+        views = codec.unpack_bundle(data)[1]
+        targets = _targets(out, [name for name, _view in views], ".sb")
         out.mkdir(parents=True, exist_ok=True)
-        jobs = [(view, out / f"{_safe_name(name)}.sb", name)
-                for name, view in codec.unpack_bundle(data)[1]]
+        jobs = [(view, target, name)
+                for (name, view), target in zip(views, targets)]
     else:
         stem = Path(args.input).stem
         jobs = [(data, out / f"{stem}.sb" if out.is_dir() else out, stem)]
@@ -147,9 +162,9 @@ def cmd_unpack(args) -> int:
     if offset:
         print(f"bundle found at byte offset {offset}")
     out = Path(args.output)
+    targets = _targets(out, [name for name, _view in views], ".sbbin")
     out.mkdir(parents=True, exist_ok=True)
-    for name, view in views:
-        target = out / f"{_safe_name(name)}.sbbin"
+    for (name, view), target in zip(views, targets):
         target.write_bytes(codec.extract_profile(view, vocab))
         print(f"wrote {target}")
     return EXIT_OK

@@ -432,35 +432,36 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
 
 def inject_implicit(profile: Profile, implicit: ImplicitRuleSet) -> Profile:
     """Prepend the standard-policy rules a compiler would add, honoring the
-    conditional guards against the given profile."""
-    rules = {op: list(rs) for op, rs in profile.rules.items()}
+    conditional guards against the given profile. The profile is left as it
+    is; the result shares every rule tuple it does not extend."""
+    rules = dict(profile.rules)
     for item in implicit.rules:
-        if not condition_holds(item.condition, profile):
-            continue
-        rules.setdefault(item.operation, [])
-        rules[item.operation].insert(0, item.rule)
-    return Profile(profile.name, profile.default_decision,
-                   {op: tuple(rs) for op, rs in rules.items()})
+        if condition_holds(item.condition, profile):
+            rules[item.operation] = (item.rule, *rules.get(item.operation, ()))
+    return Profile(profile.name, profile.default_decision, rules)
 
 
-def _rule_runs(rules, vocab):
+def _disjuncts(expr, vocab) -> tuple:
+    expr = canonicalize(expr, vocab)
+    return expr.children if isinstance(expr, RequireAny) else (expr,)
+
+
+def _rule_runs(rules, vocab) -> tuple:
     """Canonical view of a rule list: adjacent same-decision conditional
-    rules merge into one disjunct list; an unconditional rule ends the list
-    (later rules are unreachable). Runs are (decision, children | None)."""
+    rules merge into one run of distinct disjuncts; an unconditional rule
+    ends the list (later rules are unreachable). Runs are (decision,
+    children) pairs, children a tuple, or None for an unconditional rule."""
     runs = []
     for rule in rules:
         if rule.filter is None:
-            runs.append([rule.decision, None])
+            runs.append((rule.decision, None))
             break
-        expr = canonicalize(rule.filter, vocab)
-        children = list(expr.children) if isinstance(expr, RequireAny) else [expr]
+        children = _disjuncts(rule.filter, vocab)
         if runs and runs[-1][1] is not None and runs[-1][0] is rule.decision:
-            for c in children:
-                if c not in runs[-1][1]:
-                    runs[-1][1].append(c)
-        else:
-            runs.append([rule.decision, children])
-    return runs
+            merged = runs.pop()[1]
+            children = merged + tuple(c for c in children if c not in merged)
+        runs.append((rule.decision, children))
+    return tuple(runs)
 
 
 def _runs_to_rules(runs):
@@ -492,72 +493,51 @@ def _changed_ops(a: Profile, b: Profile, table: OperationTable) -> list:
 def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
             vocab: FilterVocabulary) -> Profile:
     """Strip rules matching the implicit standard policy, plus operations
-    whose rules cannot change the default verdict. Every removal is verified
-    against the evaluator: the cleaned profile with implicits re-injected
-    must agree with the input everywhere we can observe. A trial re-checks
-    only the operations it changed."""
-    items = [(it.operation, it.rule) for it in implicit.rules]
+    whose rules cannot change the default verdict. Each removal is a trial:
+    the current runs with one operation's runs replaced. The trial is kept
+    when, with the implicit rules injected into both, the evaluator finds it
+    decides as the current runs do; only the operations it changed are
+    checked."""
     current = {op: _rule_runs(rs, vocab) for op, rs in profile.rules.items()}
 
-    def as_profile(runs_dict):
-        rules = {op: _runs_to_rules(runs) for op, runs in runs_dict.items() if runs}
+    def as_profile(runs_by_op):
+        rules = ((op, _runs_to_rules(runs)) for op, runs in runs_by_op.items())
         return Profile(profile.name, profile.default_decision,
-                       {op: rs for op, rs in rules.items() if rs})
+                       {op: rs for op, rs in rules if rs})
 
-    before = inject_implicit(as_profile(current), implicit)
-
-    def verdict_safe(candidate_runs):
-        # a removal is safe when the compiled result (profile plus injected
-        # standard policy) keeps every verdict it had before the removal
-        nonlocal before
-        after = inject_implicit(as_profile(candidate_runs), implicit)
+    def try_runs(op, runs):
+        trial = {**current, op: runs}
+        before = inject_implicit(as_profile(current), implicit)
+        after = inject_implicit(as_profile(trial), implicit)
         report = check_equivalence(before, after, table, vocab,
                                    ops=_changed_ops(before, after, table))
         if report.equivalent:
-            before = after
+            current[op] = runs
         return report.equivalent
 
-    def copy_runs(runs_dict):
-        return {op: [[d, None if cs is None else list(cs)] for d, cs in runs]
-                for op, runs in runs_dict.items()}
-
     # strip implicit rules: a rule matches a run of the same decision that
-    # contains all its disjuncts; removal is applied only if verdict-safe
-    for op, implicit_rule in items:
-        runs = current.get(op)
-        if not runs:
-            continue
-        if implicit_rule.filter is None:
-            want = None
-        else:
-            expr = canonicalize(implicit_rule.filter, vocab)
-            want = list(expr.children) if isinstance(expr, RequireAny) else [expr]
+    # contains all its disjuncts; the first verdict-safe removal is kept
+    for item in implicit.rules:
+        runs = current.get(item.operation, ())
+        want = None if item.rule.filter is None else _disjuncts(item.rule.filter, vocab)
         for ridx, (decision, children) in enumerate(runs):
-            if decision is not implicit_rule.decision:
+            if decision is not item.rule.decision:
                 continue
-            trial = copy_runs(current)
-            if want is None:
-                if children is not None:
-                    continue
-                del trial[op][ridx]
+            if want is None and children is None:
+                kept = ()
+            elif want is None or children is None or any(w not in children for w in want):
+                continue
             else:
-                if children is None or any(w not in children for w in want):
-                    continue
-                trial[op][ridx][1] = [c for c in children if c not in want]
-                if not trial[op][ridx][1]:
-                    del trial[op][ridx]
-            if verdict_safe(trial):
-                current = trial
+                rest = tuple(c for c in children if c not in want)
+                kept = ((decision, rest),) if rest else ()
+            if try_runs(item.operation, runs[:ridx] + kept + runs[ridx + 1:]):
                 break
 
     # drop operations that only restate the default decision
     for op in sorted(current):
         runs = current[op]
         if runs and all(d is profile.default_decision for d, _c in runs):
-            trial = copy_runs(current)
-            trial[op] = []
-            if verdict_safe(trial):
-                current = trial
+            try_runs(op, ())
 
     return as_profile(current)
 

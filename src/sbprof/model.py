@@ -59,7 +59,6 @@ class FilterKey:
 @dataclass(frozen=True)
 class FilterVocabulary:
     entries: tuple[FilterKey, ...]
-    version_tag: str = ""
 
     def __post_init__(self):
         names = {}
@@ -78,6 +77,10 @@ class FilterVocabulary:
                     raise VocabularyError(f"{e.name}: enum filter without values")
                 if len(set(e.named_values.values())) != len(e.named_values):
                     raise VocabularyError(f"{e.name}: duplicate enum value codes")
+                for value, code in e.named_values.items():
+                    if not 0 <= code <= 0xFFFF:
+                        raise VocabularyError(f"{e.name}: enum value {value} code "
+                                              f"out of range: {code}")
             # The regex/literal split rides on the high bit of the key code.
             if e.kind is ValueKind.REGEX_INDEX and not e.code & REGEX_KEY_FLAG:
                 raise VocabularyError(f"{e.name}: regex filter code needs high bit set")
@@ -110,7 +113,6 @@ class OperationTable:
     otherwise in table order."""
 
     entries: tuple[str, ...]
-    version_tag: str = ""
     # op name -> parent op name; consulted only for operations with no rules
     parents: Mapping[str, str] = field(default_factory=dict)
 

@@ -343,7 +343,6 @@ class ImplicitRule:
 @dataclass(frozen=True)
 class ImplicitRuleSet:
     rules: tuple[ImplicitRule, ...]
-    default_decision: Decision | None = None
 
 
 def _parse_condition(node, text):
@@ -360,17 +359,15 @@ def _parse_condition(node, text):
 def parse_implicit_rules(text: str) -> ImplicitRuleSet:
     """Parse the implicit-rules file, tolerating its define/if preamble.
     Rules guarded by (if ...) keep their condition for the injection helper;
-    cleanup treats every rule as a removal candidate either way."""
+    cleanup treats every rule as a removal candidate either way. A rule on
+    the default operation is a syntax error: the profile sets the default."""
     collected: list[ImplicitRule] = []
-    default = None
 
     def add_rules(items, offset, condition):
-        nonlocal default
         op, rule = _read_rule(items, offset, text)
-        if op == "default" and rule.filter is None:
-            default = rule.decision
-        else:
-            collected.append(ImplicitRule(op, rule, condition))
+        if op == "default":
+            _err(text, offset, "implicit-rules file cannot set the default decision")
+        collected.append(ImplicitRule(op, rule, condition))
 
     forms = _read(text)
     try:
@@ -396,7 +393,7 @@ def parse_implicit_rules(text: str) -> ImplicitRuleSet:
     except SandboxError:
         list(forms)  # a reader error later in the text wins
         raise
-    return ImplicitRuleSet(tuple(collected), default)
+    return ImplicitRuleSet(tuple(collected))
 
 
 def condition_holds(condition, profile: Profile) -> bool:

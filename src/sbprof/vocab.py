@@ -5,7 +5,7 @@ A vocabulary is a UTF-8 line-oriented file. Record forms:
     version <tag>
     operation <name> [parent=<name>]
     filter <name> code=<int> kind=<value-kind> [ctx=<context-key>]
-    enumval <filter-name> <VALUE-NAME>=<int>
+    enumval <filter-name> <VALUE-NAME>=<u16>
 
 Lines starting with "#" and blank lines are ignored. Operation order in the
 file defines the wire index; the first operation must be "default". Two
@@ -33,7 +33,6 @@ def _parse_int(text: str, where: str) -> int:
 
 
 def parse_vocabulary(text: str) -> tuple[OperationTable, FilterVocabulary]:
-    version = ""
     operations: list[str] = []
     parents: dict[str, str] = {}
     filters: list[dict] = []
@@ -49,7 +48,6 @@ def parse_vocabulary(text: str) -> tuple[OperationTable, FilterVocabulary]:
         if record == "version":
             if len(args) != 1:
                 raise VocabularyError(f"{where}: version takes one tag")
-            version = args[0]
         elif record == "operation":
             if not args:
                 raise VocabularyError(f"{where}: operation needs a name")
@@ -93,7 +91,7 @@ def parse_vocabulary(text: str) -> tuple[OperationTable, FilterVocabulary]:
         else:
             raise VocabularyError(f"{where}: unknown record {record!r}")
 
-    table = OperationTable(tuple(operations), version_tag=version, parents=parents)
+    table = OperationTable(tuple(operations), parents=parents)
     keys = tuple(
         FilterKey(
             name=f["name"],
@@ -104,7 +102,7 @@ def parse_vocabulary(text: str) -> tuple[OperationTable, FilterVocabulary]:
         )
         for f in filters
     )
-    return table, FilterVocabulary(keys, version_tag=version)
+    return table, FilterVocabulary(keys)
 
 
 def load_vocabulary(path) -> tuple[OperationTable, FilterVocabulary]:

@@ -181,3 +181,78 @@ def test_decompile_deterministic_output(workdir):
     run("decompile", blob_path, "-o", a, "--no-verify")
     run("decompile", blob_path, "-o", b, "--no-verify")
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("command, suffix", [("unpack", ".sbbin"),
+                                             ("decompile", ".sb")])
+def test_profiles_sharing_a_file_name_are_refused(workdir, capsys, small,
+                                                  command, suffix):
+    # "a?b" and "a_b" both map to a_b: nothing is written, and the error
+    # names both profiles and the file
+    table, vb = small
+    profiles = [sbpl.parse_sbpl(SECOND, name=name) for name in ("a?b", "a_b")]
+    bundle = workdir / "clash.sbbundle"
+    bundle.write_bytes(codec.pack_bundle(profiles, table, vb))
+    outdir = workdir / "out"
+    assert run(command, bundle, "-o", outdir) == 2
+    assert capsys.readouterr().err == (
+        f"error: profiles 'a?b' and 'a_b' would both be written to "
+        f"{outdir / ('a_b' + suffix)}\n")
+    assert not outdir.exists()
+
+
+NUMBERS_AND_ENDPOINTS = '''(version 1)
+(deny default)
+(allow file-read* (file-mode 438))
+(allow network-outbound (remote tcp "localhost:22"))
+'''
+
+
+@pytest.mark.parametrize("op, binding, code", [
+    ("file-read*", "file-mode=0o666", 0),
+    ("file-read*", "file-mode=438", 0),
+    ("file-read*", "file-mode=0o644", 1),
+    ("file-read*", "file-mode=rw", 1),  # not a number: bound as text
+    ("network-outbound", "remote=tcp localhost:22", 0),
+    ("network-outbound", "remote=udp localhost:22", 1),
+    ("network-outbound", "remote=localhost:22", 1),  # no protocol: text
+])
+def test_eval_reads_numeric_and_endpoint_bindings(workdir, capsys, op,
+                                                  binding, code):
+    source = workdir / "numbers.sb"
+    source.write_text(NUMBERS_AND_ENDPOINTS)
+    blob = workdir / "numbers.sbbin"
+    assert run("compile", source, "-o", blob, "--vocab", "large") == 0
+    for path in (source, blob):
+        assert run("eval", path, "--op", op, binding, "--vocab", "large") == code
+    assert capsys.readouterr().out.splitlines()[-2:] == \
+        [("allow", "deny")[code]] * 2
+
+
+@pytest.mark.parametrize("argv, context, message", [
+    (["novalue", "--op", "file-read*"], None,
+     "error: bad binding 'novalue', expected key=value\n"),
+    (["--op", "file-read*", "--ctx", "{ctx}"], "# context\npath=/bin/ls\nnovalue\n",
+     "error: {ctx}:3: expected key=value\n"),
+    (["--op", "file-read*", "path=/x", "--frob"], None,
+     "error: unrecognized arguments: path=/x --frob\n"),
+], ids=["positional", "context-file", "unknown-option"])
+def test_eval_rejects_bad_bindings(workdir, capsys, argv, context, message):
+    ctx = workdir / "ctx.txt"
+    if context is not None:
+        ctx.write_text(context)
+    argv = [a.format(ctx=ctx) for a in argv]
+    assert run("eval", workdir / "sample.sb", *argv) == 2
+    assert capsys.readouterr().err == message.format(ctx=ctx)
+
+
+@pytest.mark.parametrize("code", ["70000", "0x10000", "-1"])
+def test_compile_refuses_an_enum_code_past_16_bits(workdir, capsys, code):
+    text = vocab.builtin_path("small").read_text(encoding="utf-8")
+    voc = workdir / "big.sbvocab"
+    voc.write_text(text + f"enumval vnode-type BIG={code}\n")
+    assert run("compile", workdir / "sample.sb", "-o", workdir / "x.sbbin",
+               "--vocab", voc) == 2
+    assert capsys.readouterr().err == (
+        f"error: vnode-type: enum value BIG code out of range: {int(code, 0)}\n")
+    assert not (workdir / "x.sbbin").exists()

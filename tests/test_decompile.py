@@ -248,6 +248,28 @@ def test_aggregate_requires_normalized_graph():
         aggregate(g)
 
 
+@pytest.mark.parametrize("nodes, entry, message", [
+    ({0: GraphNode(A, 1, DENY), 1: GraphNode(B, 0, ALLOW)}, 0,
+     'residual graph with 2 nodes cannot be reduced\n'
+     'entry: 0\n'
+     '  0: (literal "/a") match->1 unmatch->deny\n'
+     '  1: (vnode-type REGULAR-FILE) match->0 unmatch->allow'),
+    ({0: GraphNode(A, ALLOW, 1), 1: GraphNode(B, 0, DENY)}, 0,
+     'residual graph with 2 nodes cannot be reduced\n'
+     'entry: 0\n'
+     '  0: (literal "/a") match->allow unmatch->1\n'
+     '  1: (vnode-type REGULAR-FILE) match->0 unmatch->deny'),
+    ({}, DENY, "entry is the failure terminal; nothing to emit"),
+], ids=["cycle-on-match", "cycle-on-unmatch", "failure-entry"])
+def test_aggregate_reports_what_it_cannot_reduce(nodes, entry, message):
+    # build_graph rejects a cycle, but a graph built by hand can hold one;
+    # the error carries the residual graph as _dump_graph prints it
+    with pytest.raises(IrreducibleGraph) as info:
+        aggregate(OpGraph(nodes=nodes, entry=entry, default=DENY))
+    assert str(info.value) == message
+    assert info.value.residual == message.partition("\n")[2]
+
+
 def test_aggregation_preserves_semantics_on_random_graphs(small):
     _table, vocab = small
     for seed in range(150):
@@ -481,6 +503,23 @@ def test_nested_alternation_reversal_stops_at_node_limit(small):
     text = decompile.decompile(blob, table, vocab)
     assert evaluate.check_equivalence(profiles[4], sbpl.parse_sbpl(text), table,
                                       vocab).equivalent
+
+
+@pytest.mark.xfail(strict=True, raises=DecompileError,
+                   reason="ROADMAP items 1 and 7: reversal refuses an automaton "
+                          "past REVERSAL_STATE_CAP states, which compile accepts")
+def test_long_literal_regex_round_trips(small):
+    # compile accepts a 4,100-letter literal, a 4,104-state program, but
+    # decompile raises "4104 states exceeds the reversal cap 4096"; 3,000
+    # letters round-trip
+    table, vocab = small
+    for letters in (3000, 4100):
+        literal = "".join(chr(97 + i % 26) for i in range(letters))
+        profile = sbpl.parse_sbpl(
+            f'(version 1)\n(deny default)\n(allow file-read* (regex #"^/{literal}$"))\n')
+        blob = codec.compile_profile(profile, table, vocab)
+        text = decompile.decompile(blob, table, vocab)
+        assert codec.compile_profile(sbpl.parse_sbpl(text), table, vocab) == blob
 
 
 def _ladder_blob(table, nodes):

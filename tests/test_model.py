@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sbprof import generate, sbpl
+from sbprof import generate, sbpl, vocab as vocab_mod
 from sbprof.errors import UnknownFilterKey, UnknownOperation, VocabularyError
 from sbprof.model import (
     Atom,
@@ -13,6 +13,8 @@ from sbprof.model import (
     RequireAll,
     RequireAny,
     RequireNot,
+    Profile,
+    Rule,
     ValueForm,
     ValueKind,
     canonicalize,
@@ -75,6 +77,81 @@ def test_regex_key_carries_high_bit(large):
             assert entry.code & 0x80
         if entry.kind is ValueKind.LITERAL_STRING:
             assert not entry.code & 0x80
+
+
+FILTERS = "operation default\nfilter vnode-type code=0x1d kind=enum_named\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("version a b", "line 1: version takes one tag"),
+    ("operation", "line 1: operation needs a name"),
+    ("operation default frob=1", "line 1: unknown option 'frob=1'"),
+    ("filter", "line 1: filter needs a name"),
+    ("filter x code=zz kind=numeric", "line 1: bad integer 'zz'"),
+    ("filter x code=1 kind=frob", "line 1: unknown kind 'frob'"),
+    ("filter x code=1 kind=numeric frob", "line 1: unknown option 'frob'"),
+    ("filter x code=1", "line 1: filter needs code= and kind="),
+    ("enumval x", "line 1: expected 'enumval <filter> NAME=code'"),
+    ("enumval x A", "line 1: expected 'enumval <filter> NAME=code'"),
+    ("enumval x A=1", "line 1: enumval before filter 'x'"),
+    (FILTERS + "enumval vnode-type A=zz", "line 3: bad integer 'zz'"),
+    ("frob", "line 1: unknown record 'frob'"),
+    ("", 'operation table must start with "default"'),
+    ("operation default\noperation a\noperation a", "duplicate operation names"),
+    ("operation default\noperation a parent=b", "parent link a -> b names unknown op"),
+    ("operation default\noperation a parent=a", "parent cycle through 'a'"),
+    (FILTERS + "enumval vnode-type BIG=70000",
+     "vnode-type: enum value BIG code out of range: 70000"),
+    (FILTERS + "enumval vnode-type BIG=-1",
+     "vnode-type: enum value BIG code out of range: -1"),
+    (FILTERS, "vnode-type: enum filter without values"),
+], ids=["version-tags", "operation-name", "operation-option", "filter-name",
+        "filter-code", "filter-kind", "filter-option", "filter-fields",
+        "enumval-fields", "enumval-equals", "enumval-order", "enumval-code",
+        "record", "no-default", "operation-twice", "parent-unknown",
+        "parent-cycle", "enum-past-u16", "enum-negative", "enum-empty"])
+def test_parse_vocabulary_errors(text, message):
+    with pytest.raises(VocabularyError) as info:
+        vocab_mod.parse_vocabulary(text)
+    assert str(info.value) == message
+
+
+def test_load_builtin_unknown_name():
+    with pytest.raises(VocabularyError) as info:
+        vocab_mod.load_builtin("tiny")
+    assert str(info.value) == "no builtin vocabulary 'tiny'"
+
+
+def _key(name, code, kind=ValueKind.LITERAL_STRING, values=None):
+    return FilterKey(name, code, kind, values)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FilterVocabulary((_key("a", 1), _key("a", 2))), "duplicate filter name 'a'"),
+    (lambda: FilterVocabulary((_key("a", 1), _key("b", 1))), "duplicate filter code 0x01"),
+    (lambda: FilterVocabulary((_key("a", 0x100),)), "filter code out of range: 256"),
+    (lambda: FilterVocabulary((_key("a", 2, ValueKind.ENUM_NAMED, {}),)),
+     "a: enum filter without values"),
+    (lambda: FilterVocabulary((_key("a", 2, ValueKind.ENUM_NAMED, {"X": 1, "Y": 1}),)),
+     "a: duplicate enum value codes"),
+    (lambda: FilterVocabulary((_key("a", 2, ValueKind.ENUM_NAMED, {"X": 0x10000}),)),
+     "a: enum value X code out of range: 65536"),
+    (lambda: FilterVocabulary((_key("a", 2, ValueKind.REGEX_INDEX),)),
+     "a: regex filter code needs high bit set"),
+    (lambda: FilterVocabulary((_key("a", 0x82),)), "a: literal filter code has high bit set"),
+    (lambda: OperationTable(()), 'operation table must start with "default"'),
+    (lambda: OperationTable(("default", "a", "a")), "duplicate operation names"),
+    (lambda: OperationTable(("default",), parents={"a": "default"}),
+     "parent link a -> default names unknown op"),
+    (lambda: OperationTable(("default", "a", "b"), parents={"a": "b", "b": "a"}),
+     "parent cycle through 'a'"),
+], ids=["filter-name", "filter-code", "code-range", "enum-empty", "enum-duplicate",
+        "enum-range", "regex-bit", "literal-bit", "no-default", "operation-name",
+        "parent-unknown", "parent-cycle"])
+def test_model_tables_reject_bad_entries(build, message):
+    with pytest.raises(VocabularyError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_vocab_rejects_duplicate_codes():
@@ -233,6 +310,32 @@ def test_validate_flags_unreachable_rule(small):
         '(deny default)\n(allow file-read*)\n(deny file-read* (literal "/x"))')
     codes = [d.code for d in validate_profile(profile, table, vocab)]
     assert "UnreachableRule" in codes
+
+
+@pytest.mark.parametrize("rules, diagnostic", [
+    ('(allow file-read* (file-mode 70000))',
+     "[BadValue] file-read*: file-mode: expected 16-bit number, got 70000"),
+    ('(allow file-read* (file-mode "rw"))',
+     "[BadValue] file-read*: file-mode: expected 16-bit number, got 'rw'"),
+    ('(allow file-read* (regex "/x"))',
+     "[BadValue] file-read*: regex: expected a regex pattern"),
+    ('(allow network-outbound (remote "localhost:22"))',
+     "[BadValue] network-outbound: remote: expected (proto, address)"),
+    ('(allow file-read* (literal 5))',
+     "[BadValue] file-read*: literal: expected a string, got 5"),
+    ('(allow default (literal "/x"))',
+     "[BadDefaultRule] default: default takes a bare decision, nothing else"),
+    ((Rule(Decision.ALLOW, RequireAny(())),),
+     "[EmptyMetafilter] file-read*: RequireAny with no children"),
+], ids=["number-range", "number-type", "regex-form", "endpoint", "string",
+        "default-rule", "empty-metafilter"])
+def test_validate_reports_bad_values(large, rules, diagnostic):
+    table, vocab = large
+    if isinstance(rules, str):  # SBPL cannot write an empty require-any
+        profile = sbpl.parse_sbpl("(deny default)\n" + rules)
+    else:
+        profile = Profile("p", Decision.DENY, {"file-read*": rules})
+    assert [str(d) for d in validate_profile(profile, table, vocab)] == [diagnostic]
 
 
 def test_canonicalize_preserves_matching_semantics(small):

@@ -171,6 +171,20 @@ def test_malformed_implicit_rule_is_a_syntax_error(text, column):
     assert (info.value.line, info.value.column) == (1, column)
 
 
+@pytest.mark.parametrize("text, column", [
+    ("(allow default)", 1),
+    ("(deny default (literal \"/x\"))", 1),
+    ("(if (allowed? signal)\n  (deny default))", 3),
+], ids=["unconditional", "filtered", "guarded"])
+def test_implicit_rules_file_cannot_set_the_default(text, column):
+    # the profile's own default decides; the standard policy adds only rules
+    with pytest.raises(SbplSyntaxError) as info:
+        sbpl.parse_implicit_rules(text)
+    line = text.count("\n") + 1
+    assert str(info.value) == \
+        f"{line}:{column}: implicit-rules file cannot set the default decision"
+
+
 def test_condition_evaluation(implicit_rules):
     p = sbpl.parse_sbpl("(deny default)\n(allow mach-lookup)")
     conds = {it.operation: it.condition for it in implicit_rules.rules
