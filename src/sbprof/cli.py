@@ -15,9 +15,9 @@ from pathlib import Path
 
 from . import codec, decompile, evaluate, sbpl, vocab as vocab_mod
 from .codec import FORMAT_BUNDLED
-from .errors import SandboxError
+from .errors import InvalidProfile, SandboxError, WrongFormatId
 from .evaluate import QueryContext
-from .model import Decision, ValueKind
+from .model import Decision, ValueKind, validate_profile
 
 EXIT_OK = 0
 EXIT_DENY = 1
@@ -38,6 +38,15 @@ def _vocab_arg(parser):
              "(default: $SBX_VOCAB or small)")
 
 
+def _read_text(path) -> str:
+    """The UTF-8 text of the file at path; SandboxError names a file that
+    is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SandboxError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def _sniff_format(data: bytes) -> int:
     if len(data) < 2:
         raise SandboxError("input too short to carry a format id")
@@ -47,12 +56,10 @@ def _sniff_format(data: bytes) -> int:
 def _load_profile_source(path: Path, table, vocab):
     """A .sb file parses to a Profile; anything else decodes as a blob."""
     if path.suffix == ".sb":
-        profile = sbpl.parse_sbpl(path.read_text(encoding="utf-8"), name=path.stem)
-        from .model import validate_profile
-
+        profile = sbpl.parse_sbpl(_read_text(path), name=path.stem)
         diagnostics = validate_profile(profile, table, vocab)
         if diagnostics:
-            raise SandboxError("; ".join(str(d) for d in diagnostics))
+            raise InvalidProfile(diagnostics)
         return profile
     data = path.read_bytes()
     if _sniff_format(data) == FORMAT_BUNDLED:
@@ -82,8 +89,7 @@ def _targets(out: Path, names, suffix: str) -> list:
 
 def cmd_compile(args) -> int:
     table, vocab = _load_tables(args.vocab)
-    text = Path(args.input).read_text(encoding="utf-8")
-    profile = sbpl.parse_sbpl(text, name=Path(args.input).stem)
+    profile = sbpl.parse_sbpl(_read_text(args.input), name=Path(args.input).stem)
     blob = codec.compile_profile(profile, table, vocab)
     Path(args.output).write_bytes(blob)
     sizes = codec.section_sizes(blob)
@@ -111,25 +117,22 @@ def cmd_decompile(args) -> int:
     table, vocab = _load_tables(args.vocab)
     implicit = None
     if args.implicit:
-        implicit = sbpl.parse_implicit_rules(
-            Path(args.implicit).read_text(encoding="utf-8"))
+        implicit = sbpl.parse_implicit_rules(_read_text(args.implicit))
     data = Path(args.input).read_bytes()
     out = Path(args.output)
-    # one (source, target, name) per profile: each view of a bundle goes to
-    # the output directory, a single blob to the output file
+    # one (source, target) per profile: each view of a bundle goes to the
+    # output directory, a single blob to the output file
     if _sniff_format(data) == FORMAT_BUNDLED:
         views = codec.unpack_bundle(data)[1]
         targets = _targets(out, [name for name, _view in views], ".sb")
         out.mkdir(parents=True, exist_ok=True)
-        jobs = [(view, target, name)
-                for (name, view), target in zip(views, targets)]
+        jobs = [(view, target) for (_name, view), target in zip(views, targets)]
     else:
-        stem = Path(args.input).stem
-        jobs = [(data, out / f"{stem}.sb" if out.is_dir() else out, stem)]
+        jobs = [(data, out / f"{Path(args.input).stem}.sb" if out.is_dir() else out)]
     ok = True
-    for source, target, name in jobs:
+    for source, target in jobs:
         text = decompile.decompile(source, table, vocab, implicit,
-                                   permissive=args.permissive, name=name)
+                                   permissive=args.permissive)
         target.write_text(text, encoding="utf-8")
         print(f"wrote {target}")
         if not args.no_verify:
@@ -143,7 +146,7 @@ def cmd_pack(args) -> int:
     profiles = []
     for path in args.inputs:
         p = Path(path)
-        profiles.append(sbpl.parse_sbpl(p.read_text(encoding="utf-8"), name=p.stem))
+        profiles.append(sbpl.parse_sbpl(_read_text(p), name=p.stem))
     blob = codec.pack_bundle(profiles, table, vocab)
     Path(args.output).write_bytes(blob)
     print(f"wrote {args.output}: {len(blob)} bytes, {len(profiles)} profiles")
@@ -151,8 +154,6 @@ def cmd_pack(args) -> int:
 
 
 def cmd_unpack(args) -> int:
-    from .errors import WrongFormatId
-
     table, vocab = _load_tables(args.vocab)
     data = Path(args.input).read_bytes()
     try:
@@ -186,8 +187,7 @@ def _parse_binding(vocab, key: str, text: str):
 def _read_context(args, vocab) -> QueryContext:
     bindings = {}
     if args.ctx:
-        for lineno, raw in enumerate(
-                Path(args.ctx).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, raw in enumerate(_read_text(args.ctx).splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

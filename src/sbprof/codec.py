@@ -53,7 +53,7 @@ from .model import (
     RequireAny,
     RequireNot,
     ValueKind,
-    _validate,
+    validate_profile,
 )
 
 FORMAT_SEPARATED = 0x0000
@@ -72,7 +72,11 @@ def _align8(n: int) -> int:
 
 
 def _pack_string(text: str) -> bytes:
-    data = text.encode("utf-8")
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise SandboxError(f"pool string {text[:40]!r}: UTF-8 cannot encode "
+                           f"character {exc.start}") from None
     if len(data) > 0xFFFF:
         raise CapacityExceeded("pool string longer than 65535 bytes")
     return struct.pack("<H", len(data)) + data
@@ -386,13 +390,12 @@ def decode_blob(blob: bytes) -> BinaryProfile:
 # a ref is a node id (an int) or a terminal Decision.
 
 class _NodeStore:
-    """Interning store for lowered nodes; identical rows share one id.
-    patterns maps each regex text of the lowered profiles to its parsed
-    nfa.Pattern, as validation left it."""
+    """Interning store for lowered nodes of validated profiles; identical
+    rows share one id. A regex's payload is the wire of its nfa.Pattern,
+    which the memo still holds from validation."""
 
-    def __init__(self, vocab: FilterVocabulary, patterns: dict):
+    def __init__(self, vocab: FilterVocabulary):
         self.vocab = vocab
-        self.patterns = patterns
         self.ids = {}  # row -> node id, in id order
 
     def lower_atom(self, atom: Atom, match_ref, unmatch_ref) -> int:
@@ -400,11 +403,9 @@ class _NodeStore:
         if entry.kind is ValueKind.NUMERIC:
             payload = int(atom.value)
         elif entry.kind is ValueKind.ENUM_NAMED:
-            payload = entry.named_values.get(atom.value)
-            if payload is None:
-                raise UnknownFilterValue(atom.key, atom.value)
+            payload = entry.named_values[atom.value]
         elif entry.kind is ValueKind.REGEX_INDEX:
-            payload = self.patterns[atom.value].wire
+            payload = nfa.pattern(atom.value).wire
         elif entry.kind is ValueKind.NETWORK_ENDPOINT:
             proto, addr = atom.value
             payload = _pack_string(f"{proto} {addr}")
@@ -533,17 +534,18 @@ def _write_layout(rows, op_refs, names=None) -> bytes:
 
 
 def _lower(profiles, table: OperationTable, vocab: FilterVocabulary):
-    """Validate every profile (InvalidProfile for the first that fails) and
-    lower them into one store, so identical nodes are shared; return its rows
-    and each profile's entry refs. Lowering reuses the nfa.Patterns that
-    validation parsed, which are dropped before the layout is written."""
-    patterns = {}
+    """Validate and lower the profiles one at a time, in order, into one
+    store, so identical nodes are shared; return its rows and each
+    profile's entry refs. The first profile that fails raises: InvalidProfile
+    from validation, or what lowering raises. A profile is lowered right
+    after its validation, while the regex memo still holds what it parsed."""
+    store = _NodeStore(vocab)
+    op_refs = []
     for profile in profiles:
-        diagnostics = _validate(profile, table, vocab, patterns)
+        diagnostics = validate_profile(profile, table, vocab)
         if diagnostics:
             raise InvalidProfile(diagnostics)
-    store = _NodeStore(vocab, patterns)
-    op_refs = [_resolve_entries(p, table, store) for p in profiles]
+        op_refs.append(_resolve_entries(profile, table, store))
     return list(store.ids), op_refs
 
 

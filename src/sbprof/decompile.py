@@ -32,7 +32,7 @@ from .model import (
     ValueKind,
     canonicalize,
 )
-from .sbpl import ImplicitRuleSet, condition_holds, print_sbpl
+from .sbpl import ImplicitRuleSet, condition_holds, format_filter, print_sbpl
 
 # Successors are either a node id (int) or a terminal Decision.
 ALLOW = Decision.ALLOW
@@ -179,8 +179,6 @@ def _all_of(a, b):
 
 
 def _dump_graph(g: OpGraph) -> str:
-    from .sbpl import format_filter
-
     lines = [f"entry: {g.entry}"]
     for nid in sorted(g.nodes):
         node = g.nodes[nid]
@@ -547,16 +545,13 @@ def cleanup(profile: Profile, implicit: ImplicitRuleSet, table: OperationTable,
 
 def decompile(source, table: OperationTable, vocab: FilterVocabulary,
               implicit: ImplicitRuleSet | None = None,
-              permissive: bool = False, name: str = "") -> str:
+              permissive: bool = False) -> str:
     """decode -> per-operation reversal -> cleanup -> SBPL text, for a blob
     or a decoded BinaryProfile (a bundle view, say). The output reparses
     and recompiles; with permissive set, operations that cannot be reversed
-    become comment lines instead of failing the run. name, when given,
-    replaces the profile's own name."""
+    become comment lines instead of failing the run."""
     bp = source if isinstance(source, BinaryProfile) else decode_blob(source)
     profile, errors = emit_rules(bp, table, vocab, permissive=permissive)
-    if name:
-        profile = Profile(name, profile.default_decision, profile.rules)
     if implicit is not None:
         profile = cleanup(profile, implicit, table, vocab)
     text = print_sbpl(profile, table)
@@ -573,8 +568,6 @@ def dot_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
     """Graphviz text for one operation's decoded graph: match edges solid,
     unmatch edges dashed, terminals with thick borders. Returns
     (text, node_count, edge_count)."""
-    from .sbpl import format_filter
-
     graph = build_graph(bp, op_index, vocab)
     lines = [f'digraph "{op_name or f"op{op_index}"}" {{']
     lines.append('    node [shape=box];')

@@ -37,6 +37,7 @@ from .errors import (
     SandboxError,
 )
 from .model import (
+    MISSING_DEFAULT,
     Atom,
     Decision,
     FilterVocabulary,
@@ -134,7 +135,7 @@ class AstEvaluator:
     def __init__(self, profile: Profile, table: OperationTable,
                  vocab: FilterVocabulary):
         if profile.default_decision is None:
-            raise InvalidProfile([("MissingDefault", "default", "no default rule")])
+            raise InvalidProfile([MISSING_DEFAULT])
         self.profile = profile
         self.table = table
         self.vocab = vocab

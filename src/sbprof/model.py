@@ -292,7 +292,7 @@ class Diagnostic:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-def _check_expr(expr, op, vocab, out, patterns):
+def _check_expr(expr, op, vocab, out):
     if isinstance(expr, Atom):
         try:
             entry = vocab.by_name(expr.key)
@@ -314,8 +314,7 @@ def _check_expr(expr, op, vocab, out, patterns):
                                       f"{expr.key}: expected a regex pattern"))
             else:
                 try:
-                    if expr.value not in patterns:
-                        patterns[expr.value] = nfa.pattern(expr.value)
+                    nfa.pattern(expr.value)
                 except RegexSyntaxError as exc:
                     out.append(Diagnostic("BadRegex", op, f"{expr.key}: {exc}"))
         elif kind is ValueKind.NETWORK_ENDPOINT:
@@ -327,29 +326,28 @@ def _check_expr(expr, op, vocab, out, patterns):
                 out.append(Diagnostic("BadValue", op,
                                       f"{expr.key}: expected a string, got {expr.value!r}"))
     elif isinstance(expr, RequireNot):
-        _check_expr(expr.child, op, vocab, out, patterns)
+        _check_expr(expr.child, op, vocab, out)
     else:
         if not expr.children:
             out.append(Diagnostic("EmptyMetafilter", op,
                                   f"{type(expr).__name__} with no children"))
         for c in expr.children:
-            _check_expr(c, op, vocab, out, patterns)
+            _check_expr(c, op, vocab, out)
+
+
+MISSING_DEFAULT = Diagnostic("MissingDefault", "default",
+                             "profile has no (allow|deny default) rule")
 
 
 def validate_profile(profile: Profile, table: OperationTable,
                      vocab: FilterVocabulary) -> list[Diagnostic]:
-    """Collect every invariant violation; empty list means compilable."""
-    return _validate(profile, table, vocab, {})
-
-
-def _validate(profile: Profile, table: OperationTable, vocab: FilterVocabulary,
-              patterns: dict) -> list[Diagnostic]:
-    """validate_profile, also adding to patterns the nfa.Pattern of each
-    regex text it parsed, keyed by the text."""
+    """Collect every invariant violation. An empty list means compile gets
+    past validation; it can still raise TooManyStates (a regex too big for
+    16-bit node indexes), CapacityExceeded (a pool string or the whole blob
+    past 16-bit sizes) or SandboxError (a string UTF-8 cannot encode)."""
     out: list[Diagnostic] = []
     if profile.default_decision is None:
-        out.append(Diagnostic("MissingDefault", "default",
-                              "profile has no (allow|deny default) rule"))
+        out.append(MISSING_DEFAULT)
     for op, rules in profile.rules.items():
         if op == "default":
             out.append(Diagnostic("BadDefaultRule", op,
@@ -364,7 +362,7 @@ def _validate(profile: Profile, table: OperationTable, vocab: FilterVocabulary,
                                       "rule after an unconditional rule"))
                 break
             if rule.filter is not None:
-                _check_expr(rule.filter, op, vocab, out, patterns)
+                _check_expr(rule.filter, op, vocab, out)
             else:
                 reachable = False
     return out

@@ -106,7 +106,11 @@ def parse_vocabulary(text: str) -> tuple[OperationTable, FilterVocabulary]:
 
 
 def load_vocabulary(path) -> tuple[OperationTable, FilterVocabulary]:
-    return parse_vocabulary(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise VocabularyError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_vocabulary(text)
 
 
 def builtin_path(name: str) -> Path:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from sbprof import cli, codec, sbpl, vocab
@@ -256,3 +258,82 @@ def test_compile_refuses_an_enum_code_past_16_bits(workdir, capsys, code):
     assert capsys.readouterr().err == (
         f"error: vnode-type: enum value BIG code out of range: {int(code, 0)}\n")
     assert not (workdir / "x.sbbin").exists()
+
+
+NOT_UTF8 = b'(version 1)\n(deny default)\n(allow file-read* (literal "/x\xff"))\n'
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["compile", "{bad}", "-o", "{dir}/x.sbbin"], "bad.sb"),
+    (["eval", "{bad}", "--op", "file-read*"], "bad.sb"),
+    (["pack", "{dir}/sample.sb", "{bad}", "-o", "{dir}/x.sbbundle"], "bad.sb"),
+    (["diff", "{dir}/sample.sb", "{bad}"], "bad.sb"),
+    (["eval", "{dir}/sample.sb", "--op", "file-read*", "--ctx", "{bad}"], "ctx.txt"),
+    (["compile", "{dir}/sample.sb", "-o", "{dir}/x.sbbin", "--vocab", "{bad}"],
+     "bad.sbvocab"),
+    (["decompile", "{dir}/sample.sbbin", "-o", "{dir}/x.sb", "--implicit", "{bad}"],
+     "implicit.sb"),
+], ids=["compile", "eval", "pack", "diff", "context-file", "vocabulary", "implicit-rules"])
+def test_non_utf8_files_are_input_errors(workdir, capsys, argv, bad):
+    run("compile", workdir / "sample.sb", "-o", workdir / "sample.sbbin")
+    capsys.readouterr()
+    path = workdir / bad
+    path.write_bytes(NOT_UTF8)
+    assert run(*[a.format(bad=path, dir=workdir) for a in argv]) == 2
+    assert capsys.readouterr().err == \
+        f"error: {path}: not UTF-8 text (byte {NOT_UTF8.index(0xFF)})\n"
+    assert not any((workdir / f"x{suffix}").exists()
+                   for suffix in (".sbbin", ".sbbundle", ".sb"))
+
+
+def test_pack_refuses_a_name_utf8_cannot_encode(workdir, capsys):
+    # a file name that is not UTF-8 gives a profile name UTF-8 cannot encode
+    odd = workdir / os.fsdecode(b"odd\xff.sb")
+    odd.write_text(SECOND)
+    assert run("pack", odd, "-o", workdir / "x.sbbundle") == 2
+    assert capsys.readouterr().err == \
+        "error: pool string 'odd\\udcff': UTF-8 cannot encode character 3\n"
+    assert not (workdir / "x.sbbundle").exists()
+
+
+INVALID = "(version 1)\n(allow file-read*)\n"
+
+
+def test_cli_input_errors(workdir, capsys):
+    (workdir / "invalid.sb").write_text(INVALID)
+    (workdir / "short.sbbin").write_bytes(b"\x00")
+    run("pack", workdir / "sample.sb", "-o", workdir / "one.sbbundle")
+    capsys.readouterr()
+    invalid = ("profile failed validation: [MissingDefault] default: "
+               "profile has no (allow|deny default) rule")
+    for argv, message in [
+        (["eval", workdir / "invalid.sb", "--op", "file-read*"], invalid),
+        (["diff", workdir / "sample.sb", workdir / "invalid.sb"], invalid),
+        (["eval", workdir / "short.sbbin", "--op", "file-read*"],
+         "input too short to carry a format id"),
+        (["decompile", workdir / "short.sbbin", "-o", workdir / "x.sb"],
+         "input too short to carry a format id"),
+        (["eval", workdir / "one.sbbundle", "--op", "file-read*"],
+         f"{workdir / 'one.sbbundle'}: bundles are not accepted here; unpack first"),
+    ]:
+        assert run(*argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_graph_to_stdout(workdir, capsys):
+    blob_path = workdir / "sample.sbbin"
+    run("compile", workdir / "sample.sb", "-o", blob_path)
+    capsys.readouterr()
+    assert run("graph", blob_path, "--op", "file-read*") == 0
+    out = capsys.readouterr().out
+    assert out.startswith('digraph "file-read*" {')
+    assert out.endswith("}\n2 filter nodes, 4 edges\n")
+
+
+def test_diff_reports_different_defaults(workdir, capsys):
+    (workdir / "open.sb").write_text("(version 1)\n(allow default)\n")
+    (workdir / "closed.sb").write_text("(version 1)\n(deny default)\n")
+    assert run("diff", workdir / "open.sb", workdir / "closed.sb") == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "default: allow vs deny"
+    assert out[-1].startswith("evaluator: DISAGREEMENT")

@@ -12,7 +12,7 @@ from sbprof.errors import (
     SandboxError,
     WrongFormatId,
 )
-from sbprof.model import Atom, Decision, Profile, Rule
+from sbprof.model import Atom, Decision, Profile, Rule, validate_profile
 
 SIBLINGS = '''(version 1)
 (deny default)
@@ -425,3 +425,72 @@ def test_crafted_record_values_raise_structured_errors(small):
     with pytest.raises(MalformedBlob) as bad:
         codec.extract_profile(view, vocab)
     assert bad.value.offset == 8 * rec.unit + 2
+
+
+def _bundle(table, vocab, *names):
+    return codec.pack_bundle([sbpl.parse_sbpl("(deny default)", name=n) for n in names],
+                             table, vocab)
+
+
+def _default_at_a_filter_node(table, vocab):
+    # the default operation's pointer moved onto the first filter record
+    blob = bytearray(codec.compile_profile(sbpl.parse_sbpl(SIBLINGS), table, vocab))
+    struct.pack_into("<H", blob, 6, codec.decode_blob(bytes(blob)).node_base)
+    return codec.decode_blob(bytes(blob)).default_decision()
+
+
+def _duplicate_member_names(table, vocab):
+    # the second profile's name offset set to the first's
+    bundle = bytearray(_bundle(table, vocab, "a", "b"))
+    struct.pack_into("<H", bundle, 8 + 2 + 2 * len(table),
+                     struct.unpack_from("<H", bundle, 8)[0])
+    return codec.unpack_bundle(bytes(bundle), scan=False)
+
+
+def _literal(text):
+    return sbpl.parse_sbpl(f'(deny default)\n(allow file-read* (literal "{text}"))',
+                           name="p")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t, v: codec.compile_profile(_literal("x" * 70000), t, v),
+     CapacityExceeded, "pool string longer than 65535 bytes"),
+    (lambda t, v: codec.compile_profile(_literal("/a\udc80"), t, v),
+     SandboxError, "pool string '/a\\udc80': UTF-8 cannot encode character 2"),
+    (lambda t, v: _bundle(t, v, "\udcffname"),
+     SandboxError, "pool string '\\udcffname': UTF-8 cannot encode character 0"),
+    # SIBLINGS on the small table: 16 operation and 1 pool pointers put the
+    # first record at byte 40
+    (_default_at_a_filter_node, MalformedBlob,
+     "bad profile blob at byte 40: default operation does not point at a terminal"),
+    (lambda t, v: codec.unpack_bundle(struct.pack("<HHHH", codec.FORMAT_BUNDLED, 0, 1, 0),
+                                      scan=False),
+     MalformedBlob, "bad profile blob at byte 0: bundle with no profiles"),
+    (_duplicate_member_names, MalformedBlob,
+     "bad profile blob at byte 42: duplicate profile name 'a'"),
+    (lambda t, v: codec.pack_bundle([], t, v),
+     SandboxError, "a bundle needs at least one profile"),
+], ids=["long-pool-string", "unencodable-literal", "unencodable-name",
+        "default-not-terminal", "no-profiles", "duplicate-names", "empty-bundle"])
+def test_codec_structured_errors(small, call, error, message):
+    with pytest.raises(error) as info:
+        call(*small)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_unencodable_literal_passes_validation(small):
+    # only compile can tell: validate_profile reports nothing
+    assert validate_profile(_literal("/a\udc80"), *small) == []
+
+
+def test_pack_bundle_reports_the_first_failing_member(small):
+    # members are validated and lowered in order: an earlier member that
+    # cannot be encoded is reported before a later invalid one
+    table, vocab = small
+    too_long = _literal("x" * 70000)
+    invalid = sbpl.parse_sbpl("(allow file-read*)", name="invalid")
+    with pytest.raises(CapacityExceeded):
+        codec.pack_bundle([too_long, invalid], table, vocab)
+    with pytest.raises(InvalidProfile) as info:
+        codec.pack_bundle([invalid, too_long], table, vocab)
+    assert [d.code for d in info.value.diagnostics] == ["MissingDefault"]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sbprof import codec, decompile, evaluate, generate, rex, sbpl
+from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
 from sbprof.decompile import (
     GraphNode,
     OpGraph,
@@ -19,6 +19,7 @@ from sbprof.errors import (
     CycleDetected,
     DecompileError,
     IrreducibleGraph,
+    MalformedBlob,
     SandboxError,
     TooManyStates,
 )
@@ -425,6 +426,35 @@ def test_dot_graph_default_only(small):
                                        table.index("signal"), vocab, "signal")
     assert n_nodes == 0 and n_edges == 0
     assert "t_deny" in text
+
+
+@pytest.mark.parametrize("index", [16, -1, 0xFFFF])
+@pytest.mark.parametrize("reader", [build_graph, dot_graph])
+def test_graph_readers_reject_an_operation_index_out_of_range(small, reader, index):
+    table, vocab = small
+    bp = codec.decode_blob(codec.compile_profile(sbpl.parse_sbpl(SIBLINGS), table, vocab))
+    with pytest.raises(MalformedBlob) as info:
+        reader(bp, index, vocab)
+    assert str(info.value) == \
+        f"bad profile blob at byte 0: operation index {index} out of range"
+
+
+def test_regex_with_an_unreachable_accept_matches_nothing(small):
+    # a regex program whose "a" leads to a dead end, a class with no
+    # ranges, so its accept node cannot be reached: reversal prints the
+    # empty language as the negated class of every byte, and that text
+    # recompiles to the same verdicts
+    table, vocab = small
+    source = '(deny default)\n(allow file-read* (regex #"ab"))'
+    blob = bytearray(codec.compile_profile(sbpl.parse_sbpl(source), table, vocab))
+    at = codec.decode_blob(bytes(blob)).pool_pointers[0] * 8
+    dead = bytes((3, 0, nfa.TAG_CHAR, ord("a"), 0, nfa.TAG_CLASS, 0, nfa.TAG_ACCEPT, 0, 0))
+    blob[at:at + len(dead)] = dead
+    text = decompile.decompile(bytes(blob), table, vocab)
+    assert text.splitlines()[-1] == '(allow file-read* (regex #"[^\x00-\xff]"))'
+    recompiled = codec.compile_profile(sbpl.parse_sbpl(text), table, vocab)
+    report = evaluate.check_equivalence(bytes(blob), recompiled, table, vocab)
+    assert report.equivalent, str(report)
 
 
 def test_emit_rules_rejects_table_size_mismatch(small, large):

@@ -1,11 +1,19 @@
 import gc
 import itertools
 import random
+import struct
 
 import pytest
 
 from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
-from sbprof.errors import TooManyStates, UnknownFilterKey, UnknownOperation
+from sbprof.errors import (
+    CycleDetected,
+    InvalidProfile,
+    MalformedBlob,
+    TooManyStates,
+    UnknownFilterKey,
+    UnknownOperation,
+)
 from sbprof.evaluate import QueryContext as Q
 from sbprof.model import (
     Atom,
@@ -131,6 +139,45 @@ def test_as_source_accepts_only_verdict_sources(small, blacklist):
             for mode in ("exhaustive", "sampled"):
                 with pytest.raises(TypeError, match="not a verdict source"):
                     evaluate.check_equivalence(a, b, table, vocab, mode=mode)
+
+
+def test_ast_evaluator_reports_a_missing_default_as_a_diagnostic(small, blacklist):
+    # the same Diagnostic, and so the same message, as compile raises
+    table, vocab = small
+    profile = sbpl.parse_sbpl("(allow file-read*)")
+    with pytest.raises(InvalidProfile) as compiled:
+        codec.compile_profile(profile, table, vocab)
+    with pytest.raises(InvalidProfile) as evaluated:
+        evaluate.AstEvaluator(profile, table, vocab)
+    assert evaluated.value.diagnostics[0].code == "MissingDefault"
+    assert str(evaluated.value) == str(compiled.value)
+    with pytest.raises(InvalidProfile) as checked:
+        evaluate.check_equivalence(profile, blacklist[1], table, vocab)
+    assert str(checked.value) == str(compiled.value)
+
+
+def _cyclic_blob(table, vocab):
+    """BLACKLIST with file-read*'s second record's unmatch edge led back to
+    its first record."""
+    blob = bytearray(codec.compile_profile(sbpl.parse_sbpl(BLACKLIST), table, vocab))
+    bp = codec.decode_blob(bytes(blob))
+    first = bp.record_at(bp.op_pointers[table.index("file-read*")])
+    struct.pack_into("<H", blob, first.unmatch_offset * 8 + 6, first.unit)
+    return bytes(blob)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda small, large: evaluate.BlobEvaluator(_cyclic_blob(*small), *small)
+     .verdict("file-read*", Q({})),
+     CycleDetected, "operation 2: node cycle through unit offset 0x0007"),
+    (lambda small, large: evaluate.BlobEvaluator(
+        codec.compile_profile(sbpl.parse_sbpl(BLACKLIST), *small), *large),
+     MalformedBlob, "bad profile blob at byte 0: blob has 16 operations, table has 125"),
+], ids=["cycle", "op-count"])
+def test_blob_evaluator_structured_errors(small, large, call, error, message):
+    with pytest.raises(error) as info:
+        call(small, large)
+    assert str(info.value) == message
 
 
 def test_blob_and_ast_agree_exhaustively_on_random_profiles(small):

@@ -122,6 +122,15 @@ def test_load_builtin_unknown_name():
     assert str(info.value) == "no builtin vocabulary 'tiny'"
 
 
+def test_load_vocabulary_refuses_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "bad.sbvocab"
+    path.write_bytes(vocab_mod.builtin_path("small").read_bytes() + b"# \xff\n")
+    with pytest.raises(VocabularyError) as info:
+        vocab_mod.load_vocabulary(path)
+    assert str(info.value) == \
+        f"{path}: not UTF-8 text (byte {path.read_bytes().index(0xFF)})"
+
+
 def _key(name, code, kind=ValueKind.LITERAL_STRING, values=None):
     return FilterKey(name, code, kind, values)
 

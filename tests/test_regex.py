@@ -12,7 +12,7 @@ from sbprof.errors import (
     RegexSyntaxError,
     TooManyStates,
 )
-from sbprof.rex import AnchorStart, Char, CharClass, Concat, Star
+from sbprof.rex import AnchorStart, Char, CharClass, Concat, Empty, Star
 
 from oracles import anchored, ast_match, bounded_language_equal, full_match
 
@@ -609,3 +609,19 @@ def test_memo_keeps_no_key_past_its_limit():
         assert memo.cache_info().currsize == 0
     assert nfa.nfa_match(nfa.pattern(text).dfa, "/" + text)
     assert nfa.pattern.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("ast, text", [
+    (CharClass(False, ((ord("]"), ord("]")),)), r"[\]]"),
+    (CharClass(False, ((ord("\\"), ord("\\")),)), r"[\\]"),
+    (CharClass(True, ((ord("^"), ord("^")),)), r"[^\^]"),
+    (CharClass(False, ((ord("-"), ord("-")),)), r"[\-]"),
+    (CharClass(False, ((ord("-"), ord("^")),)), r"[\--\^]"),
+    (CharClass(False, ((ord("\\"), ord("]")),)), r"[\\\]]"),
+    (Empty(), "()"),
+    (Concat((Char(ord("a")), Empty(), Char(ord("b")))), "a()b"),
+], ids=["close", "backslash", "caret", "dash", "dash-to-caret", "backslash-close",
+        "empty", "empty-in-concat"])
+def test_printer_escapes_what_the_parser_reads_back(ast, text):
+    assert rex.print_regex(ast) == text
+    assert rex.parse_regex(text) == ast

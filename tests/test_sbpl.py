@@ -4,7 +4,7 @@ import pytest
 
 from sbprof import codec, generate, sbpl
 from sbprof.errors import SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
-from sbprof.model import Atom, Decision, RequireAny, Rule, ValueForm, canonicalize
+from sbprof.model import Atom, Decision, Profile, RequireAny, Rule, ValueForm, canonicalize
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -257,4 +257,22 @@ def test_reader_error_wins_over_an_earlier_form(text, message):
 def test_structural_error_positions(text, message):
     with pytest.raises(SbplSyntaxError) as info:
         sbpl.parse_sbpl(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sbpl.print_sbpl(Profile("p", None, {})), "0:0: profile has no default decision"),
+    (lambda: sbpl.parse_implicit_rules('(allow signal)\n"allow"'),
+     "2:1: top-level form must be a list"),
+    (lambda: sbpl.parse_implicit_rules("(if (allowed? signal))"),
+     "1:1: if needs a condition and a body"),
+    (lambda: sbpl.parse_implicit_rules("(frob signal)"),
+     "1:1: unknown form 'frob' in implicit-rules file"),
+    (lambda: sbpl.parse_implicit_rules("(if (maybe? signal) (allow signal))"),
+     "1:5: unsupported condition in implicit-rules file"),
+], ids=["print-without-default", "top-level-atom", "if-without-body", "unknown-form",
+        "unknown-condition"])
+def test_sbpl_structured_errors(call, message):
+    with pytest.raises(SbplSyntaxError) as info:
+        call()
     assert str(info.value) == message
