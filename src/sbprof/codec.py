@@ -461,9 +461,10 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     return entries
 
 
-def _dfs_order(entries, successors):
-    """Node emission order: preorder from each entry ref, match edge first.
-    successors(node) gives the node's (match_ref, unmatch_ref)."""
+def preorder(entries, successors):
+    """Node emission order: preorder from each entry ref, match edge first,
+    and each node's position in it. successors(node) gives the node's
+    (match_ref, unmatch_ref); a ref that is not an int is not visited."""
     order = []
     position = {}
     for ref in entries:
@@ -490,7 +491,7 @@ def _write_layout(rows, op_refs, names=None) -> bytes:
     the match-first preorder from the entries; pool items are numbered by
     first use (node payloads, then bundle names) and deduplicated on their
     laid-out bytes."""
-    order, position = _dfs_order([ref for refs in op_refs for ref in refs],
+    order, position = preorder([ref for refs in op_refs for ref in refs],
                                  lambda node: rows[node][2:])
     pool = {}  # item bytes -> pool index, in index order
     values = []
@@ -614,7 +615,7 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         return rows[unit][2:]
 
     entries = [ref(ptr) for ptr in view.op_pointers]
-    _dfs_order(entries, lower)
+    preorder(entries, lower)
     return _write_layout(rows, [entries])
 
 

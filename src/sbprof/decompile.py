@@ -430,12 +430,15 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
 
 def inject_implicit(profile: Profile, implicit: ImplicitRuleSet) -> Profile:
     """Prepend the standard-policy rules a compiler would add, honoring the
-    conditional guards against the given profile. The profile is left as it
-    is; the result shares every rule tuple it does not extend."""
+    conditional guards against the given profile; an injected unconditional
+    rule replaces the operation's rules, which could never decide after it.
+    The profile is left as it is; the result shares every rule tuple it
+    does not extend or replace."""
     rules = dict(profile.rules)
     for item in implicit.rules:
         if condition_holds(item.condition, profile):
-            rules[item.operation] = (item.rule, *rules.get(item.operation, ()))
+            kept = () if item.rule.filter is None else rules.get(item.operation, ())
+            rules[item.operation] = (item.rule, *kept)
     return Profile(profile.name, profile.default_decision, rules)
 
 

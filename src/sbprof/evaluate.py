@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from . import nfa as nfa_mod
 from . import rex
-from .codec import BinaryProfile, decode_blob
+from .codec import BinaryProfile, decode_blob, preorder
 from .errors import (
     CycleDetected,
     InvalidProfile,
@@ -65,18 +65,17 @@ class QueryContext:
 
 
 class _Held(dict):
-    """The regex memo entries one evaluator holds while it lives, so that
-    nfa's memo finds them again whatever its cache has dropped: a Pattern
-    per pattern text, taken by collect_atoms or on first use, and in a
-    BlobEvaluator a Program per pool index. A Pattern holds its Program."""
+    """The Patterns an AST evaluator holds while it lives, one per pattern
+    text, taken by collect_atoms or on first use, so that nfa's memo finds
+    them again whatever its cache has dropped. A Pattern holds its Program."""
 
     def __missing__(self, text: str) -> nfa_mod.Pattern:
         made = self[text] = nfa_mod.pattern(text)
         return made
 
 
-def _regex_matches(matcher, bound, rx: _Held) -> bool:
-    """Whether a regex atom's pattern text or automaton matches bound."""
+def _regex_matches(matcher, bound, rx: _Held | None) -> bool:
+    """Whether a regex atom's text (held in rx) or automaton matches bound."""
     if not isinstance(bound, str):
         return False
     m = rx[matcher].dfa if isinstance(matcher, str) else matcher
@@ -180,7 +179,7 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
-        self.rx = _Held()
+        self._programs = {}  # pool index -> Program, held while self lives
         self._prepared = {}
 
     def _prepare(self, unit: int):
@@ -199,9 +198,9 @@ class BlobEvaluator:
             entry = self.vocab.by_code(bp.filter_keys[idx])
             value = bp.value_at(unit, entry)
             is_regex = entry.kind is ValueKind.REGEX_INDEX
-            if is_regex:  # one Program per pool item, held while self lives
+            if is_regex:
                 index = bp.filter_values[idx]
-                program = self.rx.get(index) or self.rx.setdefault(
+                program = self._programs.get(index) or self._programs.setdefault(
                     index, nfa_mod.program_at(value))
                 value = program.dfa
             node = (entry.context_key, is_regex, value, bp.match_offsets[idx],
@@ -213,7 +212,7 @@ class BlobEvaluator:
                 trace: list | None = None) -> Decision:
         idx = self.table.index(op_name)
         unit = self.bp.op_pointers[idx]
-        bindings, prepared, rx = ctx.bindings, self._prepared, self.rx
+        bindings, prepared = ctx.bindings, self._prepared
         for _ in range(len(self.bp.node_types) + 1):
             key, is_regex, value, match_off, unmatch_off, entry = \
                 prepared.get(unit) or self._prepare(unit)
@@ -223,7 +222,7 @@ class BlobEvaluator:
                 return value
             bound = bindings.get(key)
             if is_regex:
-                matched = _regex_matches(value, bound, rx)
+                matched = _regex_matches(value, bound, None)
             else:
                 matched = bound == value
             if trace is not None:
@@ -409,22 +408,11 @@ def sampled_contexts(universe: dict, seed: int, count: int):
         yield QueryContext(bindings)
 
 
-def _reached(src: BlobEvaluator, entries) -> set:
-    """The units of the filter nodes reachable from the given entry units."""
-    reached = set()
-    seen = set()
-    stack = list(entries)
-    while stack:
-        unit = stack.pop()
-        if unit in seen:
-            continue
-        seen.add(unit)
-        key, _r, _v, match_off, unmatch_off, _e = src._prepare(unit)
-        if key is not None:
-            reached.add(unit)
-            stack.append(match_off)
-            stack.append(unmatch_off)
-    return reached
+def _reached(src: BlobEvaluator, entries) -> list:
+    """The units of the filter nodes reachable from the given entry units,
+    in codec's emission preorder; a terminal has no successor units."""
+    order, _position = preorder(entries, lambda unit: src._prepare(unit)[3:5])
+    return [unit for unit in order if src._prepare(unit)[0] is not None]
 
 
 def _op_atoms(src, op: str) -> set:
@@ -450,12 +438,13 @@ def _verdict_id(src, op: str):
     return src.bp.op_pointers[index]
 
 
-def _atom_column(src, atom: tuple, pool: list) -> int:
+def _atom_column(atom: tuple, pool: list) -> int:
     """Bit mask of the pool members (None stands for unbound) that satisfy
-    one of _op_atoms(src, ...), by src's own verdict predicate."""
+    an atom of _op_atoms(either source, ...), which both test alike."""
     _key, is_regex, value = atom
     if is_regex:
-        hits = (_regex_matches(value, v, src.rx) for v in pool)
+        rx = _Held()  # a text's Pattern is the one its AstEvaluator holds
+        hits = (_regex_matches(value, v, rx) for v in pool)
     else:
         hits = (v is not None and v == value for v in pool)
     return sum(1 << i for i, hit in enumerate(hits) if hit)
@@ -492,6 +481,8 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
     operations compared, in that order. Each call builds its own two
     evaluators, their atoms and their universe; the automata and their
     samples come from nfa's memo."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown equivalence mode {mode!r}")
     src_a = as_source(a, table, vocab)
     src_b = as_source(b, table, vocab)
     if ops is None:
@@ -509,7 +500,7 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
         return None
 
     if mode == "exhaustive":
-        columns = {}  # (source, atom) -> _atom_column over its key's pool
+        columns = {}  # atom -> _atom_column over its key's pool
         # an operation whose verdicts read what an earlier one's read (the
         # same rule owner or blob entry on each side) agrees where it agreed
         agreed = {}  # _verdict_id pair of an agreeing operation -> its product size
@@ -520,10 +511,9 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
                 continue
             # only the keys an operation's own (inherited) atoms test can
             # change its verdict; everything else stays unbound
-            by_key = {}  # context key -> (source, atom) pairs that test it
-            for src in (src_a, src_b):
-                for atom in _op_atoms(src, op):
-                    by_key.setdefault(atom[0], []).append((src, atom))
+            by_key = {}  # context key -> the atoms either side tests on it
+            for atom in _op_atoms(src_a, op) | _op_atoms(src_b, op):
+                by_key.setdefault(atom[0], []).append(atom)
             keys, pools, total = _pools(
                 {k: universe[k] for k in by_key}, EXHAUSTIVE_CAP)
             # per key, (pool index, value) of each class's first member, in
@@ -532,10 +522,10 @@ def check_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
             firsts = []
             for key, pool in zip(keys, pools):
                 classes = [(1 << len(pool)) - 1]
-                for src, atom in by_key[key]:
-                    col = columns.get((src, atom))
+                for atom in by_key[key]:
+                    col = columns.get(atom)
                     if col is None:
-                        col = columns[src, atom] = _atom_column(src, atom, pool)
+                        col = columns[atom] = _atom_column(atom, pool)
                     classes = [part for members in classes
                                for part in (members & col, members & ~col) if part]
                 firsts.append([(i, pool[i]) for i in sorted(

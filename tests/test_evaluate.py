@@ -452,6 +452,27 @@ def test_exhaustive_evaluates_one_context_per_signature_class(small, monkeypatch
     assert equivalent == [True, True, False, False]
 
 
+def test_one_column_per_distinct_atom(small, monkeypatch):
+    # both sides test an atom by one predicate, so checking a profile
+    # against itself splits a key's pool once per distinct atom, not once
+    # per side
+    table, vocab = small
+    profile = sbpl.parse_sbpl(MANY_PATHS)
+    columns = []
+    atom_column = evaluate._atom_column
+
+    def counted(atom, pool):
+        columns.append(atom)
+        return atom_column(atom, pool)
+
+    monkeypatch.setattr(evaluate, "_atom_column", counted)
+    assert evaluate.check_equivalence(profile, profile, table, vocab).equivalent
+    distinct = set(evaluate.collect_atoms(profile, table, vocab))
+    assert {kind for _key, kind, _value in distinct} == {
+        ValueKind.LITERAL_STRING, ValueKind.REGEX_INDEX, ValueKind.ENUM_NAMED}
+    assert len(columns) == len(set(columns)) == len(distinct)
+
+
 def test_sampled_mode_is_deterministic(small, blacklist):
     table, vocab = small
     profile, blob = blacklist
@@ -473,6 +494,15 @@ def test_sampled_mode_with_only_default(small, blacklist):
     report = evaluate.check_equivalence(profile, opened, table, vocab,
                                         ops=["default"], mode="sampled")
     assert not report.equivalent and report.witness[0] == "default"
+
+
+@pytest.mark.parametrize("mode", ["exhaustiv", "Sampled", "", None])
+def test_unknown_mode_raises(small, blacklist, mode):
+    # a mode other than the two named must not fall through to sampling
+    table, vocab = small
+    profile, blob = blacklist
+    with pytest.raises(ValueError, match="unknown equivalence mode"):
+        evaluate.check_equivalence(profile, blob, table, vocab, mode=mode)
 
 
 def test_trace_reports_path(small, blacklist):
