@@ -21,6 +21,8 @@ items are u16-length-prefixed UTF-8 strings or serialized regex programs.
 Both layouts are one shape: a separated blob is a bundle with a single
 unnamed operation table. `_write_layout` is the only writer and
 `_read_layout` the only reader; `_table_size` is the only header-size formula.
+The writer takes nodes as rows packed into ints and fills one buffer sized
+once, a record column at a time: the reader's columns, written back.
 """
 
 from __future__ import annotations
@@ -103,24 +105,15 @@ def _table_size(op_count: int, pool_count: int, named_sets=None) -> int:
     return 8 + named_sets * (2 + 2 * op_count) + 2 * pool_count
 
 
-def _pack_tables(op_sets, name_units, pool_units) -> bytes:
-    """Header, pointer tables and zero pad: separated when name_units is
-    None, else a bundle whose i-th operation table is named by name_units[i]."""
-    op_count = len(op_sets[0])
-    pool_count = len(pool_units)
-    if name_units is None:
-        out = [struct.pack("<HHH", FORMAT_SEPARATED, pool_count, op_count)]
-        head = _table_size(op_count, pool_count)
-    else:
-        out = [struct.pack("<HHHH", FORMAT_BUNDLED, pool_count, op_count, len(op_sets))]
-        head = _table_size(op_count, pool_count, len(op_sets))
-    for i, ops in enumerate(op_sets):
-        if name_units is not None:
-            out.append(struct.pack("<H", name_units[i]))
-        out.append(struct.pack(f"<{op_count}H", *ops))
-    out.append(struct.pack(f"<{pool_count}H", *pool_units))
-    out.append(bytes(_align8(head) - head))
-    return b"".join(out)
+def _put_u16s(out: bytearray, at: int, values, step: int = 1) -> None:
+    """Write values into out as little-endian u16s, the first at byte `at`
+    and each next one `step` u16s after it: a column of the records with
+    step 4, a pointer table with step 1."""
+    column = array("H", values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    with memoryview(out) as view, view[at:at + 2 * step * len(column)].cast("H") as halves:
+        halves[::step] = column
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +378,39 @@ def decode_blob(blob: bytes) -> BinaryProfile:
 # ---------------------------------------------------------------------------
 # Lowering: Profile -> node rows
 #
-# A lowered node is one row (key code, payload, match ref, unmatch ref). Its
-# payload is an int stored inline in the record or the bytes of a pool item;
-# a ref is a node id (an int) or a terminal Decision.
+# A lowered node is one row, an int packed from the low bits up: the u8 key
+# code; 32 bits of payload, an inline int v as 2v or pool item n as 2n + 1;
+# 32 bits of match ref; then the unmatch ref. In a row a ref is a node id
+# plus 2, or 1 for the allow terminal and 0 for deny; outside rows a ref is
+# a node id (an int) or a terminal Decision. A pool item is the bytes of a
+# pool string or of a serialized regex program, numbered in one dict (item
+# bytes -> number) that every row of a layout shares.
+
+def _ref_field(ref) -> int:
+    """A ref as a row field: a node id plus 2, 1 for allow, 0 for deny."""
+    return ref + 2 if type(ref) is int else int(ref is Decision.ALLOW)
+
+
+def _pack_row(key: int, payload, match_ref, unmatch_ref, items: dict) -> int:
+    """The row of one node whose payload is an inline int or the bytes of a
+    pool item, which joins items if it is new."""
+    if type(payload) is int:
+        payload <<= 1
+    else:
+        payload = items.setdefault(payload, len(items)) << 1 | 1
+    return key | payload << 8 | _ref_field(match_ref) << 40 | _ref_field(unmatch_ref) << 72
+
 
 class _NodeStore:
     """Interning store for lowered nodes of validated profiles; identical
-    rows share one id. A regex's payload is the wire of its nfa.Pattern,
-    which the memo still holds from validation."""
+    rows share one id and identical pool items one number. A regex's
+    payload is the wire of its nfa.Pattern, which the memo still holds from
+    validation."""
 
     def __init__(self, vocab: FilterVocabulary):
         self.vocab = vocab
-        self.ids = {}  # row -> node id, in id order
+        self.ids = {}    # row -> node id, in id order
+        self.items = {}  # pool item -> item number, in number order
 
     def lower_atom(self, atom: Atom, match_ref, unmatch_ref) -> int:
         entry = self.vocab.by_name(atom.key)
@@ -411,7 +425,7 @@ class _NodeStore:
             payload = _pack_string(f"{proto} {addr}")
         else:
             payload = _pack_string(atom.value)
-        row = (entry.code, payload, match_ref, unmatch_ref)
+        row = _pack_row(entry.code, payload, match_ref, unmatch_ref, self.items)
         return self.ids.setdefault(row, len(self.ids))
 
     def lower_expr(self, expr, match_ref, unmatch_ref):
@@ -461,85 +475,133 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     return entries
 
 
-def preorder(entries, successors):
-    """Node emission order: preorder from each entry ref, match edge first,
-    and each node's position in it. successors(node) gives the node's
-    (match_ref, unmatch_ref); a ref that is not an int is not visited."""
-    order = []
-    position = {}
+def preorder(entries, successors, size: int):
+    """Node emission order, an array of node ids: preorder from each entry
+    ref over node ids below size, match edge first; and each node's
+    position in it, an array indexed by node id that holds -1 for a node
+    not reached. successors(node) gives the node's (match_ref,
+    unmatch_ref); it is called once per reached node, in order. A ref that
+    is not an int is not visited."""
+    order = array("i")
+    seen = bytearray(size)
     for ref in entries:
-        if type(ref) is not int or ref in position:
+        if type(ref) is not int or seen[ref]:
             continue
         stack = [ref]
         while stack:
             node = stack.pop()
-            if node in position:
+            if seen[node]:
                 continue
-            position[node] = len(order)
+            seen[node] = 1
             order.append(node)
             match_ref, unmatch_ref = successors(node)
-            for nxt in (unmatch_ref, match_ref):  # LIFO: match visited first
-                if type(nxt) is int and nxt not in position:
-                    stack.append(nxt)
+            # LIFO: the match edge is visited first
+            if type(unmatch_ref) is int and not seen[unmatch_ref]:
+                stack.append(unmatch_ref)
+            if type(match_ref) is int and not seen[match_ref]:
+                stack.append(match_ref)
+    position = array("i", [-1]) * size
+    for i, node in enumerate(order):
+        position[node] = i
     return order, position
 
 
-def _write_layout(rows, op_refs, names=None) -> bytes:
-    """Lay lowered rows (indexed by node) out as a blob with one operation
-    table per list of entry refs in op_refs: a separated profile when names
-    is None, else a bundle whose tables are named by names. Records follow
-    the match-first preorder from the entries; pool items are numbered by
-    first use (node payloads, then bundle names) and deduplicated on their
-    laid-out bytes."""
-    order, position = preorder([ref for refs in op_refs for ref in refs],
-                                 lambda node: rows[node][2:])
-    pool = {}  # item bytes -> pool index, in index order
-    values = []
-    for node in order:
-        payload = rows[node][1]
-        values.append(payload if type(payload) is int
-                      else pool.setdefault(payload, len(pool)))
-    name_indexes = [pool.setdefault(_pack_string(name), len(pool)) for name in names or ()]
-    head = _table_size(len(op_refs[0]), len(pool), None if names is None else len(names))
-    base = _align8(head) // 8
-    allow_unit = base + len(order)
-    deny_unit = allow_unit + 1
-    pool_bytes = bytearray()
-    pool_units = []
-    for item in pool:
-        pool_bytes += bytes(-len(pool_bytes) % 8)
-        pool_units.append(deny_unit + 1 + len(pool_bytes) // 8)
-        pool_bytes += item
-    # the one capacity check, ahead of every struct.pack: the last unit in
-    # use (the last pool item, else the deny terminal) must be addressable
-    if max(pool_units, default=deny_unit) > 0xFFFF:
-        raise CapacityExceeded(f"{len(order) + 2} node records and {len(pool)} "
+def _write_layout(rows, items, op_refs, names=None) -> bytes:
+    """Lay rows (rows[i] is node i's) and the pool items they number in
+    items out as a blob with one operation table per list of entry refs in
+    op_refs: a separated profile when names is None, else a bundle whose
+    tables are named by names, which join items. Records follow the
+    match-first preorder from the entries; pool items are numbered by first
+    use (node payloads, then bundle names), so an item no reached row names
+    is left out. Every section is written in place into one buffer sized
+    once: the records a column at a time, the columns _record_columns reads
+    back."""
+    # the columns of the reached rows, in preorder: pool items are numbered
+    # as the walk first meets them, and refs become units once the walk ends
+    keys = bytearray()
+    values, matches, unmatches = array("L"), array("L"), array("L")
+    index = array("i", [-1]) * len(items)  # item number -> pool index
+    pool = array("i")                       # item numbers in pool order
+
+    def use(number):
+        """The pool index of item number, given at its first use."""
+        if index[number] < 0:
+            index[number] = len(pool)
+            pool.append(number)
+        return index[number]
+
+    def successors(node):
+        """Decode node's row into the columns; return its successor ids."""
+        row = rows[node]
+        payload = row >> 8 & 0xFFFFFFFF
+        match, unmatch = row >> 40 & 0xFFFFFFFF, row >> 72
+        keys.append(row & 0xFF)
+        values.append(use(payload >> 1) if payload & 1 else payload >> 1)
+        matches.append(match)
+        unmatches.append(unmatch)
+        return match - 2 if match > 1 else None, unmatch - 2 if unmatch > 1 else None
+
+    _order, position = preorder([ref for refs in op_refs for ref in refs],
+                                successors, len(rows))
+    count = len(keys)
+    named = names is not None
+    if named:
+        name_numbers = [items.setdefault(_pack_string(name), len(items)) for name in names]
+        index.extend([-1] * (len(items) - len(index)))
+        name_indexes = [use(number) for number in name_numbers]
+    op_count = len(op_refs[0])
+    base = _align8(_table_size(op_count, len(pool), len(names) if named else None)) // 8
+    item_bytes = list(items)
+    pool_at = array("L")  # byte offset of each pool item
+    end = 8 * (base + count + 2)
+    for number in pool:
+        end += -end % 8
+        pool_at.append(end)
+        end += len(item_bytes[number])
+    # the one capacity check, ahead of every write: the last unit in use
+    # (the last pool item, else the deny terminal) must be addressable
+    if (pool_at[-1] if pool_at else end - 8) // 8 > 0xFFFF:
+        raise CapacityExceeded(f"{count + 2} node records and {len(pool)} "
                                "pool items do not fit 16-bit offsets")
+    # the unit of each ref field: the deny and allow terminals, then nodes
+    units = array("i", [base + count + 1, base + count])
+    units.extend([base + at for at in position])
+    values = array("H", values)
+    matches = array("H", [units[field] for field in matches])
+    unmatches = array("H", [units[field] for field in unmatches])
 
-    def unit(ref):
-        if type(ref) is int:
-            return base + position[ref]
-        return allow_unit if ref is Decision.ALLOW else deny_unit
-
-    name_units = None if names is None else [pool_units[i] for i in name_indexes]
-    out = bytearray(_pack_tables([[unit(r) for r in refs] for refs in op_refs],
-                                 name_units, pool_units))
-    for node, value in zip(order, values):
-        key, _payload, match_ref, unmatch_ref = rows[node]
-        out += _RECORD.pack(NODE_NON_TERMINAL, key, value,
-                            unit(match_ref), unit(unmatch_ref))
-    out += _RECORD.pack(NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0)
-    out += _RECORD.pack(NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0)
-    out += pool_bytes
+    out = bytearray(end)
+    if named:
+        struct.pack_into("<HHHH", out, 0, FORMAT_BUNDLED, len(pool), op_count, len(names))
+    else:
+        struct.pack_into("<HHH", out, 0, FORMAT_SEPARATED, len(pool), op_count)
+    at = _table_size(0, 0, 0 if named else None)
+    for i, refs in enumerate(op_refs):
+        if named:
+            struct.pack_into("<H", out, at, pool_at[name_indexes[i]] // 8)
+            at += 2
+        _put_u16s(out, at, [units[_ref_field(ref)] for ref in refs])
+        at += 2 * op_count
+    _put_u16s(out, at, [offset // 8 for offset in pool_at])
+    at = 8 * base
+    out[at + 1:at + 8 * count:8] = keys  # the type bytes stay NODE_NON_TERMINAL
+    for field, column in enumerate((values, matches, unmatches), 1):
+        _put_u16s(out, at + 2 * field, column, 4)
+    _RECORD.pack_into(out, at + 8 * count, NODE_TERMINAL, TERMINAL_ALLOW, 0, 0, 0)
+    _RECORD.pack_into(out, at + 8 * count + 8, NODE_TERMINAL, TERMINAL_DENY, 0, 0, 0)
+    for number, at in zip(pool, pool_at):
+        item = item_bytes[number]
+        out[at:at + len(item)] = item
     return bytes(out)
 
 
 def _lower(profiles, table: OperationTable, vocab: FilterVocabulary):
     """Validate and lower the profiles one at a time, in order, into one
-    store, so identical nodes are shared; return its rows and each
-    profile's entry refs. The first profile that fails raises: InvalidProfile
-    from validation, or what lowering raises. A profile is lowered right
-    after its validation, while the regex memo still holds what it parsed."""
+    store, so identical nodes are shared; return its rows, its pool items
+    and each profile's entry refs. The first profile that fails raises:
+    InvalidProfile from validation, or what lowering raises. A profile is
+    lowered right after its validation, while the regex memo still holds
+    what it parsed."""
     store = _NodeStore(vocab)
     op_refs = []
     for profile in profiles:
@@ -547,7 +609,7 @@ def _lower(profiles, table: OperationTable, vocab: FilterVocabulary):
         if diagnostics:
             raise InvalidProfile(diagnostics)
         op_refs.append(_resolve_entries(profile, table, store))
-    return list(store.ids), op_refs
+    return list(store.ids), store.items, op_refs
 
 
 def compile_profile(profile: Profile, table: OperationTable,
@@ -594,15 +656,17 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
     ordering and layout match compile_profile, so extracting a bundled
     profile reproduces its standalone compilation byte for byte. Inline
     values are copied as stored."""
+    base = view.node_base
+
     def ref(unit):
         decision = view.decision_at(unit)
         return unit if decision is None else decision
 
-    rows = {}  # unit -> lowered row, for every node the entries reach
+    reached = []  # (key code, payload, match ref, unmatch ref) by unit, in preorder
 
     def lower(unit):
-        """Lower one reached node into rows; return its successor refs."""
-        idx = unit - view.node_base
+        """Lower one reached node; return its successor refs."""
+        idx = unit - base
         entry = vocab.by_code(view.filter_keys[idx])
         if entry.kind in (ValueKind.NUMERIC, ValueKind.ENUM_NAMED):
             payload = view.filter_values[idx]
@@ -610,13 +674,21 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
             payload = nfa.program_at(view.value_at(unit, entry)).wire
         else:
             payload = _pack_string(_read_pool_string(view.raw, view._pool_offset(unit)))
-        rows[unit] = (entry.code, payload, ref(view.match_offsets[idx]),
-                      ref(view.unmatch_offsets[idx]))
-        return rows[unit][2:]
+        refs = ref(view.match_offsets[idx]), ref(view.unmatch_offsets[idx])
+        reached.append((entry.code, payload, *refs))
+        return refs
 
     entries = [ref(ptr) for ptr in view.op_pointers]
-    preorder(entries, lower)
-    return _write_layout(rows, [entries])
+    _order, position = preorder(entries, lower, base + len(view.node_types))
+
+    def dense(ref):
+        """A ref by unit as one by node id: the node's position in the preorder."""
+        return position[ref] if type(ref) is int else ref
+
+    items = {}
+    rows = [_pack_row(key, payload, dense(match_ref), dense(unmatch_ref), items)
+            for key, payload, match_ref, unmatch_ref in reached]
+    return _write_layout(rows, items, [[dense(ref) for ref in entries]])
 
 
 def section_sizes(blob: bytes) -> dict:

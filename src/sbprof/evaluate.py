@@ -119,11 +119,6 @@ def _matches(expr, bindings: dict, kinds: dict, vocab: FilterVocabulary,
     raise TypeError(f"not a filter expression: {expr!r}")
 
 
-def expr_matches(expr, ctx: "QueryContext", vocab: FilterVocabulary) -> bool:
-    """Reference matching semantics for a filter expression."""
-    return _matches(expr, ctx.bindings, _filter_kinds(vocab), vocab, _Held())
-
-
 # ---------------------------------------------------------------------------
 # AST semantics
 
@@ -388,14 +383,6 @@ def _pools(universe: dict, cap: int):
     return keys, pools, total
 
 
-def exhaustive_contexts(universe: dict, cap: int = EXHAUSTIVE_CAP):
-    """Every combination of unbound/candidate per key, capped for safety."""
-    keys, pools, _total = _pools(universe, cap)
-    for combo in itertools.product(*pools):
-        bindings = {k: v for k, v in zip(keys, combo) if v is not None}
-        yield QueryContext(bindings)
-
-
 def sampled_contexts(universe: dict, seed: int, count: int):
     rng = random.Random(seed)
     keys = sorted(universe)
@@ -411,7 +398,8 @@ def sampled_contexts(universe: dict, seed: int, count: int):
 def _reached(src: BlobEvaluator, entries) -> list:
     """The units of the filter nodes reachable from the given entry units,
     in codec's emission preorder; a terminal has no successor units."""
-    order, _position = preorder(entries, lambda unit: src._prepare(unit)[3:5])
+    order, _position = preorder(entries, lambda unit: src._prepare(unit)[3:5],
+                                src.bp.node_base + len(src.bp.node_types))
     return [unit for unit in order if src._prepare(unit)[0] is not None]
 
 

@@ -2,6 +2,8 @@
 
 All types here are immutable after construction and safe to share across
 threads. The compiler, decompiler and evaluator all work on this model.
+Atoms, combinators and rules are slotted (no per-instance __dict__), since a
+container-scale profile holds thousands of them.
 """
 
 from __future__ import annotations
@@ -178,24 +180,24 @@ class ValueForm(enum.Enum):
 AtomValue = Union[str, int, tuple]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     key: str
     value: AtomValue
     form: ValueForm = ValueForm.STRING
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequireAll:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequireAny:
     children: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequireNot:
     child: "FilterExpr"
 
@@ -262,7 +264,7 @@ def expr_atoms(expr: FilterExpr):
 # ---------------------------------------------------------------------------
 # Rules and profiles
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     decision: Decision
     filter: FilterExpr | None = None  # None = unconditional

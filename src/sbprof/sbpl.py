@@ -112,7 +112,10 @@ def _read(text: str):
     forms = []                   # top-level forms read but not yet yielded
     items = forms                # items of the innermost open list
     stack = []                   # the enclosing items per open list; each ends with its list
-    kinds = {}                   # bare token -> ValueForm.NUMBER or SYMBOL
+    # bare token -> its light node's (ValueForm.NUMBER or SYMBOL, token):
+    # each repeat of a token reuses the first one's string, so a profile
+    # holds one string per distinct filter name, operation and enum symbol
+    kinds = {}
     # every match starts where the previous one ended: one of the
     # alternatives matches at any position
     for m in _TOKEN.finditer(text):
@@ -120,15 +123,15 @@ def _read(text: str):
         start = m.start(kind)
         if kind == "bare":
             token = m.group(kind)
-            form = kinds.get(token)
-            if form is None:
+            known = kinds.get(token)
+            if known is None:
                 try:
                     int(token)
                 except ValueError:
-                    form = kinds[token] = ValueForm.SYMBOL
+                    known = kinds[token] = (ValueForm.SYMBOL, token)
                 else:
-                    form = kinds[token] = ValueForm.NUMBER
-            items.append((form, token, start))
+                    known = kinds[token] = (ValueForm.NUMBER, token)
+            items.append((*known, start))
         elif kind == "open":
             if len(stack) == MAX_NESTING:
                 _err(text, start, f"nesting deeper than {MAX_NESTING}")

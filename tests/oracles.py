@@ -1,8 +1,11 @@
 """Test-only helpers: checks, matchers, the round-trip harness and input
 generators that the library itself never calls. They stay independent of
 the engines they check: ast_match works straight off the regex AST and is
-the oracle for the automaton pipeline."""
+the oracle for the automaton pipeline. The exception is expr_matches, the
+AST evaluator's own filter matcher exposed for one expression, which tests
+compare against independent references."""
 
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -26,6 +29,20 @@ from sbprof.rex import (
     RegexAst,
     Star,
 )
+
+
+def expr_matches(expr, ctx: evaluate.QueryContext, vocab: FilterVocabulary) -> bool:
+    """Whether a filter expression matches ctx: a thin call into the matcher
+    that AST verdicts use."""
+    return evaluate._matches(expr, ctx.bindings, evaluate._filter_kinds(vocab), vocab,
+                             evaluate._Held())
+
+
+def exhaustive_contexts(universe: dict, cap: int = evaluate.EXHAUSTIVE_CAP):
+    """Every combination of unbound/candidate per key, capped for safety."""
+    keys, pools, _total = evaluate._pools(universe, cap)
+    for combo in itertools.product(*pools):
+        yield evaluate.QueryContext({k: v for k, v in zip(keys, combo) if v is not None})
 
 
 def check_match_graph(g: OpGraph) -> None:
@@ -220,7 +237,7 @@ def enumerated_equivalence(a, b, table: OperationTable, vocab: FilterVocabulary,
     for op in table.entries if ops is None else ops:
         keys = {key for src in (src_a, src_b)
                 for key, _r, _v in evaluate._op_atoms(src, op)}
-        for ctx in evaluate.exhaustive_contexts({k: universe[k] for k in keys}):
+        for ctx in exhaustive_contexts({k: universe[k] for k in keys}):
             checked += 1
             va, vb = src_a.verdict(op, ctx), src_b.verdict(op, ctx)
             if va is not vb:

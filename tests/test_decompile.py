@@ -22,7 +22,7 @@ from sbprof.errors import (
     MalformedBlob,
     TooManyStates,
 )
-from sbprof.evaluate import build_universe, exhaustive_contexts, expr_matches
+from sbprof.evaluate import build_universe
 from sbprof.model import (
     Atom,
     Decision,
@@ -34,7 +34,7 @@ from sbprof.model import (
     canonicalize,
 )
 
-from oracles import check_match_graph, random_op_graph
+from oracles import check_match_graph, exhaustive_contexts, expr_matches, random_op_graph
 
 ALLOW, DENY = Decision.ALLOW, Decision.DENY
 

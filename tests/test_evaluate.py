@@ -27,7 +27,7 @@ from sbprof.model import (
     ValueKind,
 )
 
-from oracles import ast_match, enumerated_equivalence
+from oracles import ast_match, enumerated_equivalence, exhaustive_contexts, expr_matches
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -604,7 +604,7 @@ class _Differential:
         for rule in self.rules(op):
             if rule.filter is not None:
                 ref = _reference_matches(rule.filter, ctx, self.vocab, self.automata)
-                assert evaluate.expr_matches(rule.filter, ctx, self.vocab) is ref, \
+                assert expr_matches(rule.filter, ctx, self.vocab) is ref, \
                     (op, str(ctx), rule)
             if rule.filter is None or ref:
                 want = rule.decision
@@ -626,7 +626,7 @@ def test_verdicts_agree_with_reference_matcher(small, large):
         for op in table.entries:
             keys = {key for key, _r, _v in evaluate._op_atoms(diff.ast_ev, op)}
             sub = {k: universe[k] for k in sorted(keys)}
-            for ctx in evaluate.exhaustive_contexts(sub):
+            for ctx in exhaustive_contexts(sub):
                 diff.check(op, ctx)
         assert diff.checked >= len(table)
     table, vocab = large
@@ -688,7 +688,7 @@ def test_unknown_filter_name_raises(small):
         with pytest.raises(UnknownFilterKey):
             _reference_matches(expr, ctx, vocab, {})
         with pytest.raises(UnknownFilterKey):
-            evaluate.expr_matches(expr, ctx, vocab)
+            expr_matches(expr, ctx, vocab)
         profile = Profile("", Decision.DENY,
                           {"file-read*": (Rule(Decision.ALLOW, expr),)})
         with pytest.raises(UnknownFilterKey):

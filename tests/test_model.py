@@ -21,6 +21,8 @@ from sbprof.model import (
     validate_profile,
 )
 
+from oracles import exhaustive_contexts, expr_matches
+
 
 def test_decision_negate_is_involution():
     for d in Decision:
@@ -362,6 +364,6 @@ def test_canonicalize_preserves_matching_semantics(small):
             entry = vocab.by_name(atom.key)
             triples.append((entry.context_key, entry.kind, atom.value))
         universe = evaluate.build_universe(triples, vocab)
-        for ctx in evaluate.exhaustive_contexts(universe, cap=4096):
-            assert evaluate.expr_matches(expr, ctx, vocab) == \
-                evaluate.expr_matches(canon, ctx, vocab)
+        for ctx in exhaustive_contexts(universe, cap=4096):
+            assert expr_matches(expr, ctx, vocab) == \
+                expr_matches(canon, ctx, vocab)

