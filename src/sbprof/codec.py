@@ -570,19 +570,17 @@ def _write_layout(rows, items, op_refs, names=None) -> bytes:
     matches = array("H", [units[field] for field in matches])
     unmatches = array("H", [units[field] for field in unmatches])
 
-    out = bytearray(end)
-    if named:
-        struct.pack_into("<HHHH", out, 0, FORMAT_BUNDLED, len(pool), op_count, len(names))
-    else:
-        struct.pack_into("<HHH", out, 0, FORMAT_SEPARATED, len(pool), op_count)
-    at = _table_size(0, 0, 0 if named else None)
+    # the header and the pointer tables, bundle names leading their table,
+    # are one run of u16s
+    head = array("H", [FORMAT_BUNDLED, len(pool), op_count, len(names)] if named
+                 else [FORMAT_SEPARATED, len(pool), op_count])
     for i, refs in enumerate(op_refs):
         if named:
-            struct.pack_into("<H", out, at, pool_at[name_indexes[i]] // 8)
-            at += 2
-        _put_u16s(out, at, [units[_ref_field(ref)] for ref in refs])
-        at += 2 * op_count
-    _put_u16s(out, at, [offset // 8 for offset in pool_at])
+            head.append(pool_at[name_indexes[i]] // 8)
+        head.extend([units[_ref_field(ref)] for ref in refs])
+    head.extend([offset // 8 for offset in pool_at])
+    out = bytearray(end)
+    _put_u16s(out, 0, head)
     at = 8 * base
     out[at + 1:at + 8 * count:8] = keys  # the type bytes stay NODE_NON_TERMINAL
     for field, column in enumerate((values, matches, unmatches), 1):

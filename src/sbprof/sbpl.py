@@ -131,7 +131,8 @@ def _read(text: str):
                     known = kinds[token] = (ValueForm.SYMBOL, token)
                 else:
                     known = kinds[token] = (ValueForm.NUMBER, token)
-            items.append((*known, start))
+            form, token = known
+            items.append((form, token, start))
         elif kind == "open":
             if len(stack) == MAX_NESTING:
                 _err(text, start, f"nesting deeper than {MAX_NESTING}")
