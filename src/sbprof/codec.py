@@ -465,7 +465,7 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     owner_refs = {}
     entries = []
     for op in table.entries:
-        owner = None if op == "default" else owners[op]
+        owner = owners[op]
         if owner is None:
             entries.append(default)
             continue

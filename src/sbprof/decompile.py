@@ -166,16 +166,12 @@ def normalize_graph(g: OpGraph, default: Decision) -> OpGraph:
 # ---------------------------------------------------------------------------
 # Aggregation (require-any / require-all recovery by node removal)
 
-def _any_of(a, b):
-    left = list(a.children) if isinstance(a, RequireAny) else [a]
-    right = list(b.children) if isinstance(b, RequireAny) else [b]
-    return RequireAny(tuple(left + right))
-
-
-def _all_of(a, b):
-    left = list(a.children) if isinstance(a, RequireAll) else [a]
-    right = list(b.children) if isinstance(b, RequireAll) else [b]
-    return RequireAll(tuple(left + right))
+def _join(kind, a, b):
+    """kind (RequireAny or RequireAll) of a and b, either side flattened
+    when it already is one."""
+    left = a.children if isinstance(a, kind) else (a,)
+    right = b.children if isinstance(b, kind) else (b,)
+    return kind((*left, *right))
 
 
 def _dump_graph(g: OpGraph) -> str:
@@ -214,25 +210,22 @@ def aggregate(g: OpGraph):
 
     next_id = max(nodes) + 1 if nodes else 0
 
-    def refs(nid):
-        return len(preds[nid]) + (1 if entry == nid else 0)
-
-    def retarget(parent, old, new):
-        node = nodes[parent]
-        if node.match == old:
-            node.match = new
-        if node.unmatch == old:
-            node.unmatch = new
-
-    def clone_for(parent, target):
+    def take(parent, target):
+        """target, or a clone that only parent points at when anything else
+        also points at target."""
         nonlocal next_id
-        src = nodes[target]
+        if len(preds[target]) + (entry == target) <= 1:
+            return target
+        src, node = nodes[target], nodes[parent]
         cid = next_id
         next_id += 1
         nodes[cid] = GraphNode(src.expr, src.match, src.unmatch)
         preds[cid] = {parent}
         preds[target].discard(parent)
-        retarget(parent, target, cid)
+        if node.match == target:
+            node.match = cid
+        if node.unmatch == target:
+            node.unmatch = cid
         for succ in (src.match, src.unmatch):
             if not isinstance(succ, Decision):
                 preds[succ].add(cid)
@@ -268,49 +261,36 @@ def aggregate(g: OpGraph):
         if nid not in nodes:
             continue
         node = nodes[nid]
-        merged = False
-        # require-any: alternative chained on the unmatch edge, same match target
-        m = node.unmatch
-        if not isinstance(m, Decision) and nodes[m].match == node.match:
-            if refs(m) > 1:
-                m = clone_for(nid, m)
-            node.expr = _any_of(node.expr, nodes[m].expr)
-            node.unmatch = nodes[m].unmatch
-            absorb(nid, m)
-            merged = True
-        if not merged:
+        m, u = node.match, node.unmatch
+        if not isinstance(u, Decision) and nodes[u].match == m:
+            # require-any: alternative chained on the unmatch edge, same match target
+            u = take(nid, u)
+            node.expr = _join(RequireAny, node.expr, nodes[u].expr)
+            node.unmatch = nodes[u].unmatch
+            absorb(nid, u)
+        elif not isinstance(m, Decision) and nodes[m].unmatch == u:
             # require-all: child on the match edge, same failure continuation
-            m = node.match
-            if not isinstance(m, Decision) and nodes[m].unmatch == node.unmatch:
-                if refs(m) > 1:
-                    m = clone_for(nid, m)
-                node.expr = _all_of(node.expr, nodes[m].expr)
-                node.match = nodes[m].match
-                absorb(nid, m)
-                merged = True
-        if not merged:
+            m = take(nid, m)
+            node.expr = _join(RequireAll, node.expr, nodes[m].expr)
+            node.match = nodes[m].match
+            absorb(nid, m)
+        elif (not isinstance(m, Decision) and not isinstance(u, Decision)
+                and nodes[m].match == success and nodes[m].unmatch == fail
+                and nodes[u].match == success and nodes[u].unmatch == fail):
             # negated nesting leaves a node whose branches diverge; once both
             # successors are fully reduced, expand f ? M : U into
             # (f and M) or (not f and U)
-            m, u = node.match, node.unmatch
-            if (not isinstance(m, Decision) and not isinstance(u, Decision)
-                    and nodes[m].match == success and nodes[m].unmatch == fail
-                    and nodes[u].match == success and nodes[u].unmatch == fail):
-                if refs(m) > 1:
-                    m = clone_for(nid, m)
-                if refs(u) > 1:
-                    u = clone_for(nid, u)
-                node.expr = _any_of(_all_of(node.expr, nodes[m].expr),
-                                    _all_of(_negated(node.expr), nodes[u].expr))
-                node.match = success
-                node.unmatch = fail
-                absorb(nid, m)
-                absorb(nid, u)
-                merged = True
-        if merged:
-            enqueue(nid)
-            for p in sorted(preds.get(nid, ())):
-                enqueue(p)
+            m, u = take(nid, m), take(nid, u)
+            node.expr = _join(RequireAny, _join(RequireAll, node.expr, nodes[m].expr),
+                              _join(RequireAll, _negated(node.expr), nodes[u].expr))
+            node.match, node.unmatch = success, fail
+            absorb(nid, m)
+            absorb(nid, u)
+        else:
+            continue
+        enqueue(nid)
+        for p in sorted(preds.get(nid, ())):
+            enqueue(p)
 
     if len(nodes) == 1 and entry in nodes:
         node = nodes[entry]
@@ -401,19 +381,16 @@ def emit_rules(bp: BinaryProfile, table: OperationTable,
             continue
         try:
             normalized = normalize_graph(build_graph(bp, idx, vocab), default)
-            # routing around constant nodes can leave the entry a terminal
-            if isinstance(normalized.entry, Decision):
-                if normalized.entry == default:
-                    if ancestor_unit is not None:
-                        # an emitted ancestor would otherwise capture this
-                        # operation through the parent link; pin it back
-                        rules[op] = (Rule(default, None),)
-                        emitted_unit[op] = unit
-                    continue
-                expr = None
-            else:
-                expr = aggregate(normalized)
-            rules[op] = _emit_op_rules(expr, default, vocab)
+            # routing around constant nodes can leave the entry a terminal;
+            # aggregate returns None for the success one
+            if normalized.entry == default:
+                if ancestor_unit is not None:
+                    # an emitted ancestor would otherwise capture this
+                    # operation through the parent link; pin it back
+                    rules[op] = (Rule(default, None),)
+                    emitted_unit[op] = unit
+                continue
+            rules[op] = _emit_op_rules(aggregate(normalized), default, vocab)
             emitted_unit[op] = unit
         except SandboxError as exc:
             wrapped = DecompileError(op, exc)
@@ -572,10 +549,7 @@ def dot_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
     unmatch edges dashed, terminals with thick borders. Returns
     (text, node_count, edge_count)."""
     graph = build_graph(bp, op_index, vocab)
-    lines = [f'digraph "{op_name or f"op{op_index}"}" {{']
-    lines.append('    node [shape=box];')
     terminals = set()
-    edges = 0
 
     def succ_name(succ):
         if isinstance(succ, Decision):
@@ -583,24 +557,16 @@ def dot_graph(bp: BinaryProfile, op_index: int, vocab: FilterVocabulary,
             return f"t_{succ.value}"
         return f"n{succ}"
 
-    if isinstance(graph.entry, Decision):
-        entry_name = succ_name(graph.entry)
-    else:
-        entry_name = f"n{graph.entry}"
+    entry_name = succ_name(graph.entry)
+    lines = [f'digraph "{op_name or f"op{op_index}"}" {{', '    node [shape=box];']
+    edges = []
     for nid in sorted(graph.nodes):
         node = graph.nodes[nid]
         label = format_filter(node.expr).replace('"', '\\"')
         lines.append(f'    n{nid} [label="{label}"];')
-    body = []
-    for nid in sorted(graph.nodes):
-        node = graph.nodes[nid]
-        body.append(f'    n{nid} -> {succ_name(node.match)};')
-        body.append(f'    n{nid} -> {succ_name(node.unmatch)} [style=dashed];')
-        edges += 2
+        edges.append(f'    n{nid} -> {succ_name(node.match)};')
+        edges.append(f'    n{nid} -> {succ_name(node.unmatch)} [style=dashed];')
     for term in sorted(terminals, key=lambda d: d.value):
         lines.append(f'    t_{term.value} [label="{term.value}" penwidth=2];')
-    lines.append(f'    entry [shape=point];')
-    lines.append(f'    entry -> {entry_name};')
-    lines.extend(body)
-    lines.append("}")
-    return "\n".join(lines) + "\n", len(graph.nodes), edges
+    lines += ['    entry [shape=point];', f'    entry -> {entry_name};', *edges, "}"]
+    return "\n".join(lines) + "\n", len(graph.nodes), 2 * len(graph.nodes)

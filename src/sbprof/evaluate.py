@@ -148,14 +148,13 @@ class AstEvaluator:
         that decided and the operation that owns it, or ("default", None)
         when the default decision did."""
         self.table.index(op_name)  # raises UnknownOperation
-        if op_name != "default":
-            bindings, kinds, vocab, rx = ctx.bindings, self._kinds, self.vocab, self.rx
-            for rule in self._rules(op_name):
-                if rule.filter is None or _matches(rule.filter, bindings, kinds,
-                                                   vocab, rx):
-                    if trace is not None:
-                        trace.append((self._owner[op_name], rule))
-                    return rule.decision
+        bindings, kinds, vocab, rx = ctx.bindings, self._kinds, self.vocab, self.rx
+        for rule in self._rules(op_name):
+            if rule.filter is None or _matches(rule.filter, bindings, kinds,
+                                               vocab, rx):
+                if trace is not None:
+                    trace.append((self._owner[op_name], rule))
+                return rule.decision
         if trace is not None:
             trace.append(("default", None))
         return self.profile.default_decision
@@ -419,10 +418,10 @@ def _op_atoms(src, op: str) -> set:
 
 def _verdict_id(src, op: str):
     """What op's verdict reads besides the context: its rule owner in an
-    AST (the default operation reads none), its entry node in a blob."""
+    AST, its entry node in a blob."""
     index = src.table.index(op)  # raises UnknownOperation
     if isinstance(src, AstEvaluator):
-        return op == "default" or src._owner.get(op)
+        return src._owner.get(op)
     return src.bp.op_pointers[index]
 
 

@@ -157,10 +157,13 @@ class OperationTable:
     def owners(self, rules: Mapping[str, tuple]) -> dict:
         """The operation whose rules each operation follows: itself if it has
         rules, else its nearest ancestor through parents that has rules, else
-        None. One pass, in parents_first order."""
+        None. The default operation follows none, so its descendants inherit
+        none from it: the default decision decides it. One pass, in
+        parents_first order."""
         owner = {}
         for op in self.parents_first:
-            owner[op] = op if rules.get(op) else owner.get(self.parents.get(op))
+            owner[op] = (None if op == "default" else op if rules.get(op)
+                         else owner.get(self.parents.get(op)))
         return owner
 
 

@@ -664,7 +664,11 @@ def nfa_to_regex(nfa: Nfa):
 
     The result is a DAG whose text can grow exponentially in nested groups
     such as (a|b(a|b...c)*c)*. Each leaf of that text needs a wire record,
-    so past MAX_NODES leaves TooManyStates is raised before it is printed."""
+    so past MAX_NODES leaves TooManyStates is raised before it is printed.
+    It is also raised past 2 * rex.MAX_GROUP_NESTING - 1 levels of non-leaf
+    nodes (a nest of forward jumps adds two per jump): such text nests more
+    groups than rex.parse_regex reads back, and the printer recurses once
+    per level."""
     if nfa.n_states > REVERSAL_STATE_CAP:
         raise TooManyStates(
             f"{nfa.n_states} states exceeds the reversal cap {REVERSAL_STATE_CAP}")
@@ -702,10 +706,13 @@ def nfa_to_regex(nfa: Nfa):
     if final is None:
         return rex.NEVER_MATCH
     final = rex.simplify(rex.cat(final))
-    leaves = _leaves(final, {})
+    leaves, height = _extent(final)
     if leaves > MAX_NODES:
         raise TooManyStates(f"reversed pattern has {leaves} leaves, more than "
                             f"the {MAX_NODES} nodes a program may hold")
+    if height > 2 * rex.MAX_GROUP_NESTING - 1:
+        raise TooManyStates(f"reversed pattern nests {height} levels deep, more than "
+                            f"the {2 * rex.MAX_GROUP_NESTING - 1} its text may nest")
     return final
 
 
@@ -715,16 +722,28 @@ def _parts(ast) -> tuple:
     return ast.parts if kind is Concat else () if kind is Empty else (ast,)
 
 
-def _leaves(ast, memo) -> int:
-    """Leaves of ast written out as a tree; memo maps each node counted to
-    its count, so a shared node is counted through once."""
-    count = memo.get(ast)
-    if count is None:
-        kind = type(ast)
-        subs = (ast.parts if kind is Concat else ast.options if kind is Alternate
-                else (ast.inner,) if kind in (Star, Plus, Optional) else ())
-        count = memo[ast] = sum(_leaves(sub, memo) for sub in subs) or 1
-    return count
+def _extent(ast) -> tuple:
+    """(leaves, height) of ast written out as a tree: its leaf count and
+    the number of levels of non-leaf nodes. One explicit-stack walk that
+    counts a shared node through once, so no depth overflows the stack."""
+    done = {}  # node -> (leaves, height)
+    stack = [(ast, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in done:
+            continue
+        kind = type(node)
+        subs = (node.parts if kind is Concat else node.options if kind is Alternate
+                else (node.inner,) if kind in (Star, Plus, Optional) else ())
+        if not subs:
+            done[node] = (1, 0)
+        elif ready:
+            done[node] = (sum(done[sub][0] for sub in subs),
+                          1 + max(done[sub][1] for sub in subs))
+        else:
+            stack.append((node, True))
+            stack.extend((sub, False) for sub in subs if sub not in done)
+    return done[ast]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ compare against independent references."""
 
 import itertools
 import random
+import struct
 from dataclasses import dataclass, field
 
 from sbprof import codec, decompile, evaluate, sbpl
@@ -14,7 +15,7 @@ from sbprof.decompile import GraphNode, OpGraph
 from sbprof.errors import SandboxError
 from sbprof.generate import ProfileGenerator
 from sbprof.model import Decision, FilterVocabulary, OperationTable
-from sbprof.nfa import LazyDfa, Nfa
+from sbprof.nfa import TAG_ACCEPT, TAG_CHAR, TAG_JUMP_FWD, LazyDfa, Nfa
 from sbprof.rex import (
     Alternate,
     AnchorEnd,
@@ -169,6 +170,16 @@ def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
         if _match_ends(ast, s, i, memo):
             return True
     return False
+
+
+def forward_jump_nest(n: int) -> bytes:
+    """A regex program of n forward jumps, record k jumping to 2n - k,
+    then n "a" records and an accept: its reversal nests two levels per
+    jump, which the compiler never writes."""
+    records = [struct.pack("<BH", TAG_JUMP_FWD, 2 * n - k) for k in range(n)]
+    records += [struct.pack("<BH", TAG_CHAR, ord("a"))] * n
+    records.append(struct.pack("<BH", TAG_ACCEPT, 0))
+    return struct.pack("<H", 2 * n + 1) + b"".join(records)
 
 
 def anchored_nfa(m: Nfa) -> Nfa:

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
+from sbprof import cli, codec, decompile, evaluate, generate, nfa, rex, sbpl
 from sbprof.decompile import (
     GraphNode,
     OpGraph,
@@ -34,7 +34,13 @@ from sbprof.model import (
     canonicalize,
 )
 
-from oracles import check_match_graph, exhaustive_contexts, expr_matches, random_op_graph
+from oracles import (
+    check_match_graph,
+    exhaustive_contexts,
+    expr_matches,
+    forward_jump_nest,
+    random_op_graph,
+)
 
 ALLOW, DENY = Decision.ALLOW, Decision.DENY
 
@@ -484,6 +490,27 @@ def test_regex_with_an_unreachable_accept_matches_nothing(small):
     recompiled = codec.compile_profile(sbpl.parse_sbpl(text), table, vocab)
     report = evaluate.check_equivalence(bytes(blob), recompiled, table, vocab)
     assert report.equivalent, str(report)
+
+
+def test_forward_jump_nest_blob_is_refused_not_crashed(small, tmp_path, capsys):
+    # a 1,569-byte blob whose one regex program nests 250 forward jumps:
+    # its reversal is 499 levels deep, and counting its leaves recursed
+    # past Python's limit even when permissive
+    table, vocab = small
+    source = '(deny default)\n(allow file-read* (regex #"a"))'
+    blob = codec.compile_profile(sbpl.parse_sbpl(source), table, vocab)
+    at = codec.decode_blob(blob).pool_pointers[0] * 8
+    blob = blob[:at] + forward_jump_nest(250)
+    assert len(blob) == 1569
+    with pytest.raises(DecompileError) as info:
+        decompile.decompile(blob, table, vocab)
+    assert isinstance(info.value.cause, TooManyStates)
+    text = decompile.decompile(blob, table, vocab, permissive=True)
+    assert "; unreversed file-read*: reversed pattern nests 499 levels deep" in text
+    path = tmp_path / "nest.sbbin"
+    path.write_bytes(blob)
+    assert cli.main(["decompile", str(path), "-o", str(tmp_path / "nest.sb")]) == 2
+    assert capsys.readouterr().err.startswith("error: operation 'file-read*': ")
 
 
 def test_emit_rules_rejects_table_size_mismatch(small, large):

@@ -91,6 +91,18 @@ def test_default_only_denies_everything(small):
         assert ev.verdict(op, Q({})) is Decision.DENY
 
 
+def test_rules_on_the_default_operation_are_never_followed(small):
+    # validation refuses such rules, but an unvalidated profile may hold
+    # them: the default decision still decides the default operation
+    table, vocab = small
+    profile = Profile("", Decision.DENY, {"default": (Rule(Decision.ALLOW, None),)})
+    assert table.owners(profile.rules)["default"] is None
+    trace = []
+    assert evaluate.AstEvaluator(profile, table, vocab).verdict(
+        "default", Q({}), trace) is Decision.DENY
+    assert trace == [("default", None)]
+
+
 def test_operation_inheritance_through_parent_links(small, blacklist):
     table, vocab = small
     profile, blob = blacklist
@@ -596,7 +608,7 @@ class _Differential:
         self.checked = 0
 
     def rules(self, op):
-        owner = self.owner[op] if op != "default" else None
+        owner = self.owner[op]
         return self.profile.rules[owner] if owner else ()
 
     def check(self, op, ctx):

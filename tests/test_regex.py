@@ -14,7 +14,13 @@ from sbprof.errors import (
 )
 from sbprof.rex import AnchorStart, Char, CharClass, Concat, Empty, Star
 
-from oracles import anchored, ast_match, bounded_language_equal, full_match
+from oracles import (
+    anchored,
+    ast_match,
+    bounded_language_equal,
+    forward_jump_nest,
+    full_match,
+)
 
 REFERENCE_PATTERNS = (
     "/bin/*",
@@ -359,6 +365,25 @@ def test_reversal_state_cap():
                   0, frozenset([4999]))
     with pytest.raises(TooManyStates):
         nfa.nfa_to_regex(big)
+
+
+@pytest.mark.parametrize("n", [120, 128])
+def test_forward_jump_nest_reverses_to_text_that_reparses(n):
+    text = rex.print_regex(nfa.nfa_to_regex(nfa.deserialize_nfa(forward_jump_nest(n))))
+    assert text == "(" * (n - 1) + "a?" + "a)?" * (n - 1)
+    assert rex.print_regex(rex.parse_regex(text)) == text
+
+
+@pytest.mark.parametrize("n", [129, 250, 2000])
+def test_forward_jump_nest_past_the_group_limit_is_refused(n):
+    # the reversal nests two levels per jump: past 255 levels it would
+    # print more nested groups than parse_regex reads, and at 250 jumps
+    # counting its leaves recursed past Python's limit
+    program = nfa.deserialize_nfa(forward_jump_nest(n))
+    started = time.perf_counter()
+    with pytest.raises(TooManyStates, match=f"nests {2 * n - 1} levels deep"):
+        nfa.nfa_to_regex(program)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_nested_star_program_reverses_fast():
