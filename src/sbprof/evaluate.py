@@ -249,8 +249,11 @@ def _accepted_samples(matcher, alphabet):
     the automaton accepts; deterministic.
     Breadth-first over the DFA states, one prefix per state. A
     stepped state that cannot accept within the characters left is dropped:
-    no state reached from it could either, so the output is the same."""
-    letters = sorted(set(alphabet))
+    no state reached from it could either, so the output is the same. Only
+    the first letter of each byte class is stepped, as a later one reaches
+    a state the walk has seen, and the walk keeps one closure cache."""
+    letters = matcher.class_letters(alphabet)
+    closures = {}
     out = []
     s0 = matcher.initial()
     frontier = {s0: ""}
@@ -266,7 +269,7 @@ def _accepted_samples(matcher, alphabet):
         left = SAMPLE_MAX_LEN - depth - 1
         nxt = {}
         for key, prefix in frontier.items():
-            for ch, stepped in zip(letters, matcher.successors(key, letters)):
+            for ch, stepped in zip(letters, matcher.successors(key, letters, closures)):
                 if stepped not in seen:
                     seen.add(stepped)
                     if matcher.can_accept_within(stepped, left):

@@ -340,16 +340,14 @@ def cat(parts) -> RegexAst:
 
 
 def alt(options) -> RegexAst:
-    flat = []
+    flat = {}  # equal nodes are one object: a dict drops repeats in linear time
     for o in options:
         if type(o) is Alternate:
-            for sub in o.options:
-                if sub not in flat:
-                    flat.append(sub)
-        elif o not in flat:
-            flat.append(o)
+            flat.update(dict.fromkeys(o.options))
+        else:
+            flat[o] = None
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return Alternate(tuple(flat))
 
 
@@ -472,7 +470,7 @@ def _simp(ast, memo):
             parts = _simplify_cat(parts)
         out = cat(parts)
     elif kind is Alternate:
-        options = []
+        options = {}  # as in alt, a dict drops repeats in linear time
         has_empty = False
         for o in ast.options:
             if type(o) not in _LEAVES:
@@ -480,16 +478,12 @@ def _simp(ast, memo):
             if type(o) is Empty:
                 has_empty = True
             elif type(o) is Alternate:
-                for sub in o.options:
-                    if sub not in options:
-                        options.append(sub)
-            elif o not in options:
-                options.append(o)
+                options.update(dict.fromkeys(o.options))
+            else:
+                options[o] = None
         # x | x+ -> x+ ; x | x* -> x* ; x? | x -> x?
-        quantified = [o for o in options if type(o) in _QUANTIFIED]
-        if quantified:
-            options = [o for o in options
-                       if not any(q.inner is o for q in quantified)]
+        quantified = {o.inner for o in options if type(o) in _QUANTIFIED}
+        options = [o for o in options if o not in quantified]
         factored = _factor_once(options) if len(options) > 1 else None
         if factored is not None:
             options = [o if type(o) in _LEAVES else _simp(o, memo) for o in factored]

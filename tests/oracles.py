@@ -15,7 +15,15 @@ from sbprof.decompile import GraphNode, OpGraph
 from sbprof.errors import SandboxError
 from sbprof.generate import ProfileGenerator
 from sbprof.model import Decision, FilterVocabulary, OperationTable
-from sbprof.nfa import TAG_ACCEPT, TAG_CHAR, TAG_JUMP_FWD, LazyDfa, Nfa
+from sbprof.nfa import (
+    TAG_ACCEPT,
+    TAG_CHAR,
+    TAG_CLASS,
+    TAG_JUMP_BCK,
+    TAG_JUMP_FWD,
+    LazyDfa,
+    Nfa,
+)
 from sbprof.rex import (
     Alternate,
     AnchorEnd,
@@ -172,6 +180,10 @@ def ast_match(ast: RegexAst, s: str, full: bool = True) -> bool:
     return False
 
 
+def _program(records) -> bytes:
+    return struct.pack("<H", len(records)) + b"".join(records)
+
+
 def forward_jump_nest(n: int) -> bytes:
     """A regex program of n forward jumps, record k jumping to 2n - k,
     then n "a" records and an accept: its reversal nests two levels per
@@ -179,7 +191,49 @@ def forward_jump_nest(n: int) -> bytes:
     records = [struct.pack("<BH", TAG_JUMP_FWD, 2 * n - k) for k in range(n)]
     records += [struct.pack("<BH", TAG_CHAR, ord("a"))] * n
     records.append(struct.pack("<BH", TAG_ACCEPT, 0))
-    return struct.pack("<H", 2 * n + 1) + b"".join(records)
+    return _program(records)
+
+
+def jump_back_ladder(n: int) -> bytes:
+    """A regex program of n records: "a", n - 2 backward jumps to it and an
+    accept. Its language is a+."""
+    return _program([struct.pack("<BH", TAG_CHAR, ord("a"))]
+                    + [struct.pack("<BH", TAG_JUMP_BCK, 0)] * (n - 2)
+                    + [struct.pack("<BH", TAG_ACCEPT, 0)])
+
+
+def forward_jump_chain(n: int) -> bytes:
+    """A regex program of n pairs (forward jump past its own "a", "a") and
+    an accept: each "a" may be skipped, so its language is the strings of
+    at most n letters a."""
+    records = []
+    for i in range(n):
+        records += [struct.pack("<BH", TAG_JUMP_FWD, 2 * i + 2),
+                    struct.pack("<BH", TAG_CHAR, ord("a"))]
+    records.append(struct.pack("<BH", TAG_ACCEPT, 0))
+    return _program(records)
+
+
+def dense_program(k: int) -> bytes:
+    """A regex program whose automaton is the complete graph on k states,
+    each edge reading a letter of its own (modulo 256), from state 0 to the
+    accepting state k - 1. State i is a block of k - 1 forward jumps, one to
+    each of its edges, ended by a dead class (an accept for the last state);
+    the edges follow the blocks, each "letter, backward jump to the block
+    of its head, dead class". Its reversal grows exponentially with k, and
+    removing its states in degree order takes more than k^3 / 3 glue
+    steps."""
+    dead = bytes((TAG_CLASS, 0))
+    blocks, edges = [], []
+    edge_at = k * k  # record index of the first edge
+    for i in range(k):
+        for j in range(k):
+            if j != i:
+                blocks.append(struct.pack("<BH", TAG_JUMP_FWD, edge_at + len(edges)))
+                edges += [struct.pack("<BH", TAG_CHAR, (i * k + j) % 256),
+                          struct.pack("<BH", TAG_JUMP_BCK, k * j), dead]
+        blocks.append(struct.pack("<BH", TAG_ACCEPT, 0) if i == k - 1 else dead)
+    return _program(blocks + edges)
 
 
 def anchored_nfa(m: Nfa) -> Nfa:

@@ -36,6 +36,7 @@ from sbprof.model import (
 
 from oracles import (
     check_match_graph,
+    dense_program,
     exhaustive_contexts,
     expr_matches,
     forward_jump_nest,
@@ -492,15 +493,20 @@ def test_regex_with_an_unreachable_accept_matches_nothing(small):
     assert report.equivalent, str(report)
 
 
+def _regex_blob(table, vocab, program):
+    """The blob of an allow-file-read* rule on one regex, with program in
+    place of that regex's program, which ends the blob."""
+    source = '(deny default)\n(allow file-read* (regex #"a"))'
+    blob = codec.compile_profile(sbpl.parse_sbpl(source), table, vocab)
+    return blob[:codec.decode_blob(blob).pool_pointers[0] * 8] + program
+
+
 def test_forward_jump_nest_blob_is_refused_not_crashed(small, tmp_path, capsys):
     # a 1,569-byte blob whose one regex program nests 250 forward jumps:
     # its reversal is 499 levels deep, and counting its leaves recursed
     # past Python's limit even when permissive
     table, vocab = small
-    source = '(deny default)\n(allow file-read* (regex #"a"))'
-    blob = codec.compile_profile(sbpl.parse_sbpl(source), table, vocab)
-    at = codec.decode_blob(blob).pool_pointers[0] * 8
-    blob = blob[:at] + forward_jump_nest(250)
+    blob = _regex_blob(table, vocab, forward_jump_nest(250))
     assert len(blob) == 1569
     with pytest.raises(DecompileError) as info:
         decompile.decompile(blob, table, vocab)
@@ -564,40 +570,36 @@ def test_nested_star_rule_at_group_limit_decompiles(small):
 
 
 def test_nested_alternation_reversal_stops_at_node_limit(small):
-    # (a|b(a|b...x...c)*c)*: the reversed text grows about 6-fold per level,
-    # and at 8 levels it would write 9,241,402 leaves, each of which needs a
-    # wire record, so it could never compile back
+    # (a|b(a|b...x...c)*c)*: removing states in index order printed text
+    # about 6-fold longer per level, 9,241,402 leaves at 8 levels; in
+    # degree order each level adds a few characters. The complete graph on
+    # 12 states still reverses to 4,194,303 leaves, and each leaf would
+    # need a wire record, so it could never compile back
     table, vocab = small
-    profiles = {}
     for depth in (4, 8):
         pattern = "x"
         for _ in range(depth):
             pattern = "(a|b" + pattern + "c)*"
-        profiles[depth] = sbpl.parse_sbpl(
+        profile = sbpl.parse_sbpl(
             f'(version 1)\n(deny default)\n(allow file-read* (regex #"{pattern}"))\n')
+        text = decompile.decompile(codec.compile_profile(profile, table, vocab), table, vocab)
+        assert evaluate.check_equivalence(profile, sbpl.parse_sbpl(text), table,
+                                          vocab).equivalent
 
-    blob = codec.compile_profile(profiles[8], table, vocab)
+    blob = _regex_blob(table, vocab, dense_program(12))
     started = time.perf_counter()
     with pytest.raises(DecompileError) as info:
         decompile.decompile(blob, table, vocab)
     assert isinstance(info.value.cause, TooManyStates)
     text = decompile.decompile(blob, table, vocab, permissive=True)
-    assert "; unreversed file-read*: reversed pattern has 9241402 leaves" in text
+    assert "; unreversed file-read*: reversed pattern has 4194303 leaves" in text
     assert time.perf_counter() - started < 1.0
 
-    blob = codec.compile_profile(profiles[4], table, vocab)
-    text = decompile.decompile(blob, table, vocab)
-    assert evaluate.check_equivalence(profiles[4], sbpl.parse_sbpl(text), table,
-                                      vocab).equivalent
 
-
-@pytest.mark.xfail(strict=True, raises=DecompileError,
-                   reason="ROADMAP items 1 and 7: reversal refuses an automaton "
-                          "past REVERSAL_STATE_CAP states, which compile accepts")
 def test_long_literal_regex_round_trips(small):
-    # compile accepts a 4,100-letter literal, a 4,104-state program, but
-    # decompile raises "4104 states exceeds the reversal cap 4096"; 3,000
-    # letters round-trip
+    # compile accepts a 4,100-letter literal, a 4,104-state program, which
+    # a cap of 4,096 states on reversal refused; its reversal takes 4,104
+    # glue steps
     table, vocab = small
     for letters in (3000, 4100):
         literal = "".join(chr(97 + i % 26) for i in range(letters))
@@ -608,14 +610,10 @@ def test_long_literal_regex_round_trips(small):
         assert codec.compile_profile(sbpl.parse_sbpl(text), table, vocab) == blob
 
 
-@pytest.mark.xfail(strict=True, raises=TooManyStates,
-                   reason="ROADMAP items 1 and 7: reversal in state index order "
-                          "prints a 5-level (a|b...c)* nest as 114,158 characters, "
-                          "more than 65535 serialized nodes to compile")
 def test_nested_alternation_text_compiles_back(small):
-    # the 242-byte blob decompiles in well under a second, under the node
-    # limit, but its text does not compile; the outcome does not depend on
-    # timing
+    # the 242-byte blob decompiled in index order to 114,158 characters,
+    # more than 65,535 serialized nodes to compile; the outcome does not
+    # depend on timing
     table, vocab = small
     pattern = "x"
     for _ in range(5):

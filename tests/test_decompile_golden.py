@@ -14,6 +14,12 @@ order:
   0-2,999 under both defaults.
 
 The digest does not depend on PYTHONHASHSEED.
+
+DIGEST was recomputed when regex reversal began to remove states in order of
+least in-degree times out-degree: 37 of the 300 small seeds and 272 of the
+3,000 mutations decompile to other text, each with a shorter regex, and the
+corpus, the container seeds and every aggregate row stayed byte-identical.
+No row changed between text and error.
 """
 
 import hashlib
@@ -26,7 +32,7 @@ from sbprof.model import Decision
 
 from oracles import random_op_graph
 
-DIGEST = "f5f8116b0de7d569198bb84a121208df91ba28a0bb889aab5974636f85d11688"
+DIGEST = "91ca718e47fa3b506c99abf81a96e5a4e7fc04d13057e21b95eacd5608d3477a"
 MUTATIONS = 3000
 
 

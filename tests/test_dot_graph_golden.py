@@ -6,6 +6,11 @@ branch of its own and wrote node labels and edges in two loops. It pins
 error's (class, message), for every operation of the golden corpus, small
 generated seeds 0-59 and container seed 0, in that order. The digest does
 not depend on PYTHONHASHSEED (checked with 0 and 123).
+
+DIGEST was recomputed when regex reversal began to remove states in order of
+least in-degree times out-degree: 11 of the 1,713 graphs label a regex node
+with a shorter pattern of the same language, and their node and edge counts
+stayed as they were.
 """
 
 import hashlib
@@ -13,7 +18,7 @@ import hashlib
 from sbprof import codec, decompile, generate, sbpl
 from sbprof.errors import SandboxError
 
-DIGEST = "d54ddf5713142084c5558dd39d7b191da5c6fdeb10384b302daff3e6d7d281ec"
+DIGEST = "986b9cf94f59a4b8746b816a77d28d1210af6e4b54038dc154fd681393b40e2f"
 
 
 def _profiles(small, large):

@@ -13,6 +13,13 @@ index and before `rex.simplify` kept one memo across its passes. It pins the
 printed `nfa_to_regex` of each of those programs, then of nested stars
 `((…(a)*…)*)*` at depths 1-14. It does not depend on PYTHONHASHSEED
 (checked with 0 and 123).
+
+REVERSAL_DIGEST was recomputed when state removal began to take the state of
+least in-degree times out-degree first, not states in index order: 126 of
+the 2,523 printed patterns changed, each to a shorter text of the same
+language (`/etc([0-9]*|[0-9]+)etc` became `/etc[0-9]*etc`), 52,828 characters
+in all became 51,456, and tests/test_reversal_language_golden.py held before
+and after.
 """
 
 import hashlib
@@ -22,7 +29,7 @@ from sbprof import generate, model, nfa, rex, sbpl
 
 DIGEST = "bd6e8c65ba5da7ba0a1569eec37f7eafd3348b27d79bee671346211897d2c0b3"
 
-REVERSAL_DIGEST = "e51f8cf9ba715b9b04550b146aee4fb107aa1da40ea675b9825578472dab6d95"
+REVERSAL_DIGEST = "48af825f0630f0cb81b71a0859697e8b30832777b0fae33fb1517af87865ffc5"
 
 SHAPES = ("^$", "$", "^", "(|a)", "((a)*)*", "[^a-z]+", "(ab|b)*$", "a|^b$",
           "(^a|b$)*", "[^/.]?[a-c]*", "a?b+c*", ".*x(y|)")

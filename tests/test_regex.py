@@ -18,8 +18,11 @@ from oracles import (
     anchored,
     ast_match,
     bounded_language_equal,
+    dense_program,
+    forward_jump_chain,
     forward_jump_nest,
     full_match,
+    jump_back_ladder,
 )
 
 REFERENCE_PATTERNS = (
@@ -360,11 +363,37 @@ def test_lazy_dfa_pins_one_state(monkeypatch):
     assert pinned == [1] * (1 + dfa.flushes)
 
 
-def test_reversal_state_cap():
-    big = nfa.Nfa(5000, tuple((i, Char(97), i + 1) for i in range(4999)),
-                  0, frozenset([4999]))
-    with pytest.raises(TooManyStates):
-        nfa.nfa_to_regex(big)
+def test_jump_back_ladder_reverses_fast():
+    # in index order each removed jump glued every edge into node 0 again:
+    # 1.1 s at 1,000 records and about 147 s at 4,000
+    program = nfa.deserialize_nfa(jump_back_ladder(4000))
+    started = time.perf_counter()
+    text = rex.print_regex(nfa.nfa_to_regex(program))
+    assert time.perf_counter() - started < 0.1
+    assert text == "a+"
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_forward_jump_chain_reverses_fast(n):
+    # in index order this took 5.2 s at 200 pairs and then raised
+    # TooManyStates for about 10^59 leaves
+    program = nfa.deserialize_nfa(forward_jump_chain(n))
+    started = time.perf_counter()
+    text = rex.print_regex(nfa.nfa_to_regex(program))
+    assert time.perf_counter() - started < 0.1
+    back = nfa.deserialize_nfa(nfa.serialize_nfa(nfa.build_nfa(rex.parse_regex(text))))
+    equal, witness = bounded_language_equal(program, back, "ab", 7)
+    assert equal, (text, witness)
+
+
+def test_dense_program_past_the_glue_budget_is_refused():
+    # removing the states of the complete graph on 40 states takes 26,664
+    # glue steps in degree order, past the budget
+    program = nfa.deserialize_nfa(dense_program(40))
+    started = time.perf_counter()
+    with pytest.raises(TooManyStates, match=f"more than {nfa.REVERSAL_GLUE_BUDGET} glue steps"):
+        nfa.nfa_to_regex(program)
+    assert time.perf_counter() - started < 1.0
 
 
 @pytest.mark.parametrize("n", [120, 128])
