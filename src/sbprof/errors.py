@@ -65,7 +65,8 @@ class RegexSyntaxError(SandboxError):
 
 
 class TooManyStates(SandboxError):
-    """Automaton exceeds the 16-bit node index space (or the reversal cap)."""
+    """Automaton exceeds the 16-bit node index space, or its reversal the
+    glue-step budget, the leaf bound or the nesting bound."""
 
 
 class MalformedRegexBlob(SandboxError):

@@ -668,14 +668,13 @@ def nfa_to_regex(nfa: Nfa):
     out-degree, self-loops left out, the lowest index breaking a tie
     (Delgado and Morais, CIAA 2004; Gruber and Holzer, DLT 2008): removing
     it glues that many fragments. A lazy min-heap holds the states; removing
-    one pushes its neighbours again, whose degrees may have changed, and a
-    popped entry whose degree is no longer the state's is skipped. Each glue
-    step is one edge written, and past REVERSAL_GLUE_BUDGET steps
-    TooManyStates is raised before the state that would cross it is
-    removed. The budget admits a literal of 16,378 letters, whose glued
-    tuple grows by a part a step (0.35 s on a 2-vCPU Xeon guest), and it
-    refuses a complete graph of 36 states before the text, exponential in
-    the state count, is built.
+    one pushes again each neighbour whose degree changed, and a popped entry
+    whose degree is no longer the state's is skipped. Each glue step is one
+    edge written, and past REVERSAL_GLUE_BUDGET steps TooManyStates is
+    raised before the state that would cross it is removed. The budget
+    admits a literal of 16,378 letters, whose glued tuple grows by a part a
+    step (0.35 s on a 2-vCPU Xeon guest), and it refuses a complete graph
+    of 36 states before the text, exponential in the state count, is built.
 
     outs[u] maps v, and ins[v] maps u, to the fragment on edge u -> v, so
     removing a state touches only its own edges. Both keep insertion order
@@ -708,10 +707,10 @@ def nfa_to_regex(nfa: Nfa):
         out[v] = ins[v][u] = parts
 
     def degree(q):
-        """(in-degree * out-degree of q, self-loops left out, q): the glue
-        steps that removing q takes, then q itself to break a tie."""
+        """In-degree times out-degree of q, self-loops left out: the glue
+        steps that removing q takes."""
         into, out_of = ins[q], outs[q]
-        return (len(into) - (q in into)) * (len(out_of) - (q in out_of)), q
+        return (len(into) - (q in into)) * (len(out_of) - (q in out_of))
 
     add(src, nfa.start, ())
     for acc in sorted(nfa.accepts):
@@ -719,15 +718,15 @@ def nfa_to_regex(nfa: Nfa):
     for u, label, v in nfa.transitions:
         add(u, v, _parts(label))
 
-    heap = [degree(q) for q in range(n)]
+    queued = [degree(q) for q in range(n)]  # each state's degree, as last pushed
+    heap = [(d, q) for q, d in enumerate(queued)]  # the lowest index breaks a tie
     heapq.heapify(heap)
     steps = 0
     while heap:
-        entry = heapq.heappop(heap)
-        q = entry[1]
-        if ins[q] is None or entry != degree(q):
+        d, q = heapq.heappop(heap)
+        if ins[q] is None or d != queued[q]:
             continue  # removed already, or pushed again since its degree changed
-        steps += entry[0]
+        steps += d
         if steps > REVERSAL_GLUE_BUDGET:
             raise TooManyStates(f"reversal takes more than {REVERSAL_GLUE_BUDGET} glue steps")
         into, out_of = ins[q], outs[q]
@@ -743,9 +742,12 @@ def nfa_to_regex(nfa: Nfa):
             a_in += loop
             for v, a_out in out_of.items():
                 add(u, v, a_in + a_out)
-        for p in {*into, *out_of}:  # each neighbour's degree may have changed
+        for p in {*into, *out_of}:  # only a neighbour's degree may have changed
             if p < n:
-                heapq.heappush(heap, degree(p))
+                now = degree(p)
+                if now != queued[p]:
+                    queued[p] = now
+                    heapq.heappush(heap, (now, p))
     final = outs[src].get(snk)
     if final is None:
         return rex.NEVER_MATCH
