@@ -674,7 +674,7 @@ def nfa_to_regex(nfa: Nfa):
     raised before the state that would cross it is removed. The budget
     admits a literal of 16,378 letters, whose glued tuple grows by a part a
     step (0.35 s on a 2-vCPU Xeon guest), and it refuses a complete graph
-    of 36 states before the text, exponential in the state count, is built.
+    of 34 states before the text, exponential in the state count, is built.
 
     outs[u] maps v, and ins[v] maps u, to the fragment on edge u -> v, so
     removing a state touches only its own edges. Both keep insertion order
