@@ -404,7 +404,7 @@ def _pack_row(key: int, payload, match_ref, unmatch_ref, items: dict) -> int:
 class _NodeStore:
     """Interning store for lowered nodes of validated profiles; identical
     rows share one id and identical pool items one number. A regex's
-    payload is the wire of its nfa.Pattern, which the memo still holds from
+    payload is the wire of its nfa.Pattern, which _lower holds from
     validation."""
 
     def __init__(self, vocab: FilterVocabulary):
@@ -598,12 +598,13 @@ def _lower(profiles, table: OperationTable, vocab: FilterVocabulary):
     store, so identical nodes are shared; return its rows, its pool items
     and each profile's entry refs. The first profile that fails raises:
     InvalidProfile from validation, or what lowering raises. A profile is
-    lowered right after its validation, while the regex memo still holds
-    what it parsed."""
+    lowered right after its validation, holding the Patterns it parsed, so
+    lowering parses none again, however long."""
     store = _NodeStore(vocab)
     op_refs = []
     for profile in profiles:
-        diagnostics = validate_profile(profile, table, vocab)
+        held = []
+        diagnostics = validate_profile(profile, table, vocab, held)
         if diagnostics:
             raise InvalidProfile(diagnostics)
         op_refs.append(_resolve_entries(profile, table, store))

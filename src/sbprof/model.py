@@ -297,7 +297,7 @@ class Diagnostic:
         return f"[{self.code}] {self.where}: {self.message}"
 
 
-def _check_expr(expr, op, vocab, out):
+def _check_expr(expr, op, vocab, out, held):
     if isinstance(expr, Atom):
         try:
             entry = vocab.by_name(expr.key)
@@ -319,7 +319,7 @@ def _check_expr(expr, op, vocab, out):
                                       f"{expr.key}: expected a regex pattern"))
             else:
                 try:
-                    nfa.pattern(expr.value)
+                    held.append(nfa.pattern(expr.value))
                 except RegexSyntaxError as exc:
                     out.append(Diagnostic("BadRegex", op, f"{expr.key}: {exc}"))
         elif kind is ValueKind.NETWORK_ENDPOINT:
@@ -331,13 +331,13 @@ def _check_expr(expr, op, vocab, out):
                 out.append(Diagnostic("BadValue", op,
                                       f"{expr.key}: expected a string, got {expr.value!r}"))
     elif isinstance(expr, RequireNot):
-        _check_expr(expr.child, op, vocab, out)
+        _check_expr(expr.child, op, vocab, out, held)
     else:
         if not expr.children:
             out.append(Diagnostic("EmptyMetafilter", op,
                                   f"{type(expr).__name__} with no children"))
         for c in expr.children:
-            _check_expr(c, op, vocab, out)
+            _check_expr(c, op, vocab, out, held)
 
 
 MISSING_DEFAULT = Diagnostic("MissingDefault", "default",
@@ -345,12 +345,14 @@ MISSING_DEFAULT = Diagnostic("MissingDefault", "default",
 
 
 def validate_profile(profile: Profile, table: OperationTable,
-                     vocab: FilterVocabulary) -> list[Diagnostic]:
+                     vocab: FilterVocabulary, held: list | None = None) -> list[Diagnostic]:
     """Collect every invariant violation. An empty list means compile gets
     past validation; it can still raise TooManyStates (a regex too big for
     16-bit node indexes), CapacityExceeded (a pool string or the whole blob
-    past 16-bit sizes) or SandboxError (a string UTF-8 cannot encode)."""
+    past 16-bit sizes) or SandboxError (a string UTF-8 cannot encode). held,
+    if given, gets the nfa.Pattern of each regex that parses."""
     out: list[Diagnostic] = []
+    held = [] if held is None else held
     if profile.default_decision is None:
         out.append(MISSING_DEFAULT)
     for op, rules in profile.rules.items():
@@ -367,7 +369,7 @@ def validate_profile(profile: Profile, table: OperationTable,
                                       "rule after an unconditional rule"))
                 break
             if rule.filter is not None:
-                _check_expr(rule.filter, op, vocab, out)
+                _check_expr(rule.filter, op, vocab, out, held)
             else:
                 reachable = False
     return out

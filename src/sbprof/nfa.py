@@ -6,47 +6,43 @@ Matching and the evaluator's sample walk both run on LazyDfa, a lazily
 determinized automaton in the manner of RE2 (Thompson, CACM 1968; Cox,
 "Regular Expression Matching Can Be Simple And Fast", 2007). It has one
 semantics, the filter's: a string matches when some substring does, with `^`
-and `$` pinned to the string's ends. Each Nfa is compiled once. As in RE2, a
-DFA state is keyed by the sorted tuple of its NFA states, closed over epsilon
-edges with both anchors shut, so a step costs what the state holds; every
-step re-adds the start state's closure, so a match may begin anywhere. The
-anchors are position predicates: `^` is applied only when the initial state
-is built and `$` only through each state's accepts-at-end bit. Matching
-computes transitions on first use and memoizes them per byte class: classes
-are cut at every Char/CharClass bound, and all code points above 0xFF share
-one class. Each consuming edge carries an int mask of the classes its label
-matches, so a step tests bits instead of labels. The initial state keeps the
-first cache row, also after a flush, so a match starts without hashing a
-key. The walks seldom take a step twice, so they step the same states
-without the cache, and letters whose classes lead to the same set of NFA
-states share one epsilon closure. can_accept_within bounds from below how
-many characters a state needs to reach acceptance, from per-state distances
-that a backward breadth-first walk stopped at the depth asked for fills; the
-evaluator's sample walk drops states that cannot accept within the
-characters it has left. At most DFA_STATE_CAP states are cached per
-automaton; past that the cache is flushed and refilled, so hostile blobs
-keep memory bounded.
+and `$` pinned to the string's ends. Each Nfa is compiled once. The anchors
+are position predicates: `^` is applied only when the initial state is built
+and `$` only through each state's accepts-at-end bit. Matching computes
+transitions on first use and memoizes them per byte class: classes are cut
+at every Char/CharClass bound, and all code points above 0xFF share one
+class. Each consuming edge carries an int mask of the classes its label
+matches, so a step tests bits instead of labels. The walks seldom take a
+step twice, so they step the same states without the cache: one pass over a
+state's consuming edges buckets their destinations by class, and letters
+whose classes lead to the same set of NFA states share one epsilon closure.
+can_accept_within bounds from below how many characters a state needs to
+reach acceptance, from per-state distances that a backward breadth-first
+walk stopped at the depth asked for fills; the evaluator's sample walk drops
+states that cannot accept within the characters it has left. At most
+DFA_STATE_CAP states are cached per automaton; past that the cache is
+flushed and refilled, so hostile blobs keep memory bounded.
 
 The regex memo at the end of the module keeps each pattern text's and each
 wire program's artifacts (AST, wire bytes, NFA, LazyDfa, reversed text) for
 the whole process, at most MEMO_CAPACITY of each, so a regex that many calls
-and profiles share is parsed, decoded, reversed and warmed once. The bound
-holds one container profile's round trip (compile, decompile, recompile and
-a sampled check touch about 180 texts and as many wires, in a cycle that a
-smaller LRU bound would miss on every access). There is one
-automaton per regex: a pattern text holds the Program of its own wire and
-matches through that Program's LazyDfa, so a text, its compiled pool item
-and the evaluators of either share one DFA cache and one list of samples. A
-pattern text or program longer than MEMO_KEY_LIMIT is built on every call and
-lives only as long as its caller holds it.
+and profiles share is parsed, reversed and warmed once; the bound holds the
+about 180 texts and as many wires of one container profile's round trip,
+in a cycle that a smaller LRU bound would miss on every access. As in RE2,
+each regex is compiled once: the writer hands the Program of each wire it
+writes the Nfa its records decode to, so only a wire from outside the
+process is decoded, and validated. There is one automaton per regex: a
+pattern text holds the Program of its own wire and matches through its
+LazyDfa, so a text, its compiled pool item and the evaluators of either
+share one DFA cache and one list of samples. A pattern text or program
+longer than MEMO_KEY_LIMIT is built on every call and lives only as long as
+its caller holds it.
 
-Wire format (documented bit-exactly in docs/format.md): a u16-le node count
-followed by one record per node. Records are 1-byte tag + 2-byte le operand,
-except classes which carry a range-count byte and (lo, hi) byte pairs.
-Jump records fork execution: control continues at the next node and at the
-jump target; backward jumps must target a lower node index, forward jumps a
-higher one. A class with zero ranges never matches and serves as a dead end
-after an unconditional jump.
+Wire format (documented bit-exactly in docs/format.md): a u16-le node count,
+then one record per node, a 1-byte tag and a 2-byte le operand, or for a
+class a range-count byte and (lo, hi) byte pairs. A jump forks: control goes
+on at the next node and at the target, lower for a backward jump and higher
+for a forward one. A class with no ranges is a dead end.
 """
 
 from __future__ import annotations
@@ -54,12 +50,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-import struct
 import sys
 import weakref
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import MalformedRegexBlob, TooManyStates
 from . import rex
@@ -91,6 +86,8 @@ MAX_NODES = 0xFFFF
 REVERSAL_GLUE_BUDGET = 1 << 14  # glue steps one reversal may take
 
 _EPSILON = Empty()
+_CONSUMING = (Char, AnyChar, CharClass)  # the label types that read a char
+_LEAVES = (*_CONSUMING, AnchorStart, AnchorEnd)  # the nodes that are one edge
 
 
 @dataclass(frozen=True)
@@ -109,67 +106,59 @@ class Nfa:
             assert 0 <= src < self.n_states and 0 <= dst < self.n_states
 
 
-def _is_consuming(label) -> bool:
-    return isinstance(label, (Char, AnyChar, CharClass))
-
-
 # ---------------------------------------------------------------------------
 # Thompson-style construction
 
 def build_nfa(ast) -> Nfa:
     transitions = []
-    counter = [0]
-
-    def new():
-        counter[0] += 1
-        return counter[0] - 1
-
-    def edge(src, label, dst):
-        transitions.append((src, label, dst))
+    edge = transitions.append  # of (src, label, dst)
+    counter = itertools.count()  # hands out state numbers
+    new = counter.__next__
 
     def build(a):
-        if isinstance(a, Empty):
-            s = new()
-            return s, s
-        if isinstance(a, (Char, AnyChar, CharClass, AnchorStart, AnchorEnd)):
+        kind = type(a)
+        if kind in _LEAVES:
             s, t = new(), new()
-            edge(s, a, t)
+            edge((s, a, t))
             return s, t
-        if isinstance(a, Concat):
+        if kind is Concat:
             first_in, out = build(a.parts[0])
             for part in a.parts[1:]:
                 nxt_in, nxt_out = build(part)
-                edge(out, _EPSILON, nxt_in)
+                edge((out, _EPSILON, nxt_in))
                 out = nxt_out
             return first_in, out
-        if isinstance(a, Alternate):
+        if kind is Empty:
+            s = new()
+            return s, s
+        if kind is Alternate:
             s, t = new(), new()
             for opt in a.options:
                 i, o = build(opt)
-                edge(s, _EPSILON, i)
-                edge(o, _EPSILON, t)
+                edge((s, _EPSILON, i))
+                edge((o, _EPSILON, t))
             return s, t
-        if isinstance(a, Star):
+        if kind is Star:
             hub = new()
             i, o = build(a.inner)
-            edge(hub, _EPSILON, i)
-            edge(o, _EPSILON, hub)
+            edge((hub, _EPSILON, i))
+            edge((o, _EPSILON, hub))
             return hub, hub
-        if isinstance(a, Plus):
+        if kind is Plus:
             i, o = build(a.inner)
-            edge(o, _EPSILON, i)
+            edge((o, _EPSILON, i))
             return i, o
-        if isinstance(a, Optional):
+        if kind is Optional:
             s = new()
             i, o = build(a.inner)
-            edge(s, _EPSILON, i)
-            edge(s, _EPSILON, o)
+            edge((s, _EPSILON, i))
+            edge((s, _EPSILON, o))
             return s, o
         raise TypeError(f"not a regex node: {a!r}")
 
     start, out = build(ast)
     build = None  # break the closure's own reference cycle: frees it at once
-    return Nfa(counter[0], tuple(transitions), start, frozenset([out]))
+    return Nfa(next(counter), tuple(transitions), start, frozenset([out]))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +175,8 @@ def _close(states, edges, closed=()) -> tuple:
     states along edges[q], the states one non-consuming edge away from q.
     closed must be closed already: its states are not followed."""
     seen = set(closed)
-    stack = []
-    for q in states:
-        if q not in seen:
-            seen.add(q)
-            stack.append(q)
+    stack = [q for q in states if q not in seen]
+    seen.update(stack)
     while stack:
         for dst in edges[stack.pop()]:
             if dst not in seen:
@@ -231,16 +217,17 @@ class LazyDfa:
         cuts = {0, 0x100}
         for edge in nfa.transitions:
             src, label, dst = edge
-            if _is_consuming(label):
+            kind = type(label)
+            if kind in _CONSUMING:
                 edges.append(edge)
-                if isinstance(label, Char):
+                if kind is Char:
                     cuts.update((label.byte, label.byte + 1))
-                elif isinstance(label, CharClass):
+                elif kind is CharClass:
                     for lo, hi in label.ranges:
                         cuts.update((lo, hi + 1))
                 continue
-            at_start = isinstance(label, AnchorStart)
-            at_end = isinstance(label, AnchorEnd)
+            at_start = kind is AnchorStart
+            at_end = kind is AnchorEnd
             both[src].append(dst)
             if not at_end:
                 bol[src].append(dst)
@@ -249,11 +236,10 @@ class LazyDfa:
             if not (at_start or at_end):
                 eps[src].append(dst)
         start = [nfa.start]
-        cuts = sorted(cuts)
-        cmap = bytearray(0x100)
-        for c, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-            cmap[lo:hi] = bytes([c]) * (hi - lo)
-        self._cmap = bytes(cmap)
+        marks = bytearray(0x101)  # 1 at each byte but 0 that starts a class
+        for cut in cuts:
+            marks[cut] = 1
+        self._cmap = bytes(itertools.accumulate(marks[1:0x100], initial=0))
         self._top = len(cuts) - 1     # the class of every code point > 0xFF
         self._width = len(cuts) + 2   # key, accepts at end, one slot a class
         edges.sort(key=operator.itemgetter(0))
@@ -279,17 +265,17 @@ class LazyDfa:
         self._ids = {}
         self._rows = []
         self._pin()
-        self._near = None       # built by can_accept_within
-        self._near_depth = -1
+        self._near, self._near_depth = None, -1  # built by can_accept_within
         self.flushes = 0
         self.samples = None
 
     def _class_mask(self, label) -> int:
         """Bitmask of the byte classes a consuming label matches."""
         every = (2 << self._top) - 1
-        if isinstance(label, Char):
+        kind = type(label)
+        if kind is Char:
             return 1 << self._cmap[label.byte]
-        if isinstance(label, AnyChar):
+        if kind is AnyChar:
             return every
         cmap = self._cmap
         mask = 0
@@ -324,29 +310,31 @@ class LazyDfa:
 
     def successors(self, key: tuple, letters, closures=None) -> list:
         """Keys of the states after reading each of letters in state key.
-        Walks reach most states once, so this bypasses the cache. Letters
-        whose classes lead to the same NFA states share one epsilon
-        closure: closures maps each set of NFA states stepped to, as a
-        frozenset, to its key, and a walk that passes one dict to every call
-        computes each closure once."""
-        out_edges = self._out_edges(key)
-        by_class = {}
-        by_dsts = {} if closures is None else closures
-        out = []
+        Walks reach most states once, so this bypasses the cache. One pass
+        over the state's consuming edges spreads each destination over the
+        letters' classes that its mask holds. Letters whose classes lead to
+        the same NFA states share one epsilon closure: closures maps each
+        set of NFA states stepped to, as a frozenset, to its key, and a walk
+        that passes one dict to every call computes each closure once."""
         cmap, top = self._cmap, self._top
-        for ch in letters:
-            o = ord(ch)
-            c = cmap[o] if o < 0x100 else top
-            nxt = by_class.get(c)
+        bits = [1 << (cmap[o] if o < 0x100 else top) for o in map(ord, letters)]
+        wanted = reduce(operator.or_, bits, 0)
+        stepped = {0: []}  # class bit -> the NFA states it steps to; 0: none
+        for mask, dst in self._out_edges(key):
+            mask &= wanted
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                stepped.setdefault(bit, []).append(dst)
+        by_dsts = {} if closures is None else closures
+        for bit, dsts in stepped.items():
+            dsts = frozenset(dsts)
+            nxt = by_dsts.get(dsts)
             if nxt is None:
-                dsts = frozenset([dst for mask, dst in out_edges
-                                  if mask >> c & 1])
-                nxt = by_dsts.get(dsts)
-                if nxt is None:
-                    nxt = by_dsts[dsts] = self._after(dsts)
-                by_class[c] = nxt
-            out.append(nxt)
-        return out
+                nxt = by_dsts[dsts] = self._after(dsts)
+            stepped[bit] = nxt
+        nowhere = stepped[0]
+        return [stepped.get(bit, nowhere) for bit in bits]
 
     def can_accept_within(self, key: tuple, n: int) -> bool:
         """False only if no string of at most n characters leads from state
@@ -471,92 +459,111 @@ def nfa_match(dfa: LazyDfa, s: str) -> bool:
 # ---------------------------------------------------------------------------
 # Serialization
 
-# the records whose operand is unused, by label type and by tag
-_FIXED_TAGS = {AnyChar: TAG_ANY, AnchorStart: TAG_LINE_START, AnchorEnd: TAG_LINE_END}
-_FIXED_LABELS = {tag: kind() for kind, tag in _FIXED_TAGS.items()}
+# the records whose operand is unused, by label type: (tag, sort key)
+_FIXED_TAGS = {AnyChar: (TAG_ANY, 1), AnchorStart: (TAG_LINE_START, 3),
+               AnchorEnd: (TAG_LINE_END, 4)}
+_FIXED_LABELS = {tag: kind() for kind, (tag, _key) in _FIXED_TAGS.items()}
+_OPERAND_TAGS = {TAG_ACCEPT, TAG_CHAR, TAG_JUMP_FWD, TAG_JUMP_BCK, *_FIXED_LABELS}
 
+_FWD, _BCK = bytes((TAG_JUMP_FWD,)), bytes((TAG_JUMP_BCK,))
 _DEAD = bytes((TAG_CLASS, 0))  # a class with no ranges never matches
+_ACCEPT = ((-1,), bytes((TAG_ACCEPT, 0, 0)), None)  # the item of an accept, sorted first
+_DEAD_ALTS = (((None, _DEAD, None), None),)
 
 
-def _label_sort_key(label):
-    if isinstance(label, Char):
-        return (0, label.byte, 0)
-    if isinstance(label, AnyChar):
-        return (1, 0, 0)
-    if isinstance(label, CharClass):
-        return (2, int(label.negated), label.ranges)
-    if isinstance(label, AnchorStart):
-        return (3, 0, 0)
-    if isinstance(label, AnchorEnd):
-        return (4, 0, 0)
-    return (5, 0, 0)  # epsilon last
+def _label_item(label) -> tuple:
+    """(sort key, record, edge) of a label: the record that reads or asserts
+    it, none for an epsilon, and the label deserialize_nfa reads back from
+    that record, None where it reads no edge."""
+    kind = type(label)
+    if kind is Char:
+        return (0, label.byte, 0), bytes((TAG_CHAR, label.byte, 0)), label
+    if kind is CharClass:
+        record = bytes((TAG_CLASS_NEG if label.negated else TAG_CLASS, len(label.ranges),
+                        *itertools.chain.from_iterable(label.ranges)))
+        return (2, int(label.negated), label.ranges), record, None if record == _DEAD else label
+    tag, key = _FIXED_TAGS.get(kind, (None, 5))  # an epsilon sorts last, with no record
+    return ((key, 0, 0), b"", None) if tag is None else ((key, 0, 0), bytes((tag, 0, 0)), label)
 
 
-def _label_record(label) -> bytes:
-    """The record that reads or asserts label; none for an epsilon."""
-    if isinstance(label, Char):
-        return bytes((TAG_CHAR, label.byte, 0))
-    if isinstance(label, CharClass):
-        return bytes((TAG_CLASS_NEG if label.negated else TAG_CLASS, len(label.ranges),
-                      *itertools.chain.from_iterable(label.ranges)))
-    tag = _FIXED_TAGS.get(type(label))
-    return b"" if tag is None else bytes((tag, 0, 0))
+# the items of every label but a class, each of them kept alive: hash-consing
+# makes each the one node with its fields, so the writer looks them up here
+_ITEMS = {label: _label_item(label) for label in (*rex.CHARS, *_FIXED_LABELS.values(), _EPSILON)}
 
 
-def serialize_nfa(nfa: Nfa) -> bytes:
+def serialize_nfa(nfa: Nfa, decoded: bool = False):
     """Flatten the reachable part of the automaton into the wire format, laid
-    out by the rule docs/format.md gives under "Serialized regex records"."""
-    out_edges = {}
+    out by the rule docs/format.md gives under "Serialized regex records".
+    With decoded, return (wire, Nfa) instead, where the Nfa, made as the
+    records are written, equals deserialize_nfa(wire): the same transitions
+    in the same order, and as labels are hash-consed the same objects."""
+    items = {}  # class -> (sort key, record, edge), made once a class
+    alts = {q: [(_ACCEPT, None)] for q in nfa.accepts}  # state -> [(item, dst), ...]
     for src, label, dst in nfa.transitions:
-        if not (isinstance(label, Empty) and src == dst):  # epsilon self-loop is a no-op
-            out_edges.setdefault(src, []).append(
-                (_label_sort_key(label), dst, _label_record(label)))
+        if src != dst or type(label) is not Empty:  # an epsilon self-loop is a no-op
+            item = (_ITEMS.get(label) or items.get(label)
+                    or items.setdefault(label, _label_item(label)))
+            alts.setdefault(src, []).append((item, dst))
     out = bytearray(2)  # the node count goes in last
     n = 0               # records written
+    trans, accepts = [], []  # what deserialize_nfa reads: the edges, the accept records
     placed = {}         # state -> index of its block's first record
-    pending = {}        # unplaced state -> offsets of the jump operands awaiting it
+    pending = {}        # unplaced state -> (operand offset, trans index) of each jump to it
 
-    def goto(dst):  # a jump, then a dead end so that only the jump goes on
-        if dst in placed:
-            out.extend(struct.pack("<BH", TAG_JUMP_BCK, placed[dst]))
-        else:
-            pending.setdefault(dst, []).append(len(out) + 1)
-            out.extend(bytes((TAG_JUMP_FWD, 0, 0)))
-        out.extend(_DEAD)
+    def put(item, dst):  # the item's record, then a jump to dst if it goes on
+        nonlocal n
+        _key, record, edge = item
+        if edge is not None:
+            trans.append((n, edge, n + 1))
+        elif item is _ACCEPT:
+            accepts.append(n)
+        out.extend(record)
+        n += bool(record)
+        if dst is not None:  # a jump, then a dead end so that only the jump goes on
+            at = placed.get(dst)
+            if at is None:
+                pending.setdefault(dst, []).append((len(out) + 1, len(trans)))
+            out.extend((_FWD if at is None else _BCK) + (at or 0).to_bytes(2, "little") + _DEAD)
+            trans.extend(((n, _EPSILON, at), (n, _EPSILON, n + 1)))
+            n += 2
 
     state = nfa.start
     try:
         while True:  # one block a pass; a chain of blocks falls through
             placed[state] = n
-            for at in pending.pop(state, ()):
-                struct.pack_into("<H", out, at, n)
-            items = sorted(out_edges.get(state, ()))  # (key, dst, record)
-            if state in nfa.accepts:
-                items.insert(0, (None, None, bytes((TAG_ACCEPT, 0, 0))))
-            *forked, (_key, dst, record) = items or [(None, None, _DEAD)]
-            for _key, fork_dst, fork_record in forked:
-                # fork: run this item, and the next one past its records
-                size = 1 + bool(fork_record) + (0 if fork_dst is None else 2)
-                out.extend(struct.pack("<BH", TAG_JUMP_FWD, n + size))
-                out.extend(fork_record)
-                if fork_dst is not None:
-                    goto(fork_dst)
-                n += size
-            out.extend(record)
-            n += bool(record)
-            if dst is not None and dst not in placed:
-                state = dst  # fall through into dst's block
-                continue
-            if dst is not None:
-                goto(dst)
-                n += 2
-            if not pending:
-                break
-            state = min(pending)
-        struct.pack_into("<H", out, 0, n)
-    except struct.error:  # a node index or the node count past 0xFFFF
+            if state in pending:
+                for at, t in pending.pop(state):
+                    out[at:at + 2] = n.to_bytes(2, "little")
+                    trans[t] = (trans[t][0], _EPSILON, n)
+            block = alts.get(state, _DEAD_ALTS)
+            if len(block) > 1:
+                block.sort()
+                for item, dst in block[:-1]:  # fork: run it, and the next item past its records
+                    skip = n + 1 + bool(item[1]) + 2 * (dst is not None)
+                    out += _FWD + skip.to_bytes(2, "little")
+                    trans += ((n, _EPSILON, skip), (n, _EPSILON, n + 1))
+                    n += 1
+                    put(item, dst)
+            item, state = block[-1]
+            if state is None or state in placed:
+                put(item, state)
+                if not pending:
+                    break
+                state = min(pending)
+            else:  # fall through into its block
+                _key, record, edge = item
+                if edge is not None:
+                    trans.append((n, edge, n + 1))
+                out += record
+                n += bool(record)
+        out[:2] = n.to_bytes(2, "little")
+    except OverflowError:  # a node index or the node count past 0xFFFF
         raise TooManyStates(f"more than {MAX_NODES} serialized nodes") from None
-    return bytes(out)
+    if not decoded:
+        return bytes(out)
+    if not accepts:  # no accept reachable from the start
+        raise MalformedRegexBlob(0, "no accepting node")
+    return bytes(out), Nfa(n, tuple(trans), 0, frozenset(accepts))
 
 
 def deserialize_nfa(data: bytes) -> Nfa:
@@ -564,12 +571,10 @@ def deserialize_nfa(data: bytes) -> Nfa:
     bytes beyond the last record are ignored (pool items are packed)."""
     if len(data) < 2:
         raise MalformedRegexBlob(0, "truncated header")
-    (count,) = struct.unpack_from("<H", data, 0)
+    count = data[0] | data[1] << 8
     if count == 0:
         raise MalformedRegexBlob(0, "zero nodes")
-    pos = 2
-    transitions = []
-    accepts = set()
+    pos, transitions, accepts = 2, [], set()
 
     def need(n, what):
         if pos + n > len(data):
@@ -581,57 +586,43 @@ def deserialize_nfa(data: bytes) -> Nfa:
 
     for i in range(count):
         need(1, "record")
-        tag = data[pos]
-        rec_at = pos
+        rec_at, tag = pos, data[pos]
         pos += 1
+        if tag in (TAG_CLASS, TAG_CLASS_NEG):
+            need(1, "class header")
+            end = pos + 1 + 2 * data[pos]
+            pos += 1
+            need(end - pos, "class ranges")
+            ranges = tuple(zip(data[pos:end:2], data[pos + 1:end:2]))
+            pos = end
+            if any(lo > hi for lo, hi in ranges):
+                raise MalformedRegexBlob(rec_at, "inverted class range")
+            if ranges or tag == TAG_CLASS_NEG:  # else a dead node, no outgoing edge
+                flows_next(i, "matchable node")
+                transitions.append((i, CharClass(tag == TAG_CLASS_NEG, ranges), i + 1))
+            continue
+        if tag not in _OPERAND_TAGS:
+            raise MalformedRegexBlob(rec_at, f"unknown tag 0x{tag:02x}")
+        need(2, "record")
+        operand = data[pos] | data[pos + 1] << 8
+        pos += 2
         if tag == TAG_ACCEPT:
-            need(2, "record")
-            pos += 2
             accepts.add(i)
-        elif tag == TAG_CHAR or tag in _FIXED_LABELS:
-            need(2, "record")
-            (operand,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            if tag != TAG_CHAR:
-                label = _FIXED_LABELS[tag]
-            elif operand > 0xFF:
-                raise MalformedRegexBlob(rec_at, "char operand out of range")
-            else:
-                label = rex.CHARS[operand]
-            flows_next(i, "matchable node")
-            transitions.append((i, label, i + 1))
         elif tag in (TAG_JUMP_FWD, TAG_JUMP_BCK):
-            need(2, "record")
-            (target,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            if target >= count:
+            if operand >= count:
                 raise MalformedRegexBlob(rec_at, "jump target out of range")
-            if tag == TAG_JUMP_FWD and target <= i:
+            if tag == TAG_JUMP_FWD and operand <= i:
                 raise MalformedRegexBlob(rec_at, "forward jump going backwards")
-            if tag == TAG_JUMP_BCK and target >= i:
+            if tag == TAG_JUMP_BCK and operand >= i:
                 raise MalformedRegexBlob(rec_at, "backward jump going forwards")
             flows_next(i, "jump")
-            transitions.append((i, _EPSILON, target))
-            transitions.append((i, _EPSILON, i + 1))
-        elif tag in (TAG_CLASS, TAG_CLASS_NEG):
-            need(1, "class header")
-            n_ranges = data[pos]
-            pos += 1
-            need(2 * n_ranges, "class ranges")
-            ranges = []
-            for _ in range(n_ranges):
-                lo, hi = data[pos], data[pos + 1]
-                pos += 2
-                if lo > hi:
-                    raise MalformedRegexBlob(rec_at, "inverted class range")
-                ranges.append((lo, hi))
-            label = CharClass(tag == TAG_CLASS_NEG, tuple(ranges))
-            if not n_ranges and tag == TAG_CLASS:
-                continue  # dead node, no outgoing edge
-            flows_next(i, "matchable node")
-            transitions.append((i, label, i + 1))
+            transitions += ((i, _EPSILON, operand), (i, _EPSILON, i + 1))
         else:
-            raise MalformedRegexBlob(rec_at, f"unknown tag 0x{tag:02x}")
+            if tag == TAG_CHAR and operand > 0xFF:
+                raise MalformedRegexBlob(rec_at, "char operand out of range")
+            flows_next(i, "matchable node")
+            transitions.append((i, rex.CHARS[operand] if tag == TAG_CHAR
+                                else _FIXED_LABELS[tag], i + 1))
     if not accepts:
         raise MalformedRegexBlob(0, "no accepting node")
     return Nfa(count, tuple(transitions), 0, frozenset(accepts))
@@ -803,24 +794,24 @@ MEMO_KEY_LIMIT = 1024  # a longer pattern text or program is never kept
 
 
 class Pattern:
-    """A pattern text, parsed; its wire bytes, built from an Nfa that is
-    then dropped, and the memo's Program of that wire are built on first
-    use. The Pattern holds that Program, so the program memo finds it for
-    as long as the Pattern lives, and matches through its LazyDfa: a text
-    and its compiled form share one automaton and one list of samples.
-    A pattern too large for a program raises TooManyStates from wire, and
-    so from program and dfa."""
+    """A pattern text, parsed; the memo's Program of its wire is built on
+    first use, from the Nfa the writer decodes its records to. The Pattern
+    holds that Program, so the program memo finds it for as long as the
+    Pattern lives, and matches through its LazyDfa: a text and its compiled
+    form share one automaton and one list of samples. A pattern too large
+    for a program raises TooManyStates from program, wire and dfa."""
 
     def __init__(self, text: str):
         self.ast = rex.parse_regex(text)
 
     @cached_property
-    def wire(self) -> bytes:
-        return serialize_nfa(build_nfa(self.ast))
-
-    @cached_property
     def program(self) -> Program:
-        return program(self.wire)  # the module's memo, not this property
+        wire, decoded = serialize_nfa(build_nfa(self.ast), decoded=True)
+        return program(wire, decoded)  # the module's memo, not this property
+
+    @property
+    def wire(self) -> bytes:
+        return self.program.wire
 
     @cached_property
     def dfa(self) -> LazyDfa:
@@ -828,13 +819,14 @@ class Pattern:
 
 
 class Program:
-    """A serialized regex program, decoded; its pattern text, reversed by
-    state removal, and its LazyDfa are built on first use. Its Nfa is
+    """A serialized regex program and its Nfa, decoded from the wire unless
+    the writer that made the wire hands it over; its pattern text, reversed
+    by state removal, and its LazyDfa are built on first use. Its Nfa is
     dropped once the LazyDfa is built; nfa then decodes the wire again.
     Its LazyDfa is also that of every Pattern whose wire this is."""
 
-    def __init__(self, wire: bytes):
-        self._nfa = deserialize_nfa(wire)
+    def __init__(self, wire: bytes, decoded: Nfa | None = None):
+        self._nfa = deserialize_nfa(wire) if decoded is None else decoded
         self.wire = wire
 
     @property
@@ -857,21 +849,25 @@ def _memo(kind):
     kind(key) still alive, so that an entry the cache has dropped is found
     again for as long as an evaluator holds it. A key longer than
     MEMO_KEY_LIMIT is built and indexed but never cached, so one entry's
-    size is bounded by its key's."""
+    size is bounded by its key's. memo(key, *args) makes kind(key, *args)
+    on a miss."""
     alive = {}  # key -> weak reference, removed when its referent dies
 
-    def find(key):
+    def find(key, *args):
         ref = alive.get(key)
         made = ref and ref()
         if made is None:
-            made = kind(key)
+            made = kind(key, *args)
             alive[key] = weakref.ref(made, lambda _ref: alive.pop(key, None))
         return made
 
     cached = lru_cache(maxsize=MEMO_CAPACITY)(find)
 
-    def memo(key):
-        return cached(key) if len(key) <= MEMO_KEY_LIMIT else find(key)
+    def memo(key, *args):
+        if len(key) > MEMO_KEY_LIMIT:
+            return find(key, *args)
+        made = args and find(key, *args)  # held while the cache finds it
+        return cached(key)
     memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
     return memo
 

@@ -358,7 +358,8 @@ def test_cold_check_parses_each_text_once(large, monkeypatch):
 def test_container_round_trip_decodes_each_regex_once(large, monkeypatch):
     # the decompile self-check's loop: the memo holds one container round
     # trip's texts and programs, so the recompile finds each text that came
-    # back unchanged and the check each program that decompile decoded
+    # back unchanged, and decompile and the check find each program that a
+    # compile wrote, which the writer handed its Nfa, so no wire is decoded
     table, vocab = large
     profile = generate.ProfileGenerator(table, vocab, seed=3,
                                         scale="container").generate()
@@ -382,7 +383,8 @@ def test_container_round_trip_decodes_each_regex_once(large, monkeypatch):
     texts = source | _regex_texts(reparsed, table, vocab)
     wires = _regex_wires(blob, vocab) | _regex_wires(recompiled, vocab)
     assert len(texts) > len(source)  # some texts came back changed
-    assert seen == {"build_nfa": len(texts), "deserialize_nfa": len(wires)}
+    assert len(wires) > 0
+    assert seen == {"build_nfa": len(texts), "deserialize_nfa": 0}
 
 
 def test_pattern_too_large_for_a_program_raises_in_a_verdict(small):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import time
@@ -5,7 +6,7 @@ import weakref
 
 import pytest
 
-from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl
+from sbprof import codec, decompile, evaluate, generate, model, nfa, rex, sbpl
 from sbprof.errors import (
     InvalidProfile,
     MalformedRegexBlob,
@@ -663,6 +664,105 @@ def test_memo_keeps_no_key_past_its_limit():
         assert memo.cache_info().currsize == 0
     assert nfa.nfa_match(nfa.pattern(text).dfa, "/" + text)
     assert nfa.pattern.cache_info().currsize == 0
+
+
+def test_compile_parses_a_long_regex_once(large, monkeypatch):
+    # the memo keeps no text past MEMO_KEY_LIMIT, so the compile holds the
+    # Pattern that validation parsed until lowering has read its wire
+    table, vocab = large
+    text = "/" + "ab" * 750
+    assert len(text) == 1501 > nfa.MEMO_KEY_LIMIT
+    profile = sbpl.parse_sbpl(
+        f'(version 1)\n(deny default)\n(allow file-read* (regex #"{text}"))\n')
+    parsed = []
+    parse_regex = rex.parse_regex
+
+    def counted(pattern):
+        parsed.append(pattern)
+        return parse_regex(pattern)
+
+    _clear_memos()
+    monkeypatch.setattr(rex, "parse_regex", counted)
+    blob = codec.compile_profile(profile, table, vocab)
+    assert parsed == [text]
+    assert decompile.decompile(blob, table, vocab) == sbpl.print_sbpl(profile)
+
+
+def _writer_texts(large):
+    """The nfa golden's 2,000 random patterns, then the regexes of the
+    corpus and of container seeds 0-3."""
+    rng = random.Random(1608)
+    texts = [generate.random_regex_pattern(rng) for _ in range(2000)]
+    profiles = [sbpl.parse_sbpl(case.sbpl_text, name=case.name) for case in generate.CORPUS]
+    profiles += [generate.ProfileGenerator(*large, seed=seed, scale="container").generate()
+                 for seed in range(4)]
+    for profile in profiles:
+        texts += [atom.value for rules in profile.rules.values() for rule in rules
+                  if rule.filter is not None for atom in model.expr_atoms(rule.filter)
+                  if atom.form is model.ValueForm.REGEX]
+    return list(dict.fromkeys(texts))
+
+
+def test_writer_hands_over_the_nfa_its_wire_decodes_to(large):
+    # nfa_to_regex's output depends on edge order, so the Nfa the writer
+    # makes as it writes must be deserialize_nfa's, transition order and
+    # label objects included; a warm memo holds Programs it made
+    texts = _writer_texts(large)
+    assert len(texts) > 2000
+    for text in texts:
+        built = nfa.build_nfa(rex.parse_regex(text))
+        wire, decoded = nfa.serialize_nfa(built, decoded=True)
+        assert wire == nfa.serialize_nfa(built), text
+        read = nfa.deserialize_nfa(wire)
+        assert decoded.n_states == read.n_states and decoded.start == read.start
+        assert decoded.transitions == read.transitions, text
+        assert all(a is b for (_s, a, _d), (_s, b, _d) in zip(
+            decoded.transitions, read.transitions))
+        assert decoded.accepts == read.accepts
+        program = nfa.pattern(text).program
+        assert program is nfa.program(wire) and program.wire == wire
+        assert program.nfa == read
+
+
+def test_foreign_wire_is_still_validated(monkeypatch):
+    text = r"^/private/var/(db|tmp)/[^/]+\.plist$"
+    wire = nfa.pattern(text).wire
+    decoded = []
+    deserialize_nfa = nfa.deserialize_nfa
+
+    def counted(data):
+        decoded.append(bytes(data))
+        return deserialize_nfa(data)
+
+    monkeypatch.setattr(nfa, "deserialize_nfa", counted)
+    assert nfa.program_at(wire + b"pad").wire == wire
+    assert decoded == []  # the Pattern holds its Program, made by the writer
+    _clear_memos()
+    gc.collect()
+    assert nfa.program_at(wire + b"pad").nfa == deserialize_nfa(wire)
+    assert decoded == [wire]
+    _clear_memos()
+    gc.collect()
+
+    def mutated(at, value):
+        data = bytearray(wire)
+        data[at] = value
+        return bytes(data)
+
+    # each error and offset as deserialize_nfa raised it before writers
+    # handed over their Nfa
+    for data, message, offset in [
+            (wire[:-4], "truncated record", 107),
+            (mutated(17, 0xEE), "unknown tag 0xee", 17),
+            (mutated(45, 3), "forward jump going backwards", 44),
+            (mutated(66, 0x30), "inverted class range", 64),
+            (mutated(97, nfa.TAG_CHAR), "no accepting node", 0)]:
+        for _ in range(2):
+            with pytest.raises(MalformedRegexBlob) as info:
+                nfa.program_at(data)
+            assert (str(info.value), info.value.offset) == (
+                f"bad regex blob at byte {offset}: {message}", offset)
+    assert nfa.program.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("ast, text", [
