@@ -84,14 +84,16 @@ def _pack_string(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
-def _read_pool_string(raw, off: int) -> str:
+def read_pool_string(raw: bytes, off: int) -> str:
+    """The pool string at byte off of raw: a u16-le byte length, then that
+    many bytes of UTF-8."""
     if off + 2 > len(raw):
         raise MalformedBlob(off, "string header past end")
-    (length,) = struct.unpack_from("<H", raw, off)
-    if off + 2 + length > len(raw):
+    end = off + 2 + (raw[off] | raw[off + 1] << 8)
+    if end > len(raw):
         raise MalformedBlob(off, "string body past end")
     try:
-        return str(raw[off + 2:off + 2 + length], "utf-8")
+        return raw[off + 2:end].decode()
     except UnicodeDecodeError:
         raise MalformedBlob(off, "string is not valid UTF-8") from None
 
@@ -183,10 +185,9 @@ class BinaryProfile:
             return None
         return Decision.ALLOW if self.filter_keys[idx] == TERMINAL_ALLOW else Decision.DENY
 
-    def _pool_offset(self, unit: int) -> int:
-        """Byte offset of the pool item the value of the node at unit
-        indexes; a bad index is reported at the node's value field."""
-        index = self.filter_values[self._index(unit)]
+    def pool_offset(self, index: int, unit: int) -> int:
+        """Byte offset of pool item index, which the value of the node at
+        unit holds; a bad index is reported at the node's value field."""
         if not 0 <= index < self.pool_count:
             raise MalformedBlob(8 * unit + 2, f"pool index {index} out of range")
         return self.pool_pointers[index] * 8
@@ -206,8 +207,8 @@ class BinaryProfile:
                     return name
             raise UnknownFilterValue(entry.name, value)
         if kind is ValueKind.REGEX_INDEX:
-            return memoryview(self.raw)[self._pool_offset(unit):]
-        text = _read_pool_string(self.raw, self._pool_offset(unit))
+            return memoryview(self.raw)[self.pool_offset(value, unit):]
+        text = read_pool_string(self.raw, self.pool_offset(value, unit))
         if kind is ValueKind.NETWORK_ENDPOINT:
             proto, _, addr = text.partition(" ")
             return (proto, addr)
@@ -358,7 +359,7 @@ def _read_layout(blob, start: int, format_id: int) -> list:
             for j, ptr in enumerate(op_pointers):
                 if not base <= ptr < base + len(types):
                     raise MalformedBlob(at + 2 * j, f"operation pointer 0x{ptr:04x} out of range")
-        name = _read_pool_string(data, name_units[i] * 8) if named else ""
+        name = read_pool_string(raw, name_units[i] * 8) if named else ""
         if name in names:
             raise MalformedBlob(tables[i], f"duplicate profile name {name!r}")
         names.add(name)
@@ -475,13 +476,11 @@ def _resolve_entries(profile: Profile, table: OperationTable, store: _NodeStore)
     return entries
 
 
-def preorder(entries, successors, size: int):
+def preorder(entries, successors, size: int) -> array:
     """Node emission order, an array of node ids: preorder from each entry
-    ref over node ids below size, match edge first; and each node's
-    position in it, an array indexed by node id that holds -1 for a node
-    not reached. successors(node) gives the node's (match_ref,
-    unmatch_ref); it is called once per reached node, in order. A ref that
-    is not an int is not visited."""
+    ref over node ids below size, match edge first. successors(node) gives
+    the node's (match_ref, unmatch_ref); it is called once per reached
+    node, in order. A ref that is not an int is not visited."""
     order = array("i")
     seen = bytearray(size)
     for ref in entries:
@@ -500,10 +499,16 @@ def preorder(entries, successors, size: int):
                 stack.append(unmatch_ref)
             if type(match_ref) is int and not seen[match_ref]:
                 stack.append(match_ref)
+    return order
+
+
+def _positions(order, size: int) -> array:
+    """Each node's position in order, an array indexed by node id below
+    size that holds -1 for a node not in order."""
     position = array("i", [-1]) * size
     for i, node in enumerate(order):
         position[node] = i
-    return order, position
+    return position
 
 
 def _write_layout(rows, items, op_refs, names=None) -> bytes:
@@ -541,8 +546,8 @@ def _write_layout(rows, items, op_refs, names=None) -> bytes:
         unmatches.append(unmatch)
         return match - 2 if match > 1 else None, unmatch - 2 if unmatch > 1 else None
 
-    _order, position = preorder([ref for refs in op_refs for ref in refs],
-                                successors, len(rows))
+    position = _positions(preorder([ref for refs in op_refs for ref in refs],
+                                   successors, len(rows)), len(rows))
     count = len(keys)
     named = names is not None
     if named:
@@ -672,13 +677,15 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         elif entry.kind is ValueKind.REGEX_INDEX:
             payload = nfa.program_at(view.value_at(unit, entry)).wire
         else:
-            payload = _pack_string(_read_pool_string(view.raw, view._pool_offset(unit)))
+            payload = _pack_string(read_pool_string(
+                view.raw, view.pool_offset(view.filter_values[idx], unit)))
         refs = ref(view.match_offsets[idx]), ref(view.unmatch_offsets[idx])
         reached.append((entry.code, payload, *refs))
         return refs
 
     entries = [ref(ptr) for ptr in view.op_pointers]
-    _order, position = preorder(entries, lower, base + len(view.node_types))
+    size = base + len(view.node_types)
+    position = _positions(preorder(entries, lower, size), size)
 
     def dense(ref):
         """A ref by unit as one by node id: the node's position in the preorder."""

@@ -28,13 +28,21 @@ import random
 from dataclasses import dataclass, field
 
 from . import nfa as nfa_mod
-from . import rex
-from .codec import BinaryProfile, decode_blob, preorder
+from .codec import (
+    NODE_TERMINAL,
+    TERMINAL_ALLOW,
+    BinaryProfile,
+    decode_blob,
+    preorder,
+    read_pool_string,
+)
 from .errors import (
     CycleDetected,
+    DanglingOffset,
     InvalidProfile,
     MalformedBlob,
     SandboxError,
+    UnknownFilterValue,
 )
 from .model import (
     MISSING_DEFAULT,
@@ -49,6 +57,12 @@ from .model import (
     ValueKind,
     expr_atoms,
 )
+from .rex import Char, CharClass
+
+# the value kinds, bound once: an Enum member read through its class costs
+# a lookup on each access
+_NUMERIC, _ENUM, _REGEX, _ENDPOINT = (ValueKind.NUMERIC, ValueKind.ENUM_NAMED,
+                                      ValueKind.REGEX_INDEX, ValueKind.NETWORK_ENDPOINT)
 
 
 @dataclass(frozen=True)
@@ -84,7 +98,7 @@ def _regex_matches(matcher, bound, rx: _Held | None) -> bool:
 
 def _filter_kind(entry) -> tuple:
     """(context key, is-regex) of one vocabulary entry."""
-    return entry.context_key, entry.kind is ValueKind.REGEX_INDEX
+    return entry.context_key, entry.kind is _REGEX
 
 
 def _filter_kinds(vocab: FilterVocabulary) -> dict:
@@ -163,6 +177,9 @@ class AstEvaluator:
 # ---------------------------------------------------------------------------
 # Graph-walk semantics
 
+_TERMINALS = {allow: (None, False, Decision.ALLOW if allow else Decision.DENY,
+                      None, None, None) for allow in (False, True)}
+
 class BlobEvaluator:
     def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary):
         if isinstance(bp, (bytes, bytearray)):
@@ -173,31 +190,65 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
-        self._programs = {}  # pool index -> Program, held while self lives
+        self._filters = {}   # filter key code -> _filter(code)
+        self._texts = {}     # pool index -> its string
+        self._programs = {}  # pool index -> its Program, held while self lives
         self._prepared = {}
+
+    def _filter(self, code: int) -> tuple:
+        """(vocabulary entry, its context key, its kind, and for an enum a
+        dict from each value to its first name, else None) for a filter
+        key code, looked up once; raises what vocab.by_code raises."""
+        entry = self.vocab.by_code(code)
+        names = None
+        if entry.kind is _ENUM:
+            names = {}
+            for name, value in entry.named_values.items():
+                names.setdefault(value, name)
+        found = self._filters[code] = (entry, entry.context_key, entry.kind, names)
+        return found
 
     def _prepare(self, unit: int):
         """The node at unit as (context key, is-regex, value, match offset,
         unmatch offset, vocabulary entry), prepared once; a terminal is
-        (None, False, decision, None, None, None)."""
+        (None, False, decision, None, None, None). It holds, and raises,
+        what bp.decision_at, vocab.by_code and bp.value_at give, taking each
+        filter code's entry and each pool item once per evaluator, not once
+        per node; a regex's value is its Program's automaton."""
         node = self._prepared.get(unit)
         if node is not None:
             return node
         bp = self.bp
-        decision = bp.decision_at(unit)
-        if decision is not None:
-            node = (None, False, decision, None, None, None)
+        idx = unit - bp.node_base
+        if not 0 <= idx < len(bp.node_types):
+            raise DanglingOffset(unit)
+        code = bp.filter_keys[idx]
+        if bp.node_types[idx] == NODE_TERMINAL:
+            node = _TERMINALS[code == TERMINAL_ALLOW]
         else:
-            idx = unit - bp.node_base
-            entry = self.vocab.by_code(bp.filter_keys[idx])
-            value = bp.value_at(unit, entry)
-            is_regex = entry.kind is ValueKind.REGEX_INDEX
+            entry, key, kind, names = self._filters.get(code) or self._filter(code)
+            value = bp.filter_values[idx]
+            is_regex = kind is _REGEX
             if is_regex:
-                index = bp.filter_values[idx]
-                program = self._programs.get(index) or self._programs.setdefault(
-                    index, nfa_mod.program_at(value))
+                program = self._programs.get(value)
+                if program is None:
+                    program = self._programs[value] = nfa_mod.program_at(
+                        memoryview(bp.raw)[bp.pool_offset(value, unit):])
                 value = program.dfa
-            node = (entry.context_key, is_regex, value, bp.match_offsets[idx],
+            elif names is not None:
+                if value not in names:
+                    raise UnknownFilterValue(entry.name, value)
+                value = names[value]
+            elif kind is not _NUMERIC:
+                text = self._texts.get(value)
+                if text is None:
+                    text = self._texts[value] = read_pool_string(
+                        bp.raw, bp.pool_offset(value, unit))
+                value = text
+                if kind is _ENDPOINT:
+                    proto, _, addr = text.partition(" ")
+                    value = (proto, addr)
+            node = (key, is_regex, value, bp.match_offsets[idx],
                     bp.unmatch_offsets[idx], entry)
         self._prepared[unit] = node
         return node
@@ -247,33 +298,31 @@ SAMPLE_MAX_LEN = 12  # characters in one sample, at most
 def _accepted_samples(matcher, alphabet):
     """The SAMPLE_COUNT shortest strings of at most SAMPLE_MAX_LEN characters
     the automaton accepts; deterministic.
-    Breadth-first over the DFA states, one prefix per state. A
-    stepped state that cannot accept within the characters left is dropped:
-    no state reached from it could either, so the output is the same. Only
-    the first letter of each byte class is stepped, as a later one reaches
-    a state the walk has seen, and the walk keeps one closure cache."""
+    Breadth-first over the DFA states, one prefix per state, and the
+    accepting prefixes of each depth in sorted order. A stepped state that
+    cannot accept within the characters left is dropped: no state reached
+    from it could either, so the output is the same. Only the first letter
+    of each byte class is stepped, as a later one reaches a state the walk
+    has seen, and one stepper steps every state: it computes the letters'
+    class bits and each epsilon closure once for the whole walk."""
     letters = matcher.class_letters(alphabet)
-    closures = {}
-    out = []
+    step = matcher.stepper(letters)
+    accepts, within = matcher.accepts_at_end, matcher.can_accept_within
     s0 = matcher.initial()
+    out = [""] if accepts(s0, True) else []
     frontier = {s0: ""}
     seen = {s0}
-    for depth in range(SAMPLE_MAX_LEN + 1):
-        for key, prefix in sorted(frontier.items(), key=lambda kv: kv[1]):
-            if matcher.accepts_at_end(key, depth == 0):
-                out.append(prefix)
-                if len(out) >= SAMPLE_COUNT:
-                    return out
-        if depth == SAMPLE_MAX_LEN:
-            break
-        left = SAMPLE_MAX_LEN - depth - 1
+    for left in range(SAMPLE_MAX_LEN - 1, -1, -1):  # characters left after a step
         nxt = {}
         for key, prefix in frontier.items():
-            for ch, stepped in zip(letters, matcher.successors(key, letters, closures)):
+            for ch, stepped in zip(letters, step(key)):
                 if stepped not in seen:
                     seen.add(stepped)
-                    if matcher.can_accept_within(stepped, left):
+                    if within(stepped, left):
                         nxt[stepped] = prefix + ch
+        out += sorted(prefix for key, prefix in nxt.items() if accepts(key))
+        if len(out) >= SAMPLE_COUNT:
+            return out[:SAMPLE_COUNT]
         frontier = nxt
         if not frontier:
             break
@@ -281,14 +330,17 @@ def _accepted_samples(matcher, alphabet):
 
 
 def _pattern_alphabet(matcher):
+    """The letters the sample walk tries: "/", ".", each Char's byte, the
+    first up to three bytes of each class range, and "a" for a negated
+    class. Labels are hash-consed, so each distinct one is read once."""
     chars = set("/.")
-    for label in matcher.labels:
-        if isinstance(label, rex.Char):
+    for label in dict.fromkeys(matcher.labels):
+        kind = type(label)
+        if kind is Char:
             chars.add(chr(label.byte))
-        elif isinstance(label, rex.CharClass):
+        elif kind is CharClass:
             for lo, hi in label.ranges:
-                for b in range(lo, min(hi, lo + 2) + 1):
-                    chars.add(chr(b))
+                chars.update(map(chr, range(lo, min(hi, lo + 2) + 1)))
             if label.negated:
                 chars.add("a")
     return chars
@@ -310,12 +362,13 @@ def collect_atoms(source, table, vocab):
                     continue
                 for atom in expr_atoms(rule.filter):
                     entry = vocab.by_name(atom.key)
-                    if entry.kind is ValueKind.REGEX_INDEX:
+                    if entry.kind is _REGEX:
                         src.rx[atom.value]  # held while src lives
                     out.append((entry.context_key, entry.kind, atom.value))
     else:
+        prepared = src._prepared
         for unit in sorted(_reached(src, src.bp.op_pointers)):
-            key, _r, value, _m, _u, entry = src._prepare(unit)
+            key, _r, value, _m, _u, entry = prepared[unit]
             out.append((key, entry.kind, value))
     return out
 
@@ -332,7 +385,7 @@ def build_universe(atom_triples, vocab):
     # compiled program are one automaton
     regexes: dict[str, dict] = {}
     for ctx_key, kind, value in atom_triples:
-        if kind is ValueKind.REGEX_INDEX:
+        if kind is _REGEX:
             automata = regexes.setdefault(ctx_key, {})
             dfa = nfa_mod.pattern(value).dfa if isinstance(value, str) else value
             if dfa not in automata:  # a repeat would add no new sample
@@ -387,22 +440,25 @@ def _pools(universe: dict, cap: int):
 
 def sampled_contexts(universe: dict, seed: int, count: int):
     rng = random.Random(seed)
-    keys = sorted(universe)
+    draw, choice = rng.random, rng.choice
+    pools = [(k, universe[k]) for k in sorted(universe)]
     for _ in range(count):
         bindings = {}
-        for k in keys:
-            if rng.random() < 0.25:
+        for k, pool in pools:
+            if draw() < 0.25:
                 continue
-            bindings[k] = rng.choice(universe[k])
+            bindings[k] = choice(pool)
         yield QueryContext(bindings)
 
 
 def _reached(src: BlobEvaluator, entries) -> list:
     """The units of the filter nodes reachable from the given entry units,
-    in codec's emission preorder; a terminal has no successor units."""
-    order, _position = preorder(entries, lambda unit: src._prepare(unit)[3:5],
-                                src.bp.node_base + len(src.bp.node_types))
-    return [unit for unit in order if src._prepare(unit)[0] is not None]
+    in codec's emission preorder; a terminal has no successor units. Each
+    reached node is prepared on the way."""
+    prepare, prepared = src._prepare, src._prepared
+    order = preorder(entries, lambda unit: (prepared.get(unit) or prepare(unit))[3:5],
+                     src.bp.node_base + len(src.bp.node_types))
+    return [unit for unit in order if prepared[unit][0] is not None]
 
 
 def _op_atoms(src, op: str) -> set:
@@ -416,7 +472,8 @@ def _op_atoms(src, op: str) -> set:
                 for rule in src._rules(op) if rule.filter is not None
                 for atom in expr_atoms(rule.filter)}
     entry = src.bp.op_pointers[src.table.index(op)]
-    return {src._prepare(unit)[:3] for unit in _reached(src, (entry,))}
+    prepared = src._prepared
+    return {prepared[unit][:3] for unit in _reached(src, (entry,))}
 
 
 def _verdict_id(src, op: str):

@@ -52,7 +52,6 @@ import itertools
 import operator
 import sys
 import weakref
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -168,6 +167,7 @@ DFA_STATE_CAP = 512  # cached DFA states per automaton before a flush
 
 _UNKNOWN = -1  # transition not computed yet; a stop is stored as -2 - state
 _FAR = sys.maxsize  # distance of a state that cannot reach acceptance
+_BYTES = tuple(bytes((b,)) for b in range(0x100))  # each one byte long
 
 
 def _close(states, edges, closed=()) -> tuple:
@@ -183,6 +183,17 @@ def _close(states, edges, closed=()) -> tuple:
                 seen.add(dst)
                 stack.append(dst)
     return tuple(sorted(seen))
+
+
+def _with_edges(adjacency, extra) -> list:
+    """adjacency with the (src, label, dst) edges of extra added, sharing
+    every list that extra leaves as it was."""
+    if not extra:
+        return adjacency
+    out = adjacency[:]
+    for src, _label, dst in extra:
+        out[src] = [*out[src], dst]
+    return out
 
 
 class LazyDfa:
@@ -210,58 +221,61 @@ class LazyDfa:
     def __init__(self, nfa: Nfa):
         n = nfa.n_states
         eps = [[] for _ in range(n)]      # closure with both anchors shut
-        bol = [[] for _ in range(n)]      # ... and ^ open, for the initial state
-        both = [[] for _ in range(n)]     # ... and $ open too, for the empty string
         rev_eol = [[] for _ in range(n)]  # reversed epsilon and $ edges
-        edges = []
-        cuts = {0, 0x100}
+        starts, ends, edges = [], [], []  # the ^, the $ and the consuming edges
         for edge in nfa.transitions:
-            src, label, dst = edge
-            kind = type(label)
+            kind = type(edge[1])
             if kind in _CONSUMING:
                 edges.append(edge)
-                if kind is Char:
-                    cuts.update((label.byte, label.byte + 1))
-                elif kind is CharClass:
-                    for lo, hi in label.ranges:
-                        cuts.update((lo, hi + 1))
-                continue
-            at_start = kind is AnchorStart
-            at_end = kind is AnchorEnd
-            both[src].append(dst)
-            if not at_end:
-                bol[src].append(dst)
-            if not at_start:
-                rev_eol[dst].append(src)
-            if not (at_start or at_end):
+            elif kind is AnchorStart:
+                starts.append(edge)
+            elif kind is AnchorEnd:
+                ends.append(edge)
+            else:
+                src, _label, dst = edge
                 eps[src].append(dst)
-        start = [nfa.start]
-        marks = bytearray(0x101)  # 1 at each byte but 0 that starts a class
-        for cut in cuts:
-            marks[cut] = 1
-        self._cmap = bytes(itertools.accumulate(marks[1:0x100], initial=0))
-        self._top = len(cuts) - 1     # the class of every code point > 0xFF
-        self._width = len(cuts) + 2   # key, accepts at end, one slot a class
+                rev_eol[dst].append(src)
+        for src, _label, dst in ends:
+            rev_eol[dst].append(src)
         edges.sort(key=operator.itemgetter(0))
         # state q's consuming edges are _edges[_first[q]:_first[q + 1]], each
         # (mask of the byte classes its label matches, destination): ints
         # only, so the collector stops tracking them, and the labels apart.
-        self.labels = tuple(label for _src, label, _dst in edges)
-        self._edges = tuple((self._class_mask(label), dst)
-                            for _src, label, dst in edges)
+        # Labels are hash-consed, so each distinct one is read once.
+        self.labels = tuple([label for _src, label, _dst in edges])
+        masks = dict.fromkeys(self.labels)
+        chars = [label.byte for label in masks if type(label) is Char]
+        cuts = {0, 0x100, *chars, *[byte + 1 for byte in chars]}
+        for label in masks:
+            if type(label) is CharClass:
+                for lo, hi in label.ranges:
+                    cuts.update((lo, hi + 1))
+        bounds = sorted(cuts)
+        self._cmap = cmap = b"".join([_BYTES[c] * (hi - lo) for c, (lo, hi)
+                                      in enumerate(zip(bounds, bounds[1:]))])
+        self._top = len(cuts) - 1     # the class of every code point > 0xFF
+        self._width = len(cuts) + 2   # key, accepts at end, one slot a class
+        for label in masks:
+            masks[label] = (1 << cmap[label.byte] if type(label) is Char
+                            else self._class_mask(label))
+        self._edges = tuple([(masks[label], dst) for _src, label, dst in edges])
         first = [0] * (n + 1)
         for q, _label, _dst in edges:
             first[q + 1] += 1
         self._first = tuple(itertools.accumulate(first))
         self._eps = tuple(map(tuple, eps))
         self._accepts = nfa.accepts
-        self._end = bytearray(n)  # 1 for each state that accepts at end
+        self._end = end = bytearray(n)  # 1 for each state that accepts at end
         for q in _close(nfa.accepts, rev_eol):
-            self._end[q] = 1
-        self._init = _close(start, bol)
-        self._init_hit = not nfa.accepts.isdisjoint(self._init)
+            end[q] = 1
+        start = [nfa.start]
         self._restart = _close(start, eps)  # what every step re-adds
-        self._empty_ok = not nfa.accepts.isdisjoint(_close(start, both))
+        # the initial state opens ^, and the empty string both anchors
+        bol = _with_edges(eps, starts)
+        self._init = _close(start, bol) if starts else self._restart
+        both = _close(start, _with_edges(bol, ends)) if ends else self._init
+        self._init_hit = not nfa.accepts.isdisjoint(self._init)
+        self._empty_ok = not nfa.accepts.isdisjoint(both)
         self._ids = {}
         self._rows = []
         self._pin()
@@ -301,40 +315,54 @@ class LazyDfa:
         """The first of letters, in sorted order, of each byte class they
         fall in, in sorted order: from any state, a later letter of a class
         steps to the state its first letter steps to."""
-        firsts = {}
+        firsts = {}  # filled in sorted order, so its values stay sorted
         cmap, top = self._cmap, self._top
         for ch in sorted(letters):
             o = ord(ch)
             firsts.setdefault(cmap[o] if o < 0x100 else top, ch)
-        return sorted(firsts.values())
+        return list(firsts.values())
 
-    def successors(self, key: tuple, letters, closures=None) -> list:
-        """Keys of the states after reading each of letters in state key.
-        Walks reach most states once, so this bypasses the cache. One pass
-        over the state's consuming edges spreads each destination over the
-        letters' classes that its mask holds. Letters whose classes lead to
-        the same NFA states share one epsilon closure: closures maps each
-        set of NFA states stepped to, as a frozenset, to its key, and a walk
-        that passes one dict to every call computes each closure once."""
+    def successors(self, key: tuple, letters) -> list:
+        """Keys of the states after reading each of letters in state key."""
+        return self.stepper(letters)(key)
+
+    def stepper(self, letters):
+        """step(key): the keys of the states after reading each of letters
+        in state key, the same as successors(key, letters). Walks reach
+        most states once, so this bypasses the cache. Each letter's class
+        bit is computed once per stepper. One pass over a state's consuming
+        edges spreads each destination over the bits of its mask that the
+        letters' classes hold, and letters whose classes lead to the same
+        set of NFA states share one epsilon closure, which the stepper
+        computes once for all the states it steps."""
         cmap, top = self._cmap, self._top
         bits = [1 << (cmap[o] if o < 0x100 else top) for o in map(ord, letters)]
         wanted = reduce(operator.or_, bits, 0)
-        stepped = {0: []}  # class bit -> the NFA states it steps to; 0: none
-        for mask, dst in self._out_edges(key):
-            mask &= wanted
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                stepped.setdefault(bit, []).append(dst)
-        by_dsts = {} if closures is None else closures
-        for bit, dsts in stepped.items():
-            dsts = frozenset(dsts)
-            nxt = by_dsts.get(dsts)
-            if nxt is None:
-                nxt = by_dsts[dsts] = self._after(dsts)
-            stepped[bit] = nxt
-        nowhere = stepped[0]
-        return [stepped.get(bit, nowhere) for bit in bits]
+        edges, first, eps, restart = self._edges, self._first, self._eps, self._restart
+        closures = {}  # frozenset of the NFA states stepped to -> the key after them
+
+        def step(key):
+            stepped = {}  # class bit -> the NFA states it steps to
+            for q in key:
+                for mask, dst in edges[first[q]:first[q + 1]]:
+                    mask &= wanted
+                    while mask:
+                        bit = mask & -mask
+                        mask ^= bit
+                        if bit in stepped:
+                            stepped[bit].append(dst)
+                        else:
+                            stepped[bit] = [dst]
+            for bit, dsts in stepped.items():
+                dsts = frozenset(dsts)
+                nxt = closures.get(dsts)
+                if nxt is None:
+                    nxt = closures[dsts] = _close(dsts, eps, restart)
+                stepped[bit] = nxt
+            # a letter that steps to no NFA state restarts the match
+            return [stepped.get(bit, restart) for bit in bits]
+
+        return step
 
     def can_accept_within(self, key: tuple, n: int) -> bool:
         """False only if no string of at most n characters leads from state
@@ -354,15 +382,17 @@ class LazyDfa:
         size = len(self._eps)
         rev = [[] for _ in range(size)]      # reversed consuming edges
         rev_eps = [[] for _ in range(size)]  # reversed epsilon edges
-        edges, first = self._edges, self._first
-        for q in range(size):
-            for _mask, dst in edges[first[q]:first[q + 1]]:
-                rev[dst].append(q)
+        first = self._first
+        src = 0  # the state that _edges[i] leaves: _edges is sorted by it
+        for i, (_mask, dst) in enumerate(self._edges):
+            while first[src + 1] <= i:
+                src += 1
+            rev[dst].append(src)
         for q, dsts in enumerate(self._eps):
             for dst in dsts:
                 rev_eps[dst].append(q)
-        near = array("q", [_FAR]) * size
-        layer = [q for q in range(size) if self._end[q]]
+        near = [_FAR] * size
+        layer = [q for q, end in enumerate(self._end) if end]
         for q in layer:
             near[q] = 0
         depth = n
@@ -384,15 +414,6 @@ class LazyDfa:
             layer = found
         self._near = near
         self._near_depth = depth
-
-    def _out_edges(self, key: tuple) -> list:
-        """The consuming edges that leave the states of key."""
-        edges, first = self._edges, self._first
-        return [edge for q in key for edge in edges[first[q]:first[q + 1]]]
-
-    def _after(self, dsts) -> tuple:
-        """The state after a step that reaches the NFA states dsts."""
-        return _close(dsts, self._eps, self._restart)
 
     def match(self, s: str) -> bool:
         """Whether s is accepted; nfa_match describes the semantics."""
@@ -438,8 +459,9 @@ class LazyDfa:
     def _fill(self, st: int, c: int) -> int:
         """Compute and memoize the transition of state st on class c."""
         key = self._rows[st - 2]
-        nxt_key = self._after([dst for mask, dst in self._out_edges(key)
-                               if mask >> c & 1])
+        edges, first, bit = self._edges, self._first, 1 << c
+        nxt_key = _close([dst for q in key for mask, dst in edges[first[q]:first[q + 1]]
+                          if mask & bit], self._eps, self._restart)
         stop = not self._accepts.isdisjoint(nxt_key)
         flushes = self.flushes
         nxt = self._intern(nxt_key)
