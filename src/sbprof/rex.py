@@ -22,6 +22,7 @@ from .errors import RegexSyntaxError
 
 _META = set(".*+?|()[]^$\\")
 MAX_GROUP_NESTING = 128
+SIMPLIFY_BUDGET = 1 << 13  # alternatives that one simplify may scan for a shared end
 _live = {}  # (type, *fields) -> weak reference to the live node with them
 
 
@@ -405,20 +406,41 @@ def _shared(a, b) -> int:
     return k
 
 
-def _factor_once(options):
-    """Factor one shared prefix or suffix out of a pair of alternatives."""
+class _OverBudget(Exception):
+    """A rewrite pass would scan more than SIMPLIFY_BUDGET alternatives."""
+
+
+def _factor_once(options, budget: list):
+    """Factor one shared prefix, or else suffix, out of a pair of
+    alternatives: the first alternative that shares its first or its last
+    item with a later one, and the first such later one. Equal nodes are one
+    object, so the later alternative that next starts, and the one that next
+    ends, with each alternative's own first and last items are found in one
+    backward scan, without comparing every two alternatives. budget[0] is
+    how many alternatives are left to scan; _OverBudget is raised before
+    it would go below zero."""
+    budget[0] -= len(options)
+    if budget[0] < 0:
+        raise _OverBudget
     lists = [_as_list(o) for o in options]
-    for i, a in enumerate(lists):
-        for j in range(i + 1, len(lists)):
-            b = lists[j]
-            k = _shared(a, b)
-            if k:
-                rest = alt([cat(a[k:]), cat(b[k:])])
-                return _replace_pair(options, i, j, cat(a[:k] + [rest]))
-            k = _shared(reversed(a), reversed(b))
-            if k:
-                rest = alt([cat(a[:len(a) - k]), cat(b[:len(b) - k])])
-                return _replace_pair(options, i, j, cat([rest] + a[len(a) - k:]))
+    later = [None] * len(lists)  # the first j > i that shares an end with i
+    heads, tails = {}, {}  # item -> the lowest index seen so far to start, end with it
+    for i in range(len(lists) - 1, -1, -1):
+        first, last = lists[i][0], lists[i][-1]
+        found = [j for j in (heads.get(first), tails.get(last)) if j is not None]
+        later[i] = min(found, default=None)
+        heads[first] = tails[last] = i
+    for i, j in enumerate(later):
+        if j is None:
+            continue
+        a, b = lists[i], lists[j]
+        k = _shared(a, b)
+        if k:
+            rest = alt([cat(a[k:]), cat(b[k:])])
+            return _replace_pair(options, i, j, cat(a[:k] + [rest]))
+        k = _shared(reversed(a), reversed(b))
+        rest = alt([cat(a[:len(a) - k]), cat(b[:len(b) - k])])
+        return _replace_pair(options, i, j, cat([rest] + a[len(a) - k:]))
     return None
 
 
@@ -454,18 +476,19 @@ _QUANTIFIED = {Star: _simp_star, Plus: _simp_plus, Optional: _simp_opt}
 _LEAVES = frozenset((Empty, Char, AnyChar, CharClass, AnchorStart, AnchorEnd))
 
 
-def _simp(ast, memo):
+def _simp(ast, memo, budget):
     """One rewrite pass over a node that is not a leaf. memo maps each node
     rewritten so far to its result: reversal builds a DAG whose subtrees are
     shared, so each is rewritten once. A node that no rewrite changed is
     rebuilt from the same fields, which interning returns as the node
-    itself, so a later pass finds it in memo at once."""
+    itself, so a later pass finds it in memo at once. budget is
+    _factor_once's."""
     out = memo.get(ast)
     if out is not None:
         return out
     kind = type(ast)
     if kind is Concat:
-        parts = [p if type(p) in _LEAVES else _simp(p, memo) for p in ast.parts]
+        parts = [p if type(p) in _LEAVES else _simp(p, memo, budget) for p in ast.parts]
         if Star in map(type, parts):
             parts = _simplify_cat(parts)
         out = cat(parts)
@@ -474,7 +497,7 @@ def _simp(ast, memo):
         has_empty = False
         for o in ast.options:
             if type(o) not in _LEAVES:
-                o = _simp(o, memo)
+                o = _simp(o, memo, budget)
             if type(o) is Empty:
                 has_empty = True
             elif type(o) is Alternate:
@@ -484,9 +507,10 @@ def _simp(ast, memo):
         # x | x+ -> x+ ; x | x* -> x* ; x? | x -> x?
         quantified = {o.inner for o in options if type(o) in _QUANTIFIED}
         options = [o for o in options if o not in quantified]
-        factored = _factor_once(options) if len(options) > 1 else None
+        factored = _factor_once(options, budget) if len(options) > 1 else None
         if factored is not None:
-            options = [o if type(o) in _LEAVES else _simp(o, memo) for o in factored]
+            options = [o if type(o) in _LEAVES else _simp(o, memo, budget)
+                       for o in factored]
         if not options:
             out = Empty()
         elif len(options) == 1:
@@ -497,7 +521,8 @@ def _simp(ast, memo):
             out = _simp_opt(out)
     else:
         inner = ast.inner
-        out = _QUANTIFIED[kind](inner if type(inner) in _LEAVES else _simp(inner, memo))
+        out = _QUANTIFIED[kind](inner if type(inner) in _LEAVES
+                                else _simp(inner, memo, budget))
     memo[ast] = out
     return out
 
@@ -508,17 +533,19 @@ def simplify(ast: RegexAst) -> RegexAst:
     after the first rewrites only what the one before it changed and the
     pass that confirms the fixed point returns its very input. Every pass
     matches the same strings, so when a pass would recurse too deep (about
-    100 nested groups), the last finished pass is returned as it stands.
-    Where that cut falls depends on how deep the caller's stack already
-    is."""
+    100 nested groups), or would take the passes past SIMPLIFY_BUDGET
+    alternatives scanned for a shared end, the last finished pass is
+    returned as it stands. Where the recursion cut falls depends on how
+    deep the caller's stack already is."""
     memo = {}
+    budget = [SIMPLIFY_BUDGET]
     cur = ast
     try:
         for _ in range(30):
-            nxt = cur if type(cur) in _LEAVES else _simp(cur, memo)
+            nxt = cur if type(cur) in _LEAVES else _simp(cur, memo, budget)
             if nxt is cur:
                 return cur
             cur = nxt
-    except RecursionError:
+    except (RecursionError, _OverBudget):
         pass
     return cur

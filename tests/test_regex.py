@@ -397,6 +397,32 @@ def test_dense_program_past_the_glue_budget_is_refused():
     assert time.perf_counter() - started < 1.0
 
 
+def test_dense_program_within_the_glue_budget_is_refused_fast():
+    # the glue budget admits the complete graph on 32 states; its letters
+    # repeat modulo 256, so many of its alternatives share an end, and
+    # simplify compared every pair of them for 1.2 s before the leaf bound
+    # refused the result
+    program = nfa.deserialize_nfa(dense_program(32))
+    started = time.perf_counter()
+    with pytest.raises(TooManyStates, match="leaves, more than"):
+        nfa.nfa_to_regex(program)
+    assert time.perf_counter() - started < 0.3
+
+
+def test_simplify_past_its_budget_returns_the_last_finished_pass(monkeypatch):
+    ast = rex.parse_regex("abc|abd|abe|xbe")
+    assert rex.print_regex(rex.simplify(ast)) == "ab(c|d|e)|xbe"
+    # the first pass scans four alternatives, then two; the second pass
+    # would scan three more
+    monkeypatch.setattr(rex, "SIMPLIFY_BUDGET", 6)
+    cut = rex.simplify(ast)
+    assert rex.print_regex(cut) == "ab(c|d)|abe|xbe"
+    equal, witness = bounded_language_equal(nfa.build_nfa(ast), nfa.build_nfa(cut), "abcdex", 4)
+    assert equal, witness
+    monkeypatch.setattr(rex, "SIMPLIFY_BUDGET", 5)
+    assert rex.simplify(ast) is ast
+
+
 @pytest.mark.parametrize("n", [120, 128])
 def test_forward_jump_nest_reverses_to_text_that_reparses(n):
     text = rex.print_regex(nfa.nfa_to_regex(nfa.deserialize_nfa(forward_jump_nest(n))))
