@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import struct
+from collections import Counter
 
 import pytest
 
@@ -10,6 +11,7 @@ from sbprof.errors import (
     CycleDetected,
     InvalidProfile,
     MalformedBlob,
+    SandboxError,
     TooManyStates,
     UnknownFilterKey,
     UnknownOperation,
@@ -28,6 +30,9 @@ from sbprof.model import (
 )
 
 from oracles import ast_match, enumerated_equivalence, exhaustive_contexts, expr_matches
+from test_decode_golden import MUTATIONS as DECODE_MUTATIONS
+from test_decode_golden import _bases as _decode_bases
+from test_decode_golden import _mutate
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -751,3 +756,125 @@ def test_accepted_samples_against_brute_force():
         assert got[:1] == accepted[:1], (pat, got, accepted[:3])
         assert [s for s in accepted if s in got] == [s for s in got if len(s) <= 5], pat
         assert all(ast_match(ast, s, full=False) for s in got), pat
+
+
+def _accessor_node(bp, unit, vocab):
+    """The node at unit as BlobEvaluator prepares it, built from the codec's
+    accessors and the vocabulary alone."""
+    decision = bp.decision_at(unit)
+    if decision is not None:
+        return (None, False, decision, None, None, None)
+    idx = unit - bp.node_base
+    entry = vocab.by_code(bp.filter_keys[idx])
+    value = bp.value_at(unit, entry)
+    is_regex = entry.kind is ValueKind.REGEX_INDEX
+    if is_regex:
+        value = nfa.program_at(value).dfa
+    return (entry.context_key, is_regex, value, bp.match_offsets[idx],
+            bp.unmatch_offsets[idx], entry)
+
+
+def _accessor_atoms(bp, vocab):
+    """collect_atoms of a blob, its nodes built by _accessor_node in the
+    order the evaluator's walk reaches them."""
+    nodes = {}
+
+    def successors(unit):
+        nodes[unit] = _accessor_node(bp, unit, vocab)
+        return nodes[unit][3:5]
+
+    codec.preorder(bp.op_pointers, successors, bp.node_base + len(bp.node_types))
+    return [(key, entry.kind, value) for key, _r, value, _m, _u, entry
+            in (nodes[unit] for unit in sorted(nodes)) if key is not None]
+
+
+def _accessor_verdict(bp, table, vocab, op, ctx):
+    """A blob verdict walked on _accessor_node."""
+    idx = table.index(op)
+    unit = bp.op_pointers[idx]
+    for _ in range(len(bp.node_types) + 1):
+        key, is_regex, value, match, unmatch, _entry = _accessor_node(bp, unit, vocab)
+        if key is None:
+            return value
+        bound = ctx.bindings.get(key)
+        if is_regex:
+            matched = isinstance(bound, str) and nfa.nfa_match(value, bound)
+        else:
+            matched = bound == value
+        unit = match if matched else unmatch
+    raise CycleDetected(idx, unit)
+
+
+def _tried(call):
+    """call()'s result, or the class and message of the SandboxError it raised."""
+    try:
+        return "ok", call()
+    except SandboxError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_prepared_nodes_match_the_codec_accessors(small, large):
+    tables = {"small": small, "large": large}
+    cases = [(sbpl.parse_sbpl(c.sbpl_text), tables[c.vocab]) for c in generate.CORPUS]
+    cases += [(generate.ProfileGenerator(*small, seed=seed).generate(), small)
+              for seed in range(50)]
+    cases += [(generate.ProfileGenerator(*large, seed=seed, scale="container").generate(),
+               large) for seed in range(2)]
+    views = [(codec.decode_blob(codec.compile_profile(p, *tv)), tv) for p, tv in cases]
+    members = []
+    for seed in range(8):
+        p = generate.ProfileGenerator(*small, seed=seed).generate()
+        members.append(Profile(f"p{seed}", p.default_decision, p.rules))
+    _offset, bundle = codec.unpack_bundle(codec.pack_bundle(members, *small))
+    views.append((bundle[1][1], small))
+    for bp, (table, voc) in views:
+        ev = evaluate.BlobEvaluator(bp, table, voc)
+        atoms = evaluate.collect_atoms(ev, table, voc)
+        assert atoms == _accessor_atoms(bp, voc)
+        for unit, node in ev._prepared.items():
+            assert node == _accessor_node(bp, unit, voc), unit
+        # a cold verdict prepares only the nodes on its path
+        universe = evaluate.build_universe(atoms, voc)
+        ops = [op for op in table.entries if op != "default"]
+        for i, ctx in enumerate(evaluate.sampled_contexts(universe, 5, 5)):
+            op = ops[i * 7 % len(ops)]
+            cold, trace = evaluate.BlobEvaluator(bp, table, voc), []
+            assert cold.verdict(op, ctx, trace) is _accessor_verdict(bp, table, voc, op, ctx)
+            assert set(cold._prepared) == {unit for unit, _name, _matched in trace}
+
+
+def test_prepared_nodes_raise_what_the_codec_accessors_raise(small, large):
+    # the decode golden's mutations, in its order; each one that decodes is
+    # read through collect_atoms and cold verdicts and through the accessors
+    rng = random.Random(1904)
+    bases = []
+    for blob in _decode_bases(small, large):
+        bundled = blob[:2] == b"\x00\x80"
+        bp = codec.unpack_bundle(blob, scan=False)[1][0][1] if bundled else codec.decode_blob(blob)
+        table, voc = small if bundled or len(bp.op_pointers) == len(small[0]) else large
+        universe = evaluate.build_universe(evaluate.collect_atoms(bp, table, voc), voc)
+        contexts = [Q({}), *evaluate.sampled_contexts(universe, 0, 2)]
+        bases.append((blob, 8 * bp.node_base, len(bp.records), bundled, table, voc, contexts))
+    outcomes = Counter()
+    for i in range(DECODE_MUTATIONS):
+        blob, first, count, bundled, table, voc, contexts = bases[i % len(bases)]
+        data = _mutate(rng, blob, first, count)
+        bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))  # the golden's prefix
+        decoded = _tried(lambda: codec.unpack_bundle(data, scan=False)[1][0][1] if bundled
+                         else codec.decode_blob(data))
+        if decoded[0] != "ok" or decoded[1].op_count != len(table):
+            continue
+        bp = decoded[1]
+        got = _tried(lambda: evaluate.collect_atoms(evaluate.BlobEvaluator(bp, table, voc),
+                                                    table, voc))
+        assert got == _tried(lambda: _accessor_atoms(bp, voc)), i
+        outcomes[got[0]] += 1
+        ops = list(table.entries)
+        for j, ctx in enumerate(contexts):
+            op = ops[(i + 31 * j) % len(ops)]
+            got = _tried(lambda: evaluate.BlobEvaluator(bp, table, voc).verdict(op, ctx))
+            assert got == _tried(lambda: _accessor_verdict(bp, table, voc, op, ctx)), (i, op)
+            outcomes[got[0]] += 1
+    assert outcomes["ok"] > 1000, outcomes
+    assert {"MalformedBlob", "MalformedRegexBlob", "UnknownFilterKey",
+            "UnknownFilterValue"} <= set(outcomes), outcomes

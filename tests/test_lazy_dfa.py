@@ -5,15 +5,16 @@ every stepped state stays in the frontier. `_ReferenceStep` steps a state
 one letter at a time straight off the Nfa's labels, as the engine did before
 byte-class masks. The pruned walk and the masked steps must give the same
 output on generated and random patterns, built and read back from the wire
-format; `can_accept_within` must equal a brute-force search. The steps and
-the distances are also checked on each automaton anchored at both ends,
-whose states are those a full-match walk would step.
+format; the walk also on the regex texts of container seeds 0-1 and of
+their decompiled text. `can_accept_within` must equal a brute-force search.
+The steps and the distances are also checked on each automaton anchored at
+both ends, whose states are those a full-match walk would step.
 """
 
 import random
 import time
 
-from sbprof import codec, evaluate, generate, nfa, rex, sbpl, vocab
+from sbprof import codec, decompile, evaluate, generate, nfa, rex, sbpl, vocab
 from sbprof.model import Decision
 from sbprof.rex import AnyChar, Char, CharClass, Empty
 
@@ -129,15 +130,41 @@ class _ReferenceStep:
         return tuple(sorted(out))
 
 
+def _container_round_trip_patterns():
+    """The regex texts of container seeds 0-1 and of their decompiled text."""
+    table, voc = vocab.load_builtin("large")
+    out = {}
+    for seed in range(2):
+        profile = generate.ProfileGenerator(table, voc, seed=seed, scale="container").generate()
+        back = sbpl.parse_sbpl(decompile.decompile(codec.compile_profile(profile, table, voc),
+                                                   table, voc))
+        for source in (profile, back):
+            for _key, kind, value in evaluate.collect_atoms(source, table, voc):
+                if kind.name == "REGEX_INDEX":
+                    out[value] = None
+    return list(out)
+
+
 def test_pruned_walk_equals_reference_walk():
     patterns = _patterns(2000)
     assert len(patterns) >= 2000
-    for pattern in patterns:
+    round_trip = _container_round_trip_patterns()
+    assert len(set(round_trip) - set(patterns)) > 50  # decompiled texts are new
+    for pattern in dict.fromkeys(patterns + round_trip):
         for automaton in _automata(pattern):
             dfa = nfa.LazyDfa(automaton)
             alphabet = evaluate._pattern_alphabet(dfa)
             assert evaluate._accepted_samples(dfa, alphabet) == \
                 _reference_samples(dfa, alphabet), pattern
+    for pattern in round_trip:
+        # the memo's automaton, whose distances and samples an earlier walk
+        # in this process may have left on it
+        dfa = nfa.pattern(pattern).dfa
+        alphabet = evaluate._pattern_alphabet(dfa)
+        assert evaluate._accepted_samples(dfa, alphabet) == \
+            _reference_samples(dfa, alphabet), pattern
+        if dfa.samples is not None:
+            assert list(dfa.samples) == evaluate._accepted_samples(dfa, alphabet), pattern
 
 
 def test_class_mask_steps_equal_label_steps():
