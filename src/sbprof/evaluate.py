@@ -180,6 +180,7 @@ class AstEvaluator:
 _TERMINALS = {allow: (None, False, Decision.ALLOW if allow else Decision.DENY,
                       None, None, None) for allow in (False, True)}
 
+
 class BlobEvaluator:
     def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary):
         if isinstance(bp, (bytes, bytearray)):
@@ -236,9 +237,10 @@ class BlobEvaluator:
                         memoryview(bp.raw)[bp.pool_offset(value, unit):])
                 value = program.dfa
             elif names is not None:
-                if value not in names:
+                name = names.get(value)
+                if name is None:
                     raise UnknownFilterValue(entry.name, value)
-                value = names[value]
+                value = name
             elif kind is not _NUMERIC:
                 text = self._texts.get(value)
                 if text is None:
@@ -352,7 +354,9 @@ def collect_atoms(source, table, vocab):
     entries reach, in unit order (a bundle view's own nodes, not the whole
     shared record block). A regex value is its pattern text on a profile
     and its automaton on a blob; either way the evaluator holds its memo
-    entry, so build_universe and later verdicts find that entry."""
+    entry, so build_universe and later verdicts find that entry. A blob's
+    nodes are prepared once each, in the walk that reaches them, so later
+    verdicts read them as they are."""
     out = []
     src = as_source(source, table, vocab)
     if isinstance(src, AstEvaluator):

@@ -13,9 +13,11 @@ transitions on first use and memoizes them per byte class: classes are cut
 at every Char/CharClass bound, and all code points above 0xFF share one
 class. Each consuming edge carries an int mask of the classes its label
 matches, so a step tests bits instead of labels. The walks seldom take a
-step twice, so they step the same states without the cache: one pass over a
-state's consuming edges buckets their destinations by class, and letters
-whose classes lead to the same set of NFA states share one epsilon closure.
+step twice, so they step states without the cache, through one stepper per
+walk (LazyDfa.stepper, which successors shares): it computes the letters'
+class bits once, buckets the destinations of a state's consuming edges by
+class in one pass, and computes the epsilon closure of each distinct set of
+NFA states stepped to once for the whole walk.
 can_accept_within bounds from below how many characters a state needs to
 reach acceptance, from per-state distances that a backward breadth-first
 walk stopped at the depth asked for fills; the evaluator's sample walk drops
@@ -251,13 +253,12 @@ class LazyDfa:
                 for lo, hi in label.ranges:
                     cuts.update((lo, hi + 1))
         bounds = sorted(cuts)
-        self._cmap = cmap = b"".join([_BYTES[c] * (hi - lo) for c, (lo, hi)
-                                      in enumerate(zip(bounds, bounds[1:]))])
+        self._cmap = b"".join([_BYTES[c] * (hi - lo) for c, (lo, hi)
+                               in enumerate(zip(bounds, bounds[1:]))])
         self._top = len(cuts) - 1     # the class of every code point > 0xFF
         self._width = len(cuts) + 2   # key, accepts at end, one slot a class
         for label in masks:
-            masks[label] = (1 << cmap[label.byte] if type(label) is Char
-                            else self._class_mask(label))
+            masks[label] = self._class_mask(label)
         self._edges = tuple([(masks[label], dst) for _src, label, dst in edges])
         first = [0] * (n + 1)
         for q, _label, _dst in edges:

@@ -10,7 +10,8 @@ inside a group atom, may not exceed the same limit, and the first quantifier
 past it raises RegexSyntaxError at its offset. So the recursive-descent
 parser, and the printer and automaton builder that recurse on its output,
 stay clear of Python's recursion limit; the simplifier, whose rewrites
-recurse further, stops at its last finished pass when it would not. Nodes
+recurse further, stops at its last finished pass when it would not, and
+also past SIMPLIFY_BUDGET alternatives scanned for a shared end. Nodes
 are hash-consed, so equal nodes are one object and compare by identity.
 """
 
