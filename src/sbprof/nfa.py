@@ -461,8 +461,9 @@ class LazyDfa:
         """Compute and memoize the transition of state st on class c."""
         key = self._rows[st - 2]
         edges, first, bit = self._edges, self._first, 1 << c
-        nxt_key = _close([dst for q in key for mask, dst in edges[first[q]:first[q + 1]]
-                          if mask & bit], self._eps, self._restart)
+        dsts = [dst for q in key for mask, dst in edges[first[q]:first[q + 1]] if mask & bit]
+        # most misses step to no NFA state, which restarts the match
+        nxt_key = _close(dsts, self._eps, self._restart) if dsts else self._restart
         stop = not self._accepts.isdisjoint(nxt_key)
         flushes = self.flushes
         nxt = self._intern(nxt_key)
