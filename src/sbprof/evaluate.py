@@ -192,7 +192,6 @@ class BlobEvaluator:
         self.table = table
         self.vocab = vocab
         self._filters = {}   # filter key code -> _filter(code)
-        self._texts = {}     # pool index -> its string
         self._programs = {}  # pool index -> its Program, held while self lives
         self._prepared = {}
 
@@ -213,9 +212,10 @@ class BlobEvaluator:
         """The node at unit as (context key, is-regex, value, match offset,
         unmatch offset, vocabulary entry), prepared once; a terminal is
         (None, False, decision, None, None, None). It holds, and raises,
-        what bp.decision_at, vocab.by_code and bp.value_at give, taking each
-        filter code's entry and each pool item once per evaluator, not once
-        per node; a regex's value is its Program's automaton."""
+        what bp.decision_at, vocab.by_code and bp.value_at give, reading the
+        record columns directly and taking each filter code's entry once
+        per evaluator, not once per node. A regex's value is its Program's
+        automaton, and the evaluator holds each pool item's Program."""
         node = self._prepared.get(unit)
         if node is not None:
             return node
@@ -242,13 +242,9 @@ class BlobEvaluator:
                     raise UnknownFilterValue(entry.name, value)
                 value = name
             elif kind is not _NUMERIC:
-                text = self._texts.get(value)
-                if text is None:
-                    text = self._texts[value] = read_pool_string(
-                        bp.raw, bp.pool_offset(value, unit))
-                value = text
+                value = read_pool_string(bp.raw, bp.pool_offset(value, unit))
                 if kind is _ENDPOINT:
-                    proto, _, addr = text.partition(" ")
+                    proto, _, addr = value.partition(" ")
                     value = (proto, addr)
             node = (key, is_regex, value, bp.match_offsets[idx],
                     bp.unmatch_offsets[idx], entry)
