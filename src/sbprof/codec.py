@@ -67,6 +67,10 @@ TERMINAL_DENY = 0x00
 TERMINAL_ALLOW = 0x01
 
 _RECORD = struct.Struct("<BBHHH")
+# the value kinds value_at reads, bound once: an Enum member read through its
+# class costs a lookup on each access
+_NUMERIC, _ENUM, _REGEX, _ENDPOINT = (ValueKind.NUMERIC, ValueKind.ENUM_NAMED,
+                                      ValueKind.REGEX_INDEX, ValueKind.NETWORK_ENDPOINT)
 
 
 def _align8(n: int) -> int:
@@ -199,17 +203,17 @@ class BinaryProfile:
         own header says where it ends)."""
         value = self.filter_values[self._index(unit)]
         kind = entry.kind
-        if kind is ValueKind.NUMERIC:
+        if kind is _NUMERIC:
             return value
-        if kind is ValueKind.ENUM_NAMED:
-            for name, code in entry.named_values.items():
-                if code == value:
-                    return name
-            raise UnknownFilterValue(entry.name, value)
-        if kind is ValueKind.REGEX_INDEX:
+        if kind is _ENUM:
+            name = entry.value_names.get(value)
+            if name is None:
+                raise UnknownFilterValue(entry.name, value)
+            return name
+        if kind is _REGEX:
             return memoryview(self.raw)[self.pool_offset(value, unit):]
         text = read_pool_string(self.raw, self.pool_offset(value, unit))
-        if kind is ValueKind.NETWORK_ENDPOINT:
+        if kind is _ENDPOINT:
             proto, _, addr = text.partition(" ")
             return (proto, addr)
         return text

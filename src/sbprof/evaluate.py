@@ -28,21 +28,12 @@ import random
 from dataclasses import dataclass, field
 
 from . import nfa as nfa_mod
-from .codec import (
-    NODE_TERMINAL,
-    TERMINAL_ALLOW,
-    BinaryProfile,
-    decode_blob,
-    preorder,
-    read_pool_string,
-)
+from .codec import BinaryProfile, decode_blob, preorder
 from .errors import (
     CycleDetected,
-    DanglingOffset,
     InvalidProfile,
     MalformedBlob,
     SandboxError,
-    UnknownFilterValue,
 )
 from .model import (
     MISSING_DEFAULT,
@@ -59,10 +50,9 @@ from .model import (
 )
 from .rex import Char, CharClass
 
-# the value kinds, bound once: an Enum member read through its class costs
-# a lookup on each access
-_NUMERIC, _ENUM, _REGEX, _ENDPOINT = (ValueKind.NUMERIC, ValueKind.ENUM_NAMED,
-                                      ValueKind.REGEX_INDEX, ValueKind.NETWORK_ENDPOINT)
+# bound once: an Enum member read through its class costs a lookup on each
+# access
+_REGEX = ValueKind.REGEX_INDEX
 
 
 @dataclass(frozen=True)
@@ -177,10 +167,6 @@ class AstEvaluator:
 # ---------------------------------------------------------------------------
 # Graph-walk semantics
 
-_TERMINALS = {allow: (None, False, Decision.ALLOW if allow else Decision.DENY,
-                      None, None, None) for allow in (False, True)}
-
-
 class BlobEvaluator:
     def __init__(self, bp, table: OperationTable, vocab: FilterVocabulary):
         if isinstance(bp, (bytes, bytearray)):
@@ -191,62 +177,40 @@ class BlobEvaluator:
         self.bp = bp
         self.table = table
         self.vocab = vocab
-        self._filters = {}   # filter key code -> _filter(code)
+        self._entries = {}   # filter key code -> its vocabulary entry
         self._programs = {}  # pool index -> its Program, held while self lives
         self._prepared = {}
-
-    def _filter(self, code: int) -> tuple:
-        """(vocabulary entry, its context key, its kind, and for an enum a
-        dict from each value to its first name, else None) for a filter
-        key code, looked up once; raises what vocab.by_code raises."""
-        entry = self.vocab.by_code(code)
-        names = None
-        if entry.kind is _ENUM:
-            names = {}
-            for name, value in entry.named_values.items():
-                names.setdefault(value, name)
-        found = self._filters[code] = (entry, entry.context_key, entry.kind, names)
-        return found
 
     def _prepare(self, unit: int):
         """The node at unit as (context key, is-regex, value, match offset,
         unmatch offset, vocabulary entry), prepared once; a terminal is
-        (None, False, decision, None, None, None). It holds, and raises,
-        what bp.decision_at, vocab.by_code and bp.value_at give, reading the
-        record columns directly and taking each filter code's entry once
-        per evaluator, not once per node. A regex's value is its Program's
-        automaton, and the evaluator holds each pool item's Program."""
+        (None, False, decision, None, None, None). The decision and value
+        are bp.decision_at's and bp.value_at's, and each filter code's
+        entry is looked up once per evaluator. A regex's value is its
+        Program's automaton, and the evaluator holds each pool item's
+        Program."""
         node = self._prepared.get(unit)
         if node is not None:
             return node
         bp = self.bp
-        idx = unit - bp.node_base
-        if not 0 <= idx < len(bp.node_types):
-            raise DanglingOffset(unit)
-        code = bp.filter_keys[idx]
-        if bp.node_types[idx] == NODE_TERMINAL:
-            node = _TERMINALS[code == TERMINAL_ALLOW]
+        decision = bp.decision_at(unit)
+        if decision is not None:
+            node = (None, False, decision, None, None, None)
         else:
-            entry, key, kind, names = self._filters.get(code) or self._filter(code)
-            value = bp.filter_values[idx]
-            is_regex = kind is _REGEX
+            idx = unit - bp.node_base
+            code = bp.filter_keys[idx]
+            entry = self._entries.get(code)
+            if entry is None:
+                entry = self._entries[code] = self.vocab.by_code(code)
+            value = bp.value_at(unit, entry)
+            is_regex = entry.kind is _REGEX
             if is_regex:
-                program = self._programs.get(value)
+                index = bp.filter_values[idx]
+                program = self._programs.get(index)
                 if program is None:
-                    program = self._programs[value] = nfa_mod.program_at(
-                        memoryview(bp.raw)[bp.pool_offset(value, unit):])
+                    program = self._programs[index] = nfa_mod.program_at(value)
                 value = program.dfa
-            elif names is not None:
-                name = names.get(value)
-                if name is None:
-                    raise UnknownFilterValue(entry.name, value)
-                value = name
-            elif kind is not _NUMERIC:
-                value = read_pool_string(bp.raw, bp.pool_offset(value, unit))
-                if kind is _ENDPOINT:
-                    proto, _, addr = value.partition(" ")
-                    value = (proto, addr)
-            node = (key, is_regex, value, bp.match_offsets[idx],
+            node = (entry.context_key, is_regex, value, bp.match_offsets[idx],
                     bp.unmatch_offsets[idx], entry)
         self._prepared[unit] = node
         return node

@@ -45,6 +45,8 @@ class FilterKey:
 
     context_key names the runtime binding the filter tests; several keys may
     test the same binding (e.g. literal and regex both test "path").
+    value_names maps each enum value code to its first name in
+    named_values, so a decoder reads a name with one lookup.
     """
 
     name: str
@@ -52,10 +54,15 @@ class FilterKey:
     kind: ValueKind
     named_values: Mapping[str, int] | None = None
     context_key: str = ""
+    value_names: Mapping[int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.context_key:
             object.__setattr__(self, "context_key", self.name)
+        names = {}
+        for name, value in (self.named_values or {}).items():
+            names.setdefault(value, name)
+        object.__setattr__(self, "value_names", names)
 
 
 @dataclass(frozen=True)
