@@ -14,7 +14,7 @@ from sbprof import codec, decompile, evaluate, sbpl
 from sbprof.decompile import GraphNode, OpGraph
 from sbprof.errors import SandboxError
 from sbprof.generate import ProfileGenerator
-from sbprof.model import Decision, FilterVocabulary, OperationTable
+from sbprof.model import Decision, FilterVocabulary, OperationTable, Profile
 from sbprof.nfa import (
     TAG_ACCEPT,
     TAG_CHAR,
@@ -234,6 +234,67 @@ def dense_program(k: int) -> bytes:
                           struct.pack("<BH", TAG_JUMP_BCK, k * j), dead]
         blocks.append(struct.pack("<BH", TAG_ACCEPT, 0) if i == k - 1 else dead)
     return _program(blocks + edges)
+
+
+DECODE_MUTATIONS = 3000
+
+
+def decode_bases(small, large) -> list:
+    """The blobs the decode golden mutates, each as (blob, its first view):
+    small seeds 0-5, large seeds 0-2, container seed 0 and one bundle of
+    small seeds 0-7."""
+    blobs = [codec.compile_profile(ProfileGenerator(*small, seed=seed).generate(), *small)
+             for seed in range(6)]
+    blobs += [codec.compile_profile(ProfileGenerator(*large, seed=seed).generate(), *large)
+              for seed in range(3)]
+    blobs.append(codec.compile_profile(ProfileGenerator(
+        *large, seed=0, scale="container").generate(), *large))
+    members = []
+    for seed in range(8):
+        p = ProfileGenerator(*small, seed=seed).generate()
+        members.append(Profile(f"p{seed}", p.default_decision, p.rules))
+    blobs.append(codec.pack_bundle(members, *small))
+    return [(blob, codec.unpack_bundle(blob, scan=False)[1][0][1]
+             if blob[:2] == b"\x00\x80" else codec.decode_blob(blob)) for blob in blobs]
+
+
+def _mutate(rng, blob, first, count):
+    """One seeded mutation of blob, whose count node records start at byte
+    first: random bytes set, a truncation, a random u16 written, or a
+    chosen value written into one field of one node record."""
+    data = bytearray(blob)
+    kind = rng.random()
+    if kind < 0.3:
+        for _ in range(rng.randint(1, 4)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+    elif kind < 0.4:
+        data = data[:rng.randrange(1, len(data))]
+    elif kind < 0.55:
+        struct.pack_into("<H", data, rng.randrange(len(data) - 1), rng.randrange(0x10000))
+    else:
+        at = first + 8 * rng.randrange(count)
+        field = rng.randrange(5)
+        if field < 2:
+            data[at + field] = rng.choice((0, 1, 2, 0xFF, rng.randrange(256)))
+        else:
+            base = first // 8
+            value = rng.choice((0, base - 1, base, base + count - 1, base + count,
+                                rng.randrange(0x10000)))
+            struct.pack_into("<H", data, at + 2 * field - 2, value)
+    return bytes(data)
+
+
+def decode_mutations(bases, count: int = DECODE_MUTATIONS):
+    """The decode golden's seeded mutation stream over bases, a list of
+    (blob, first view): for each i below count, (i, data, garbage), where
+    data is a mutation of bases[i % len(bases)] and garbage is the 1-39
+    random bytes drawn after it, which the golden puts before data."""
+    rng = random.Random(1904)
+    for i in range(count):
+        blob, bp = bases[i % len(bases)]
+        data = _mutate(rng, blob, 8 * bp.node_base, len(bp.node_types))
+        garbage = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+        yield i, data, garbage
 
 
 def anchored_nfa(m: Nfa) -> Nfa:

@@ -29,10 +29,14 @@ from sbprof.model import (
     ValueKind,
 )
 
-from oracles import ast_match, enumerated_equivalence, exhaustive_contexts, expr_matches
-from test_decode_golden import MUTATIONS as DECODE_MUTATIONS
-from test_decode_golden import _bases as _decode_bases
-from test_decode_golden import _mutate
+from oracles import (
+    ast_match,
+    decode_bases,
+    decode_mutations,
+    enumerated_equivalence,
+    exhaustive_contexts,
+    expr_matches,
+)
 
 BLACKLIST = '''(deny default)
 (deny file-read* (literal "/bin/secret.txt"))
@@ -844,22 +848,19 @@ def test_prepared_nodes_match_the_codec_accessors(small, large):
 
 
 def test_prepared_nodes_raise_what_the_codec_accessors_raise(small, large):
-    # the decode golden's mutations, in its order; each one that decodes is
-    # read through collect_atoms and cold verdicts and through the accessors
-    rng = random.Random(1904)
-    bases = []
-    for blob in _decode_bases(small, large):
+    # the decode golden's mutations; each one that decodes is read through
+    # collect_atoms and cold verdicts and through the accessors
+    bases = decode_bases(small, large)
+    contexts_of = []
+    for blob, bp in bases:
         bundled = blob[:2] == b"\x00\x80"
-        bp = codec.unpack_bundle(blob, scan=False)[1][0][1] if bundled else codec.decode_blob(blob)
         table, voc = small if bundled or len(bp.op_pointers) == len(small[0]) else large
         universe = evaluate.build_universe(evaluate.collect_atoms(bp, table, voc), voc)
-        contexts = [Q({}), *evaluate.sampled_contexts(universe, 0, 2)]
-        bases.append((blob, 8 * bp.node_base, len(bp.records), bundled, table, voc, contexts))
+        contexts_of.append((bundled, table, voc,
+                            [Q({}), *evaluate.sampled_contexts(universe, 0, 2)]))
     outcomes = Counter()
-    for i in range(DECODE_MUTATIONS):
-        blob, first, count, bundled, table, voc, contexts = bases[i % len(bases)]
-        data = _mutate(rng, blob, first, count)
-        bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))  # the golden's prefix
+    for i, data, _garbage in decode_mutations(bases):
+        bundled, table, voc, contexts = contexts_of[i % len(bases)]
         decoded = _tried(lambda: codec.unpack_bundle(data, scan=False)[1][0][1] if bundled
                          else codec.decode_blob(data))
         if decoded[0] != "ok" or decoded[1].op_count != len(table):
