@@ -88,7 +88,7 @@ def _pack_string(text: str) -> bytes:
     return struct.pack("<H", len(data)) + data
 
 
-def read_pool_string(raw: bytes, off: int) -> str:
+def _read_pool_string(raw: bytes, off: int) -> str:
     """The pool string at byte off of raw: a u16-le byte length, then that
     many bytes of UTF-8."""
     if off + 2 > len(raw):
@@ -189,7 +189,7 @@ class BinaryProfile:
             return None
         return Decision.ALLOW if self.filter_keys[idx] == TERMINAL_ALLOW else Decision.DENY
 
-    def pool_offset(self, index: int, unit: int) -> int:
+    def _pool_offset(self, index: int, unit: int) -> int:
         """Byte offset of pool item index, which the value of the node at
         unit holds; a bad index is reported at the node's value field."""
         if not 0 <= index < self.pool_count:
@@ -211,8 +211,8 @@ class BinaryProfile:
                 raise UnknownFilterValue(entry.name, value)
             return name
         if kind is _REGEX:
-            return memoryview(self.raw)[self.pool_offset(value, unit):]
-        text = read_pool_string(self.raw, self.pool_offset(value, unit))
+            return memoryview(self.raw)[self._pool_offset(value, unit):]
+        text = _read_pool_string(self.raw, self._pool_offset(value, unit))
         if kind is _ENDPOINT:
             proto, _, addr = text.partition(" ")
             return (proto, addr)
@@ -363,7 +363,7 @@ def _read_layout(blob, start: int, format_id: int) -> list:
             for j, ptr in enumerate(op_pointers):
                 if not base <= ptr < base + len(types):
                     raise MalformedBlob(at + 2 * j, f"operation pointer 0x{ptr:04x} out of range")
-        name = read_pool_string(raw, name_units[i] * 8) if named else ""
+        name = _read_pool_string(raw, name_units[i] * 8) if named else ""
         if name in names:
             raise MalformedBlob(tables[i], f"duplicate profile name {name!r}")
         names.add(name)
@@ -681,8 +681,8 @@ def extract_profile(view: BinaryProfile, vocab: FilterVocabulary) -> bytes:
         elif entry.kind is ValueKind.REGEX_INDEX:
             payload = nfa.program_at(view.value_at(unit, entry)).wire
         else:
-            payload = _pack_string(read_pool_string(
-                view.raw, view.pool_offset(view.filter_values[idx], unit)))
+            payload = _pack_string(_read_pool_string(
+                view.raw, view._pool_offset(view.filter_values[idx], unit)))
         refs = ref(view.match_offsets[idx]), ref(view.unmatch_offsets[idx])
         reached.append((entry.code, payload, *refs))
         return refs
