@@ -402,9 +402,9 @@ def test_dense_program_within_the_glue_budget_is_refused_fast():
     # the glue budget admits the complete graph on 32 states; its letters
     # repeat modulo 256, so many of its alternatives share an end, and
     # simplify compared every pair of them for 1.2 s before the leaf bound
-    # refused the result. The best of three runs is timed: about 0.12 s
-    # here, 0.25 s under -X dev's checked allocator, so one run on a busy
-    # machine could cross the bound
+    # refused the result. The best of three runs is timed: about 0.12 s on
+    # a 2-vCPU Xeon guest, 0.25 s under -X dev's checked allocator, so one
+    # run on a busy machine could cross the bound
     program = nfa.deserialize_nfa(dense_program(32))
     took = []
     for _ in range(3):
